@@ -304,7 +304,7 @@ def _law_item(r: poly.LawReport, with_trace: bool) -> Item:
 def cmd_verify_poly(args, rules, fuel) -> Report:
     env = load_environment(args.file, rules, fuel)
     report = Report("verify-poly", list(env.items))
-    names = (args.samples or "terminal,Ty0,El0,Mon,Cat").split(",")
+    names = args.samples.split(",") if args.samples else [t.name for t in poly.default_samples()]
     samples = []
     for n in names:
         n = n.strip()

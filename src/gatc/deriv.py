@@ -39,7 +39,7 @@ from .expr import (
     open_bound,
     substitute,
 )
-from .theory import Declaration, TermEqKind, TermKind, Theory, TypeEqKind, TypeKind
+from .theory import Declaration, TermKind, Theory, TypeKind
 
 Context = tuple[tuple[str, Expr], ...]
 
@@ -340,13 +340,7 @@ def _match_all(eng: _Engine, index, pat: Expr, t: Expr, pvars: frozenset[str], s
 
 def _axiom_patterns(theory: Theory):
     """Equational axioms as (label, lhs, rhs, telescope vars)."""
-    out = []
-    for d in theory.decls:
-        if isinstance(d.kind, TypeEqKind):
-            out.append((d.name, d.kind.lhs, d.kind.rhs, frozenset(d.arity)))
-        elif isinstance(d.kind, TermEqKind):
-            out.append((d.name, d.kind.lhs, d.kind.rhs, frozenset(d.arity)))
-    return out
+    return [(d.name, d.kind.lhs, d.kind.rhs, frozenset(d.arity)) for d in theory.axioms()]
 
 
 def eq_check(
@@ -471,12 +465,9 @@ def replay_eq_trace(
                 d = theory.decl(st.label)
             except UnknownSymbol:
                 return False
-            if isinstance(d.kind, TypeEqKind):
-                al, ar = d.kind.lhs, d.kind.rhs
-            elif isinstance(d.kind, TermEqKind):
-                al, ar = d.kind.lhs, d.kind.rhs
-            else:
+            if not d.is_axiom:
                 return False
+            al, ar = d.kind.lhs, d.kind.rhs
             sub = dict(st.subst)
             if not set(sub) <= set(d.arity):
                 return False

@@ -157,10 +157,6 @@ def substitute(e: Expr, sub: Mapping[str, Expr]) -> Expr:
     raise TypeError(f"unexpected expression node: {e!r}")
 
 
-def subst1(e: Expr, name: str, value: Expr) -> Expr:
-    return substitute(e, {name: value})
-
-
 def abstract_var(e: Expr, name: str, depth: int = 0) -> Expr:
     """Turn free occurrences of name into the bound index at depth."""
     if isinstance(e, Var):

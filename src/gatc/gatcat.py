@@ -3,14 +3,15 @@
 An interpretation maps each source symbol to an expression over the
 target whose free variables come from the symbol's own telescope; it is
 valid when every translated declaration judgment checks over the target.
-Arrows of the opposite category are interpretation representatives with
-the direction formally reversed; arrow equality is the (semi-decidable)
-equivalence check, so no quotient is materialized.
+Interpretations are the arrows and compose by translation; arrow
+equality is the (semi-decidable) equivalence check, so no quotient is
+materialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import deriv
@@ -26,7 +27,7 @@ from .deriv import (
 )
 from .errors import ArityMismatch, GatError, UnknownSymbol
 from .gatform_names import safe_name
-from .expr import App, Expr, Var, free_vars, fresh_name, translate
+from .expr import App, Expr, Var, free_vars, fresh_name, rename_symbols, substitute, translate
 from .theory import (
     Declaration,
     TermEqKind,
@@ -43,7 +44,7 @@ from .theory import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Interpretation:
     """A symbol map src -> expressions over dst.
 
@@ -55,8 +56,12 @@ class Interpretation:
 
     src: Theory
     dst: Theory
-    mapping: dict[str, Expr] = field(default_factory=dict)
+    mapping: Mapping[str, Expr] = field(default_factory=dict)
     name: str = ""
+
+    def __post_init__(self) -> None:
+        # a read-only view of a private copy: the caller's dict stays theirs
+        object.__setattr__(self, "mapping", MappingProxyType(dict(self.mapping)))
 
     def image(self, sym: str) -> Expr:
         e = self.mapping.get(sym)
@@ -334,19 +339,8 @@ def pushout(
             if dd.is_symbol and dd.name in tilde
         }
         new_name = fresh_name(d.name, {dd.name for dd in current.decls})
-        ctx2 = tuple((x, translate(ty, imgs)) for x, ty in d.ctx)
-        knd = d.kind
-        if isinstance(knd, TypeKind):
-            kind2: object = TypeKind()
-        elif isinstance(knd, TermKind):
-            kind2 = TermKind(translate(knd.ty, imgs))
-        elif isinstance(knd, TypeEqKind):
-            kind2 = TypeEqKind(translate(knd.lhs, imgs), translate(knd.rhs, imgs))
-        else:
-            kind2 = TermEqKind(
-                translate(knd.lhs, imgs), translate(knd.rhs, imgs), translate(knd.ty, imgs)
-            )
-        current = extend(current, Declaration(new_name, ctx2, kind2), rules, fuel)
+        copy = d.map(lambda e: translate(e, imgs), new_name)
+        current = extend(current, copy, rules, fuel)
         if d.is_symbol:
             tilde[d.name] = App(new_name, tuple(Var(x) for x in d.arity))
     out = Theory(name or safe_name(f"po_{total.name}_{along.dst.name}"), current.decls, current.pi)
@@ -387,34 +381,6 @@ def pushout_general(
 
 
 # ---------------------------------------------------------------------------
-# Arrows of the opposite category
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ThGatArrow:
-    """An arrow src -> dst of the opposite category: an interpretation
-    from the theory presenting dst to the theory presenting src."""
-
-    src: Theory
-    dst: Theory
-    interp: Interpretation
-
-    def __post_init__(self) -> None:
-        assert self.interp.src.decls == self.dst.decls
-        assert self.interp.dst.decls == self.src.decls
-
-
-def arrow(interp: Interpretation) -> ThGatArrow:
-    return ThGatArrow(interp.dst, interp.src, interp)
-
-
-def arrow_compose(f: ThGatArrow, g: ThGatArrow) -> ThGatArrow:
-    """g after f as arrows; Kleisli composition of the underlying maps."""
-    return ThGatArrow(f.src, g.dst, compose(g.interp, f.interp))
-
-
-# ---------------------------------------------------------------------------
 # Inductive (limit) presentation
 # ---------------------------------------------------------------------------
 
@@ -434,22 +400,23 @@ class LimitClause:
     arrows: tuple[Interpretation, ...]
 
 
-def _classifier(prefix: Theory, d: Declaration, top: Optional[Expr], tower: Theory) -> Interpretation:
+def _classifier(
+    prefix: Theory,
+    d: Declaration,
+    top: Optional[Expr],
+    tower: Theory,
+    element: Optional[Expr] = None,
+) -> Interpretation:
     """Interpretation from a Ty/El tower into the prefix classifying d's
-    context (and top type / sides where applicable)."""
+    context (and top type / element where applicable)."""
     renaming = {x: Var(f"x{j}") for j, (x, _) in enumerate(d.ctx)}
-    mapping: dict[str, Expr] = {}
-    for j, (_, ty) in enumerate(d.ctx):
-        mapping[f"A{j}"] = _rename_free(ty, renaming)
+    n = len(d.ctx)
+    mapping = {f"A{j}": substitute(ty, renaming) for j, (_, ty) in enumerate(d.ctx)}
     if top is not None:
-        mapping[f"A{len(d.ctx)}"] = _rename_free(top, renaming)
+        mapping[f"A{n}"] = substitute(top, renaming)
+    if element is not None:
+        mapping[f"e{n}"] = substitute(element, renaming)
     return Interpretation(tower, prefix, mapping)
-
-
-def _rename_free(e: Expr, renaming: Mapping[str, Expr]) -> Expr:
-    from .expr import substitute
-
-    return substitute(e, dict(renaming))
 
 
 def limit_presentation(theory: Theory) -> list[LimitClause]:
@@ -470,11 +437,8 @@ def limit_presentation(theory: Theory) -> list[LimitClause]:
             g = _classifier(prefix, d, k.rhs, mk_Ty(n))
             out.append(LimitClause("type-eq", n, d.name, (f, g)))
         else:
-            renaming = {x: Var(f"x{j}") for j, (x, _) in enumerate(d.ctx)}
-            f = _classifier(prefix, d, k.ty, mk_El(n))
-            g = _classifier(prefix, d, k.ty, mk_El(n))
-            f.mapping[f"e{n}"] = _rename_free(k.lhs, renaming)
-            g.mapping[f"e{n}"] = _rename_free(k.rhs, renaming)
+            f = _classifier(prefix, d, k.ty, mk_El(n), k.lhs)
+            g = _classifier(prefix, d, k.ty, mk_El(n), k.rhs)
             out.append(LimitClause("term-eq", n, d.name, (f, g)))
     return out
 
@@ -497,9 +461,7 @@ def reconstruct(
     renaming: dict[str, str] = {}
 
     def retarget(i: Interpretation) -> Interpretation:
-        mapping = {
-            c: _rename_heads(e, renaming) for c, e in i.mapping.items()
-        }
+        mapping = {c: rename_symbols(e, renaming) for c, e in i.mapping.items()}
         return Interpretation(i.src, current, mapping)
 
     for cl in clauses:
@@ -521,12 +483,6 @@ def reconstruct(
             ce = coequalizer(f, g, rules, fuel, name=name)
             current = Theory(name, ce.theory.decls, ce.theory.pi)
     return current, renaming
-
-
-def _rename_heads(e: Expr, renaming: Mapping[str, str]) -> Expr:
-    from .expr import rename_symbols
-
-    return rename_symbols(e, dict(renaming))
 
 
 def renaming_interpretation(

@@ -29,6 +29,7 @@ from .expr import (
     mk_lam,
     mk_pi,
     open_bound,
+    substitute,
 )
 from .theory import (
     Declaration,
@@ -344,9 +345,9 @@ class _Parser:
             self.next()
             name = self.expect("IDENT").value
             self.expect("COLON")
-            raw_ctx = self.telescope()
+            ctx = self.resolved_telescope()
+            scope = [x for x, _ in ctx]
             self.expect("DARROW")
-            ctx, scope = self._resolve_ctx(raw_ctx)
             if self.at("Type"):
                 self.next()
                 return Declaration(name, ctx, TypeKind())
@@ -356,9 +357,9 @@ class _Parser:
             self.next()
             label = self.expect("IDENT").value if self.at("IDENT") else anonymous_label(so_far)
             self.expect("COLON")
-            raw_ctx = self.telescope()
+            ctx = self.resolved_telescope()
+            scope = [x for x, _ in ctx]
             self.expect("DARROW")
-            ctx, scope = self._resolve_ctx(raw_ctx)
             lhs = resolve(self.expr(), scope)
             self.expect("EQUALS")
             rhs = resolve(self.expr(), scope)
@@ -375,14 +376,6 @@ class _Parser:
                 return Declaration(label, ctx, TypeEqKind(lhs, rhs))
             return Declaration(label, ctx, TermEqKind(lhs, rhs, ty))
         raise GatSyntaxError(f"expected 'sym' or 'ax', found {t.value!r}", t.line, t.col)
-
-    def _resolve_ctx(self, raw_ctx):
-        scope: list[str] = []
-        ctx: list[tuple[str, Expr]] = []
-        for x, rty in raw_ctx:
-            ctx.append((x, resolve(rty, scope)))
-            scope.append(x)
-        return tuple(ctx), scope
 
     def interp_block(self) -> InterpBlock:
         t = self.expect("interp")
@@ -530,8 +523,6 @@ def _shadow_free(ctx, exprs):
     sub: dict[str, Expr] = {}
     out = []
     taken = set(used) | {x for x, _ in ctx}
-    from .expr import substitute
-
     for x, ty in ctx:
         ty = substitute(ty, sub)
         if x in used:
@@ -544,31 +535,19 @@ def _shadow_free(ctx, exprs):
 
 
 def print_decl(d: Declaration, unicode: bool = False) -> str:
-    from .expr import substitute
-
     arrow = "⇒" if unicode else "=>"
-    k = d.kind
-    body_exprs = []
-    if isinstance(k, TermKind):
-        body_exprs = [k.ty]
-    elif isinstance(k, TypeEqKind):
-        body_exprs = [k.lhs, k.rhs]
-    elif isinstance(k, TermEqKind):
-        body_exprs = [k.lhs, k.rhs] + ([k.ty] if k.ty is not None else [])
-    ctx, sub = _shadow_free(d.ctx, body_exprs)
+    ctx, sub = _shadow_free(d.ctx, d.kind.exprs())
     tele = f"({print_telescope(ctx, unicode)})"
+    # the kind with each expression replaced by its printed text
+    k = d.kind.map(lambda e: print_expr(substitute(e, sub), unicode))
     if isinstance(k, TypeKind):
         return f"sym {d.name} : {tele} {arrow} Type"
     if isinstance(k, TermKind):
-        return f"sym {d.name} : {tele} {arrow} {print_expr(substitute(k.ty, sub), unicode)}"
+        return f"sym {d.name} : {tele} {arrow} {k.ty}"
     if isinstance(k, TypeEqKind):
-        lhs = print_expr(substitute(k.lhs, sub), unicode)
-        rhs = print_expr(substitute(k.rhs, sub), unicode)
-        return f"ax {d.name} : {tele} {arrow} {lhs} = {rhs} : Type"
-    lhs = print_expr(substitute(k.lhs, sub), unicode)
-    rhs = print_expr(substitute(k.rhs, sub), unicode)
-    ty = "" if k.ty is None else f" : {print_expr(substitute(k.ty, sub), unicode)}"
-    return f"ax {d.name} : {tele} {arrow} {lhs} = {rhs}{ty}"
+        return f"ax {d.name} : {tele} {arrow} {k.lhs} = {k.rhs} : Type"
+    ty = "" if k.ty is None else f" : {k.ty}"
+    return f"ax {d.name} : {tele} {arrow} {k.lhs} = {k.rhs}{ty}"
 
 
 def print_theory(t: Theory, unicode: bool = False) -> str:
@@ -587,16 +566,13 @@ def print_interp(i, unicode: bool = False) -> str:
     file holding both the theory and the interpretation reparses to the
     same map.
     """
-    from .expr import substitute
-
     lines = [f"interp {i.name or 'I'} : {i.src.name} -> {i.dst.name} {{"]
     for d in i.src.decls:
         if not d.is_symbol:
             continue
         image = i.mapping[d.name]
-        printed_ctx, sub = _shadow_free(d.ctx, list(d.exprs()))
-        if sub:
-            image = substitute(image, {k: v for k, v in sub.items()})
+        _, sub = _shadow_free(d.ctx, d.exprs())
+        image = substitute(image, sub)
         lines.append(f"  {d.name} |-> {print_expr(image, unicode)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import BudgetExceeded, ModelError
-from .expr import App, Expr, Var
+from .expr import App, Expr, Var, subexprs
 from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout
 from .theory import TermEqKind, TermKind, Theory, TypeEqKind, TypeKind
 
@@ -41,19 +41,12 @@ class Model:
 def _require_first_order(theory: Theory) -> None:
     for d in theory.decls:
         for e in d.exprs():
-            for sub in _walk(e):
+            for sub in subexprs(e):
                 if not isinstance(sub, (Var, App)):
                     raise ModelError(
                         f"theory {theory.name!r} uses binders; finite models cover "
                         "only binder-free theories"
                     )
-
-
-def _walk(e: Expr):
-    yield e
-    if isinstance(e, App):
-        for a in e.args:
-            yield from _walk(a)
 
 
 def eval_term(model: Model, env: dict[str, int], e: Expr) -> int:
@@ -103,15 +96,6 @@ def context_instances(model: Model, ctx) -> Iterator[dict[str, int]]:
         env.pop(x, None)
 
     yield from rec(0, {})
-
-
-def check_model(model: Model) -> bool:
-    """Every axiom instance holds and every table is total."""
-    try:
-        validate_model(model)
-        return True
-    except ModelError:
-        return False
 
 
 def validate_model(model: Model) -> None:

@@ -11,10 +11,10 @@ adjunction triangle identities as interpretation equivalences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
-from . import deriv, gatcat
+from . import deriv
 from .deriv import Fuel, RuleSet
 from .errors import GatError
 from .gatform_names import safe_name
@@ -35,11 +35,7 @@ from .gatcat import (
 )
 from .theory import (
     Declaration,
-    TermEqKind,
-    TermKind,
     Theory,
-    TypeEqKind,
-    TypeKind,
     check_theory,
     mk_El,
     mk_Ty,
@@ -86,23 +82,8 @@ def poly_apply(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv
     for d in base.decls:
         hv = fresh_name("x0", {x for x, _ in d.ctx})
         hyp_var[d.name] = hv
-        ctx = ((hv, App(reserved)),) + tuple(
-            (x, hypothesize(ty, hv, syms)) for x, ty in d.ctx
-        )
-        k = d.kind
-        if isinstance(k, TypeKind):
-            kind: object = TypeKind()
-        elif isinstance(k, TermKind):
-            kind = TermKind(hypothesize(k.ty, hv, syms))
-        elif isinstance(k, TypeEqKind):
-            kind = TypeEqKind(hypothesize(k.lhs, hv, syms), hypothesize(k.rhs, hv, syms))
-        else:
-            kind = TermEqKind(
-                hypothesize(k.lhs, hv, syms),
-                hypothesize(k.rhs, hv, syms),
-                hypothesize(k.ty, hv, syms),
-            )
-        decls.append(Declaration(d.name, ctx, kind))
+        h = d.map(lambda e: hypothesize(e, hv, syms))
+        decls.append(Declaration(d.name, ((hv, App(reserved)),) + h.ctx, h.kind))
     out = check_theory(decls, rules, fuel, name=safe_name(f"P_{base.name}"))
     return PolyTheory(out, base, reserved, hyp_var)
 
@@ -120,48 +101,6 @@ def poly_interp(i: Interpretation, psrc: PolyTheory, pdst: PolyTheory) -> Interp
         hv = psrc.hyp_var[d.name]
         mapping[d.name] = hypothesize(i.image(d.name), hv, dst_syms)
     return Interpretation(psrc.theory, pdst.theory, mapping, f"P({i.name})" if i.name else "")
-
-
-def poly_map(
-    f: gatcat.ThGatArrow,
-    psrc: PolyTheory,
-    pdst: PolyTheory,
-    rules: Optional[RuleSet] = None,
-    fuel: Fuel = deriv.DEFAULT_FUEL,
-) -> gatcat.ThGatArrow:
-    """Arrow form of the functor action: P f : P src -> P dst.
-
-    The image is re-checked for validity rather than trusted to the
-    stability property.
-    """
-    i = poly_interp(f.interp, pdst, psrc)
-    v = check_interpretation(i, rules, fuel)
-    if not v.ok:
-        raise GatError(f"families image of {f.interp.name or 'arrow'} failed: {v.detail}")
-    return gatcat.arrow(i)
-
-
-def leg_arrow(p: PolyTheory) -> gatcat.ThGatArrow:
-    """P base -> Ty0, the inclusion at the reserved symbol."""
-    return gatcat.arrow(p.leg)
-
-
-def wk_arrow(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> gatcat.ThGatArrow:
-    """base x Ty0 -> P base over Ty0."""
-    p = poly_apply(base, rules, fuel)
-    return gatcat.arrow(weakening_interp(p, product_with_ty0(base, fuel)))
-
-
-def proj_arrow(rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> gatcat.ThGatArrow:
-    """Ty0 -> P El0 over Ty0."""
-    return gatcat.arrow(projection_interp(poly_apply(mk_El(0), rules, fuel)))
-
-
-def subst_arrow(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> gatcat.ThGatArrow:
-    """P base x_{Ty0} El0 -> base."""
-    p = poly_apply(base, rules, fuel)
-    fib = fib_product_el0(p.theory, p.leg, fuel)
-    return gatcat.arrow(substitution_interp(p, fib))
 
 
 # ---------------------------------------------------------------------------
@@ -402,24 +341,9 @@ def check_triangles(
     """
     rules = rules if rules is not None else (deriv.WITH_PI if base.pi else deriv.BASE)
     out = []
-    out.append(_triangle_counit(base, rules, fuel))
+    out.append(replace(_check_p4(base, rules, fuel), name=f"triangle-counit[{base.name}]"))
     out.append(_triangle_unit(leg_base, leg, rules, fuel))
     return out
-
-
-def _triangle_counit(base: Theory, rules, fuel) -> LawReport:
-    name = f"triangle-counit[{base.name}]"
-    try:
-        poly_base = poly_apply(base, rules, fuel)
-        fib = fib_product_el0(poly_base.theory, poly_base.leg, fuel)
-        poly_fib = poly_apply(fib.theory, rules, fuel)
-        subst = substitution_interp(poly_base, fib)
-        p_subst = poly_interp(subst, poly_base, poly_fib)
-        unit = derive_unit(poly_base.theory, poly_base.leg, rules, fuel)
-        composite = compose(p_subst, unit.eta)
-        return _law(name, equivalent(composite, identity(poly_base.theory), rules, fuel))
-    except GatError as exc:
-        return _failed(name, exc)
 
 
 def _triangle_unit(base: Theory, leg: Interpretation, rules, fuel) -> LawReport:
@@ -635,15 +559,6 @@ def pi_square(fuel: Fuel = deriv.DEFAULT_FUEL) -> PiSquareResult:
     forward = _law("pi-square-beta", equivalent(compose(inverse, comparison), identity(el1), rules, fuel))
     backward = _law("pi-square-eta", equivalent(compose(comparison, inverse), identity(corner.theory), rules, fuel))
     return PiSquareResult(commutes, forward, backward, comparison, inverse)
-
-
-def step_kinds(steps) -> dict[str, int]:
-    """Histogram of trace step kinds, for reporting."""
-    out: dict[str, int] = {}
-    for s in steps:
-        k = type(s).__name__
-        out[k] = out.get(k, 0) + 1
-    return out
 
 
 def default_samples() -> list[Theory]:

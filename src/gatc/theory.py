@@ -10,14 +10,28 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
 from .expr import Ap, App, Expr, Var, head_symbols, mk_lam, mk_pi, rename_symbols
 
 
 class DeclKind:
+    """Base of the four declaration kinds.
+
+    Every kind is a frozen dataclass whose fields are all expressions;
+    only TermEqKind.ty may be None (omitted in source).
+    """
+
     __slots__ = ()
+
+    def exprs(self) -> tuple[Expr, ...]:
+        """The kind's expressions in field order; an omitted type is skipped."""
+        return tuple(v for v in vars(self).values() if v is not None)
+
+    def map(self, fn: Callable[[Expr], Expr]) -> DeclKind:
+        """The same kind with fn applied to each of its expressions."""
+        return type(self)(**{k: fn(v) for k, v in vars(self).items() if v is not None})
 
 
 @dataclass(frozen=True)
@@ -74,17 +88,15 @@ class Declaration:
     def exprs(self) -> Iterable[Expr]:
         for _, ty in self.ctx:
             yield ty
-        k = self.kind
-        if isinstance(k, TermKind):
-            yield k.ty
-        elif isinstance(k, TypeEqKind):
-            yield k.lhs
-            yield k.rhs
-        elif isinstance(k, TermEqKind):
-            yield k.lhs
-            yield k.rhs
-            if k.ty is not None:
-                yield k.ty
+        yield from self.kind.exprs()
+
+    def map(self, fn: Callable[[Expr], Expr], name: Optional[str] = None) -> Declaration:
+        """Apply fn to every telescope type and kind expression; optionally rename."""
+        return Declaration(
+            self.name if name is None else name,
+            tuple((x, fn(ty)) for x, ty in self.ctx),
+            self.kind.map(fn),
+        )
 
 
 Pretheory = Sequence[Declaration]
@@ -132,32 +144,9 @@ class Theory:
 
     def rename(self, renaming: Mapping[str, str], name: Optional[str] = None) -> Theory:
         """Rename declarations and every symbol occurrence; shape-preserving."""
-        new = []
-        for d in self.decls:
-            new.append(
-                Declaration(
-                    renaming.get(d.name, d.name),
-                    tuple((x, rename_symbols(t, renaming)) for x, t in d.ctx),
-                    _rename_kind(d.kind, renaming),
-                )
-            )
-        return Theory(name or self.name, tuple(new), self.pi)
-
-
-def _rename_kind(k: DeclKind, renaming: Mapping[str, str]) -> DeclKind:
-    if isinstance(k, TypeKind):
-        return k
-    if isinstance(k, TermKind):
-        return TermKind(rename_symbols(k.ty, renaming))
-    if isinstance(k, TypeEqKind):
-        return TypeEqKind(rename_symbols(k.lhs, renaming), rename_symbols(k.rhs, renaming))
-    if isinstance(k, TermEqKind):
-        return TermEqKind(
-            rename_symbols(k.lhs, renaming),
-            rename_symbols(k.rhs, renaming),
-            None if k.ty is None else rename_symbols(k.ty, renaming),
-        )
-    raise TypeError(f"unexpected kind: {k!r}")
+        fn = lambda e: rename_symbols(e, renaming)  # noqa: E731
+        decls = tuple(d.map(fn, renaming.get(d.name, d.name)) for d in self.decls)
+        return Theory(name or self.name, decls, self.pi)
 
 
 # Imported after the data definitions: deriv needs them back.

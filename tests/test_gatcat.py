@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from gatc.errors import GatError
@@ -27,6 +29,16 @@ LIB = stdlib()
 
 def test_mon_to_catpt_validates():
     assert check_interpretation(mon_to_catpt()).ok
+
+
+def test_interpretation_is_frozen():
+    i = mon_to_catpt()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        i.mapping = {}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        i.name = "renamed"
+    with pytest.raises(TypeError):
+        i.mapping["u"] = App("b")
 
 
 def test_identity_interpretation_validates():
