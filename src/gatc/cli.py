@@ -7,7 +7,8 @@ theory corpus.  Reports print one line per item, or a stable JSON
 document under --json.
 
 Exit codes: 0 all items ok/Proved; 1 any Failed or error; 2 any
-Inconclusive (and none failed); 3 usage or parse error.
+Inconclusive (and none failed), including a model search that ran out of
+its node budget; 3 usage or parse error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 
 from . import deriv, gatcat, gatform, models, poly, theory
 from .deriv import AxiomStep, BetaStep, CongStep, EqVerdict, EtaStep, Fuel
-from .errors import GatError, GatSyntaxError, InconclusiveEquality, NotATerm
+from .errors import BudgetExceeded, GatError, GatSyntaxError, InconclusiveEquality, NotATerm
 from .gatcat import Interpretation
 from .theory import Theory
 
@@ -138,7 +139,8 @@ class Environment:
 
 def _error_item(name: str, exc: Exception, line: Optional[int] = None) -> Item:
     where = f"line {line}: " if line else ""
-    verdict = "Inconclusive" if isinstance(exc, InconclusiveEquality) else "error"
+    undecided = isinstance(exc, (InconclusiveEquality, BudgetExceeded))
+    verdict = "Inconclusive" if undecided else "error"
     return Item(name, verdict, f"{where}{type(exc).__name__}: {exc}")
 
 

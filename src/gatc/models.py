@@ -1,4 +1,4 @@
-"""Brute-force finite-set semantics of theories.
+"""Finite-set semantics of theories and an exhaustive model finder.
 
 A model assigns a finite carrier {0, ..., s-1} to every semantic
 instance of each dependent type symbol and an element to every instance
@@ -6,19 +6,23 @@ of each term symbol, such that all instantiated axioms hold.  Models are
 counted as labeled structures on canonical carriers, which makes counts
 well-defined and the colimit comparison bijections literal.  The
 enumerator is the independent oracle for the colimit universal
-properties; it is exhaustive, duplicate-free and deterministic.
+properties; it is exhaustive, duplicate-free and deterministic.  It
+fills a function table one cell at a time when axioms can be checked on
+it cell by cell, and checks each such axiom instance as soon as the
+cells it reads are set, after Zhang & Zhang's SEM (IJCAI 1995) and
+McCune's Mace4 (2003); it breaks no symmetries, so counts stay those of
+labeled structures.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import BudgetExceeded, ModelError
-from .expr import App, Expr, Var, subexprs
+from .expr import App, Expr, Var
 from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout
-from .theory import TermEqKind, TermKind, Theory, TypeEqKind, TypeKind
+from .theory import Declaration, TermEqKind, TermKind, Theory, TypeEqKind, TypeKind
 
 Instance = tuple[int, ...]
 
@@ -38,15 +42,47 @@ class Model:
         return (cs, fs)
 
 
-def _require_first_order(theory: Theory) -> None:
+def _plan(theory: Theory) -> list[tuple[Declaration, list[Declaration], list[Declaration]]]:
+    """The symbols in declaration order, each with the equations placed at it.
+
+    One pass rejects binders and places every equation at the last
+    symbol its sides or context types mention.  The equation is watched
+    cell by cell when that symbol is a term symbol its context does not
+    read; otherwise it is checked whole once the symbol's table is
+    complete.  Each entry is (symbol, watched, checked after).
+    """
+    plan: list[tuple[Declaration, list[Declaration], list[Declaration]]] = []
+    position: dict[str, int] = {}
     for d in theory.decls:
-        for e in d.exprs():
-            for sub in subexprs(e):
-                if not isinstance(sub, (Var, App)):
+        reads: set[str] = set()
+        mentions: set[str] = set()
+        for j, e in enumerate(d.exprs()):
+            stack = [e]
+            while stack:
+                sub = stack.pop()
+                if sub.__class__ is App:
+                    if j < len(d.ctx):
+                        reads.add(sub.head)
+                    if j < len(d.ctx) + 2:  # a TermEqKind.ty is never evaluated
+                        mentions.add(sub.head)
+                    stack.extend(sub.args)
+                elif sub.__class__ is not Var:
                     raise ModelError(
                         f"theory {theory.name!r} uses binders; finite models cover "
                         "only binder-free theories"
                     )
+        if d.is_symbol:
+            position[d.name] = len(plan)
+            plan.append((d, [], []))
+            continue
+        sym, watched, after = plan[max(position[h] for h in mentions)]
+        watch = (
+            isinstance(d.kind, TermEqKind)
+            and isinstance(sym.kind, TermKind)
+            and sym.name not in reads
+        )
+        (watched if watch else after).append(d)
+    return plan
 
 
 def eval_term(model: Model, env: dict[str, int], e: Expr) -> int:
@@ -81,21 +117,15 @@ def eval_type(model: Model, env: dict[str, int], e: Expr) -> int:
     raise ModelError("type expression expected")
 
 
-def context_instances(model: Model, ctx) -> Iterator[dict[str, int]]:
-    """Environments for a telescope, in lexicographic element order."""
+def context_instances(model: Model, ctx) -> list[dict[str, int]]:
+    """Environments for a telescope, in lexicographic element order.
 
-    def rec(i: int, env: dict[str, int]) -> Iterator[dict[str, int]]:
-        if i == len(ctx):
-            yield dict(env)
-            return
-        x, ty = ctx[i]
-        size = eval_type(model, env, ty)
-        for val in range(size):
-            env[x] = val
-            yield from rec(i + 1, env)
-        env.pop(x, None)
-
-    yield from rec(0, {})
+    Each environment binds the telescope's variables in telescope order.
+    """
+    envs: list[dict[str, int]] = [{}]
+    for x, ty in ctx:
+        envs = [{**env, x: v} for env in envs for v in range(eval_type(model, env, ty))]
+    return envs
 
 
 def validate_model(model: Model) -> None:
@@ -135,28 +165,129 @@ def validate_model(model: Model) -> None:
 def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> list[Model]:
     """All models with carrier sizes at most bound, by backtracking.
 
-    Declaration-order search with axiom checks as soon as an axiom's
-    symbols are all assigned; the node budget caps visited partial
-    assignments.
+    Symbols are assigned in declaration order.  A carrier table, or a
+    function table that no equation watches, is chosen whole; a watched
+    function table is filled one cell at a time in context-instance key
+    order, and each watched equation instance is evaluated again as soon
+    as the cell it waits on is set.  Values are tried in ascending order,
+    so models come out in the order of the whole-table product.  The
+    budget counts nodes: one per whole table chosen and one per cell
+    value tried.
     """
     if bound < 0:
         raise ModelError("carrier bound must be non-negative")
-    _require_first_order(theory)
-    decls = theory.decls
+    if budget < 0:
+        raise ModelError("node budget must be non-negative")
+    plan = _plan(theory)
     out: list[Model] = []
     model = Model(theory)
     nodes = 0
 
-    def spend(n: int = 1) -> None:
+    def spend() -> None:
         nonlocal nodes
-        nodes += n
+        nodes += 1
         if nodes > budget:
             raise BudgetExceeded(
                 f"model search for {theory.name!r} exceeded {budget} nodes"
             )
 
-    def rec(i: int) -> None:
-        if i == len(decls):
+    def holds(eqs: list[Declaration]) -> bool:
+        # An undefined value means some equation not yet checked fails in
+        # every completion of this assignment, so it prunes like a failure.
+        try:
+            for d in eqs:
+                ev = eval_type if isinstance(d.kind, TypeEqKind) else eval_term
+                for env in context_instances(model, d.ctx):
+                    if ev(model, env, d.kind.lhs) != ev(model, env, d.kind.rhs):
+                        return False
+        except ModelError:
+            return False
+        return True
+
+    def fill(s: int, keys: list[Instance], sizes: list[int]) -> None:
+        d, watched, eqs = plan[s]
+        name = d.name
+        funcs = model.funcs
+        table: dict[Instance, int] = {}
+        funcs[name] = table
+        watches: dict[Instance, list] = {key: [] for key in keys}
+
+        def value(e: App, env: dict[str, int]):
+            """The element e denotes, the unset cell it waits on, or None if undefined."""
+            args = []
+            for a in e.args:
+                v = env[a.name] if a.__class__ is Var else value(a, env)
+                if v.__class__ is not int:
+                    return v
+                args.append(v)
+            key = tuple(args)
+            v = funcs[e.head].get(key)
+            if v is None and e.head == name and key in watches:
+                return key
+            return v
+
+        def check(lhs: Expr, rhs: Expr, env: dict[str, int]):
+            """True, False, None if undefined, or the unset cell to wait on."""
+            a = env[lhs.name] if lhs.__class__ is Var else value(lhs, env)
+            if a.__class__ is not int:
+                return a
+            b = env[rhs.name] if rhs.__class__ is Var else value(rhs, env)
+            if b.__class__ is not int:
+                return b
+            return a == b
+
+        def propagate(insts: list, moved: list[Instance]) -> bool:
+            """Check instances; watch each undecided one on its unset cell."""
+            for inst in insts:
+                r = check(*inst)
+                if r is True:
+                    continue
+                if r.__class__ is not tuple:
+                    return False
+                watches[r].append(inst)
+                moved.append(r)
+            return True
+
+        try:
+            insts = [
+                (eq.kind.lhs, eq.kind.rhs, env)
+                for eq in watched
+                for env in context_instances(model, eq.ctx)
+            ]
+        except ModelError:
+            return
+        if not propagate(insts, []):
+            return
+        # Iterative backtracking over the cells: tried[j] is the value of
+        # cell j, moved[j] the cells it moved watches to, undone in reverse.
+        n = len(keys)
+        tried = [-1] * n
+        moved: list[list[Instance]] = [[] for _ in keys]
+        j = 0
+        while j >= 0:
+            if j == n:
+                if not eqs or holds(eqs):
+                    rec(s + 1)
+                j -= 1
+                continue
+            key = keys[j]
+            for r in reversed(moved[j]):
+                watches[r].pop()
+            moved[j].clear()
+            v = tried[j] + 1
+            if v == sizes[j]:
+                tried[j] = -1
+                table.pop(key, None)
+                j -= 1
+                continue
+            spend()
+            tried[j] = v
+            table[key] = v
+            if propagate(watches[key], moved[j]):
+                j += 1
+
+    def rec(s: int) -> None:
+        if s == len(plan):
             out.append(
                 Model(
                     theory,
@@ -165,36 +296,24 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
                 )
             )
             return
-        d = decls[i]
-        k = d.kind
-        if isinstance(k, TypeKind):
-            keys = [tuple(env[x] for x in d.arity) for env in context_instances(model, d.ctx)]
-            for sizes in itertools.product(range(bound + 1), repeat=len(keys)):
-                spend()
-                model.carriers[d.name] = dict(zip(keys, sizes))
-                rec(i + 1)
-            model.carriers.pop(d.name, None)
-        elif isinstance(k, TermKind):
-            envs = list(context_instances(model, d.ctx))
-            keys = [tuple(env[x] for x in d.arity) for env in envs]
-            ranges = [range(eval_type(model, env, k.ty)) for env in envs]
-            for values in itertools.product(*ranges):
-                spend()
-                model.funcs[d.name] = dict(zip(keys, values))
-                rec(i + 1)
-            model.funcs.pop(d.name, None)
-        elif isinstance(k, TypeEqKind):
-            spend()
-            for env in context_instances(model, d.ctx):
-                if eval_type(model, env, k.lhs) != eval_type(model, env, k.rhs):
-                    return
-            rec(i + 1)
+        d, watched, eqs = plan[s]
+        envs = context_instances(model, d.ctx)
+        keys = [tuple(env.values()) for env in envs]
+        if isinstance(d.kind, TypeKind):
+            tables = model.carriers
+            sizes = [bound + 1] * len(keys)
         else:
-            spend()
-            for env in context_instances(model, d.ctx):
-                if eval_term(model, env, k.lhs) != eval_term(model, env, k.rhs):
-                    return
-            rec(i + 1)
+            tables = model.funcs
+            sizes = [eval_type(model, env, d.kind.ty) for env in envs]
+        if watched:
+            fill(s, keys, sizes)
+        else:
+            for values in itertools.product(*map(range, sizes)):
+                spend()
+                tables[d.name] = dict(zip(keys, values))
+                if not eqs or holds(eqs):
+                    rec(s + 1)
+        tables.pop(d.name, None)
 
     rec(0)
     return out

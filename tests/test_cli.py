@@ -90,6 +90,29 @@ def test_models_json_tables():
     assert doc["models"][0]["functions"]["e0"] == [{"args": [], "value": 0}]
 
 
+def test_models_cat_at_two_within_default_budget():
+    code, out = run(["models", "--theory", "Cat", "--max-size", "2", "--count-only"])
+    assert code == 0
+    assert "(340)" in out
+
+
+def test_models_budget_exceeded_is_inconclusive():
+    argv = ["models", "--theory", "Cat", "--max-size", "2", "--budget", "100", "--json"]
+    code, out = run(argv)
+    assert code == 2
+    (item,) = json.loads(out)["items"]
+    assert item["verdict"] == "Inconclusive"
+    assert item["detail"].startswith("BudgetExceeded: ")
+
+
+def test_models_negative_budget_rejected():
+    code, out = run(["models", "--theory", "Ty0", "--max-size", "1", "--budget", "-5", "--json"])
+    assert code == 1
+    (item,) = json.loads(out)["items"]
+    assert item["verdict"] == "error"
+    assert item["detail"] == "ModelError: node budget must be non-negative"
+
+
 def test_json_reports_byte_identical():
     argv = ["verify-poly", "--json", "--trace"]
     _, a = run(argv)

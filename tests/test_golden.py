@@ -4,6 +4,8 @@ The emitted corpus, the families theory of every corpus theory and the
 three colimit constructions are printed from declarations alone; no
 proof search shapes them, so a change to the equality engine must leave
 these bytes unchanged.  Proof traces are deliberately not pinned here.
+The model lists of a few finite-model searches are pinned in order, so a
+change to the search strategy must leave them unchanged too.
 
 After a deliberate change to one of these outputs, rewrite the data with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -19,6 +21,23 @@ from gatc import cli, theory
 GOLDEN = Path(__file__).parent / "golden"
 PI_THEORIES = {"STLC", "MLTT-N"}
 INTERPS = "{interps}"  # replaced by the emitted interpretations.gat
+MODELS_GAT = "{models}"  # replaced by a file holding MODELS_SOURCE
+
+# A dependent theory with term and type equations: monoids with a family
+# P over the carrier whose fibre at the unit is the carrier itself.
+MODELS_SOURCE = """\
+theory MonP {
+  sym Mon : () => Type
+  sym u : () => Mon
+  sym mul : (y1 : Mon, y2 : Mon) => Mon
+  ax _1 : (y : Mon) => mul(u, y) = y : Mon
+  ax _2 : (y : Mon) => mul(y, u) = y : Mon
+  ax _3 : (y1 : Mon, y2 : Mon, y3 : Mon) => mul(mul(y1, y2), y3) = mul(y1, mul(y2, y3)) : Mon
+  sym P : (m : Mon) => Type
+  ax _4 : () => P(u) = Mon : Type
+}
+"""
+MODELS = [("Mon", 2), ("Cat", 1), ("CatPt", 1), ("El1", 2), ("Ty2", 2)]
 
 CASES = {
     **{
@@ -32,6 +51,11 @@ CASES = {
     "coeq_MonToCatPt_MonToCatPtVariant": [
         "coeq", INTERPS, "--left", "MonToCatPt", "--right", "MonToCatPtVariant", "--json",
     ],
+    **{
+        f"models_{n}_{k}": ["models", "--theory", n, "--max-size", str(k), "--json"]
+        for n, k in MODELS
+    },
+    "models_MonP_2": ["models", MODELS_GAT, "--theory", "MonP", "--max-size", "2", "--json"],
 }
 
 
@@ -47,15 +71,22 @@ def _emit(directory: Path) -> dict[str, str]:
     return {p.name: p.read_text(encoding="utf-8") for p in sorted(directory.iterdir())}
 
 
+def _corpus(directory: Path) -> dict[str, str]:
+    """Emit the corpus and the models source into directory."""
+    emitted = _emit(directory)
+    (directory / "models-source.gat").write_text(MODELS_SOURCE, encoding="utf-8")
+    return emitted
+
+
 def _report(case: str, corpus: Path) -> str:
-    interps = str(corpus / "interpretations.gat")
-    return _run([interps if a == INTERPS else a for a in CASES[case]])
+    files = {INTERPS: "interpretations.gat", MODELS_GAT: "models-source.gat"}
+    return _run([str(corpus / files[a]) if a in files else a for a in CASES[case]])
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory) -> Path:
     directory = tmp_path_factory.mktemp("corpus")
-    _emit(directory)
+    _corpus(directory)
     return directory
 
 
@@ -81,7 +112,7 @@ def _write_golden() -> None:
     for old in stdlib_dir.iterdir():
         old.unlink()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in _emit(Path(tmp)).items():
+        for name, text in _corpus(Path(tmp)).items():
             (stdlib_dir / name).write_text(text, encoding="utf-8")
         for case in CASES:
             (GOLDEN / f"{case}.json").write_text(_report(case, Path(tmp)), encoding="utf-8")

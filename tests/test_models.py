@@ -25,7 +25,7 @@ from gatc.models import (
     reduct,
     validate_model,
 )
-from gatc.theory import stdlib
+from gatc.theory import check_theory, stdlib, term_eq_ax, term_sym, type_eq_ax, type_sym
 
 LIB = stdlib()
 
@@ -247,6 +247,73 @@ def test_coequalizer_duality_reflexive_pair():
     r = check_colimit_duality(ce, 2)
     assert r.bijection
     assert r.colimit_count == count_models(LIB["Mon"], 2)
+
+
+@pytest.mark.parametrize(
+    "name, bound, expected",
+    # Cat and CatPt from the separate small-category counter of the
+    # benchmark's reference; Mon from OEIS A058153 (1 + 4 + 33)
+    [("Cat", 2, 340), ("CatPt", 2, 673), ("Mon", 3, 38)],
+)
+def test_counts_decided_within_default_budget(name, bound, expected):
+    ms = enumerate_models(LIB[name], bound)
+    assert len(ms) == expected
+    for m in ms:
+        validate_model(m)
+
+
+def _mon_with_family(early: bool):
+    # a family P over a monoid whose fibre at the unit is the carrier.
+    # Declared after mul, the type axiom's last symbol is P, a carrier;
+    # declared right after Mon, with mul(u, u) for u, it is mul, a table
+    # the monoid laws fill cell by cell.
+    mon, u = App("Mon"), App("u")
+    mon_decls = LIB["Mon"].decls
+    family = type_sym("P", (("m", mon),))
+    if early:
+        decls = (mon_decls[0], family) + mon_decls[1:]
+        fibre = App("P", (App("mul", (u, u)),))
+    else:
+        decls = mon_decls + (family,)
+        fibre = App("P", (u,))
+    return check_theory(decls + (type_eq_ax("_4", (), fibre, mon),), name="MonP")
+
+
+@pytest.mark.parametrize("early", [False, True])
+def test_type_equation_placed_after_its_last_symbol(early):
+    # a monoid of size s leaves s - 1 free fibres, so the count at bound
+    # k is the sum over labeled monoids of (k + 1) ** (s - 1)
+    t = _mon_with_family(early)
+    for bound, expected in ((2, 1 + 4 * 3), (3, 1 + 4 * 4 + 33 * 16)):
+        ms = enumerate_models(t, bound)
+        assert len(ms) == expected
+        for m in ms:
+            validate_model(m)
+
+
+def test_equation_whose_context_reads_its_last_symbol():
+    # the axiom's last symbol c is read by its own context, so it is
+    # checked once c is chosen; it is an instance of the right unit law,
+    # so each of the 5 one-object and 340 - 1 - 5 two-object categories
+    # gives |Ob| ** 2 choices of b and c
+    c = App("c")
+    t = check_theory(
+        LIB["CatPt"].decls
+        + (
+            term_sym("c", (), App("Ob")),
+            term_eq_ax(
+                "_4",
+                (("y", App("Hom", (c, c))),),
+                App("comp", (c, c, c, Var("y"), App("id", (c,)))),
+                Var("y"),
+            ),
+        ),
+        name="CatPtC",
+    )
+    ms = enumerate_models(t, 2)
+    assert len(ms) == 5 * 1 + 334 * 4
+    for m in ms:
+        validate_model(m)
 
 
 def test_budget_error_on_blowup():
