@@ -398,12 +398,15 @@ def cmd_models(args, rules, fuel) -> Report:
     env = load_environment(args.file, rules, fuel)
     report = Report("models", list(env.items))
     t = env.theory(args.theory)
-    found = models.enumerate_models(t, args.max_size, args.budget)
-    report.items.append(
-        Item(f"models of {args.theory} (max size {args.max_size})", "ok", str(len(found)), {"count": len(found)})
-    )
-    if not args.count_only:
+    if args.count_only:
+        count = models.count_models(t, args.max_size, args.budget)
+    else:
+        found = models.enumerate_models(t, args.max_size, args.budget)
+        count = len(found)
         report.payload["models"] = [_model_json(m) for m in found]
+    report.items.append(
+        Item(f"models of {args.theory} (max size {args.max_size})", "ok", str(count), {"count": count})
+    )
     return report
 
 

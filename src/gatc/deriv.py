@@ -3,13 +3,17 @@
 Typing is checked algorithmically (symbol rule instantiated by
 substitution; weakening, projection and substitution are admissible in
 this presentation).  Equality of types and terms is undecidable in
-general, so the equality engine saturates a congruence structure over
-subterm classes under a fuel bound and reports Proved with a replayable
-trace, or Inconclusive.  It never claims disequality.
+general, so the equality engine saturates an e-graph under a fuel bound:
+hash-consed terms in congruence-closed classes, axiom sides e-matched
+against every term of a class, and beta/eta as oriented rewrites.  It
+reports Proved with a replayable trace, or Inconclusive, and never
+claims disequality; typing reports an argument type mismatch only for
+types that are provably apart.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -39,7 +43,7 @@ from .expr import (
     open_bound,
     substitute,
 )
-from .theory import Declaration, TermKind, Theory, TypeKind
+from .theory import Declaration, TermKind, Theory, TypeEqKind, TypeKind
 
 Context = tuple[tuple[str, Expr], ...]
 
@@ -59,8 +63,8 @@ WITH_PI = RuleSet(pi=True)
 class Fuel:
     """Resource bound making the equality check total.
 
-    max_eq_nodes caps the number of distinct subterm nodes the engine may
-    create; max_iterations caps saturation rounds.
+    max_eq_nodes caps the number of distinct terms in the engine's term
+    bank; max_iterations caps match rounds.
     """
 
     max_eq_nodes: int = 10000
@@ -170,177 +174,327 @@ def _strip_binder(e: Expr) -> Expr:
     return open_bound(e, _DEAD)
 
 
-class _Engine:
-    """Union-find over a hash-consed term bank with congruence closure."""
+class _Joined(Exception):
+    """The goal's two classes have been joined."""
 
-    def __init__(self, fuel: Fuel):
-        self.fuel = fuel
+
+class _OutOfFuel(Exception):
+    """The term bank is full."""
+
+
+def _pattern(e: Expr):
+    """An axiom side as a pattern: a variable's name, (head, argument
+    patterns) for an application (head Ap for an object-level one), or a
+    binder expression, which is matched structurally."""
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, App):
+        return (e.head, tuple(_pattern(a) for a in e.args))
+    if isinstance(e, Ap):
+        return (Ap, (_pattern(e.fun), _pattern(e.arg)))
+    return e
+
+
+def _height(pat) -> int:
+    """How many levels of classes below its root a pattern reads."""
+    if type(pat) is tuple and pat[1]:
+        return 1 + max(_height(a) for a in pat[1])
+    return 0
+
+
+@functools.lru_cache(maxsize=1024)
+def _axiom_pattern(d: Declaration):
+    """An equational axiom as (label, lhs, rhs, sides to match).
+
+    A side is matched when it is not a bare variable and binds every
+    variable of the other side; it comes with its head, its height and
+    the other side's pattern.  Cached: compiling costs more than a small
+    goal's whole search.
+    """
+    lhs, rhs = _pattern(d.kind.lhs), _pattern(d.kind.rhs)
+    sides = tuple(
+        (p, p[0] if type(p) is tuple else type(p), _height(p), q)
+        for side, other, p, q in ((d.kind.lhs, d.kind.rhs, lhs, rhs), (d.kind.rhs, d.kind.lhs, rhs, lhs))
+        if not isinstance(side, Var) and set(free_vars(other)) <= set(free_vars(side))
+    )
+    return d.name, lhs, rhs, sides
+
+
+class _EGraph:
+    """Hash-consed terms in congruence-closed classes.
+
+    A term is stored once per head and child term ids, with its Expr for
+    traces; variables and binder terms are leaves.  Classes form a
+    union-find over term ids whose roots keep their members and the terms
+    using them as a child.  `table` maps a head and canonical child
+    classes to the first term entered with them; a later term with the
+    same key is a duplicate: it is joined to that term by a congruence
+    step and never matched.  A union queues the terms above the absorbed
+    class, and rebuild() re-keys them (deferred rebuilding, after egg,
+    Willsey et al. 2021).  Every union records the one step that joins
+    its two terms, so the classes are exactly what the trace replays.
+    """
+
+    def __init__(self, max_terms: int):
+        self.max_terms = max_terms
         self.exprs: list[Expr] = []
-        self.memo: dict[Expr, int] = {}
+        self.heads: list = []
+        self.kids: list[tuple[int, ...]] = []
+        self.ids: dict = {}
         self.parent: list[int] = []
+        self.members: list[list[int]] = []
+        self.uses: list[list[int]] = []
+        self.dup: list[bool] = []
+        self.table: dict = {}
+        self.by_head: dict = {}
+        self.pending: list[int] = []
+        self.dirty: list[int] = []
         self.steps: list[EqStep] = []
-        self.overflow = False
-
-    def add(self, e: Expr) -> Optional[int]:
-        i = self.memo.get(e)
-        if i is not None:
-            return i
-        if isinstance(e, App):
-            for a in e.args:
-                if self.add(a) is None:
-                    return None
-        elif isinstance(e, Ap):
-            if self.add(e.fun) is None or self.add(e.arg) is None:
-                return None
-        if len(self.exprs) >= self.fuel.max_eq_nodes:
-            self.overflow = True
-            return None
-        i = len(self.exprs)
-        self.exprs.append(e)
-        self.parent.append(i)
-        self.memo[e] = i
-        return i
+        self.goal: Optional[tuple[int, int]] = None
 
     def find(self, i: int) -> int:
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
+        parent = self.parent
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
         return i
 
-    def union(self, i: int, j: int) -> bool:
+    def add(self, e: Expr) -> int:
+        if isinstance(e, App):
+            return self.node(e.head, tuple([self.add(a) for a in e.args]), e)
+        if isinstance(e, Ap):
+            return self.node(Ap, (self.add(e.fun), self.add(e.arg)), e)
+        i = self.ids.get(e)
+        return self._new(e, type(e), (), e) if i is None else i
+
+    def node(self, head, kids: tuple[int, ...], e: Optional[Expr] = None) -> int:
+        key = (head, kids)
+        i = self.ids.get(key)
+        if i is None:
+            if e is None:
+                args = tuple([self.exprs[k] for k in kids])
+                e = Ap(*args) if head is Ap else App(head, args)
+            i = self._new(key, head, kids, e)
+            self._key(i)
+        return i
+
+    def _new(self, key, head, kids: tuple[int, ...], e: Expr) -> int:
+        i = len(self.exprs)
+        if i >= self.max_terms:
+            raise _OutOfFuel
+        self.ids[key] = i
+        self.exprs.append(e)
+        self.heads.append(head)
+        self.kids.append(kids)
+        self.parent.append(i)
+        self.members.append([i])
+        self.uses.append([])
+        self.dup.append(False)
+        self.by_head.setdefault(head, []).append(i)
+        for k in kids:
+            self.uses[self.find(k)].append(i)
+        return i
+
+    def _key(self, i: int) -> None:
+        """Enter term i under its canonical key, joining a congruent term."""
+        j = self.table.setdefault((self.heads[i], tuple([self.find(k) for k in self.kids[i]])), i)
+        if j != i:
+            self.dup[i] = True
+            self.union(j, i, CongStep(self.exprs[j], self.exprs[i]))
+
+    def union(self, i: int, j: int, step: EqStep) -> bool:
         a, b = self.find(i), self.find(j)
         if a == b:
             return False
         if a > b:
             a, b = b, a
-        self.parent[b] = a  # older node stays root, keeps runs deterministic
+        self.parent[b] = a  # the older root stays, which keeps runs deterministic
+        self.pending += self.uses[b]
+        self.members[a] += self.members[b]
+        self.uses[a] += self.uses[b]
+        self.members[b] = self.uses[b] = []
+        self.dirty.append(a)
+        self.steps.append(step)
+        if self.goal and self.find(self.goal[0]) == self.find(self.goal[1]):
+            raise _Joined
         return True
 
-    def same(self, i: int, j: int) -> bool:
-        return self.find(i) == self.find(j)
+    def rebuild(self) -> None:
+        while self.pending:
+            todo, self.pending = self.pending, []
+            for i in todo:
+                if not self.dup[i]:
+                    self._key(i)
 
-    def class_equal(self, a: Expr, b: Expr) -> bool:
-        if a == b:
-            return True
-        ia = self.memo.get(a)
-        ib = self.memo.get(b)
-        return ia is not None and ib is not None and self.same(ia, ib)
-
-    def _signature(self, e: Expr):
+    def lookup(self, e: Expr) -> Optional[int]:
+        """The term id of e, or None when e is not in the bank."""
         if isinstance(e, App):
-            return ("app", e.head, tuple(self.find(self.memo[a]) for a in e.args))
-        if isinstance(e, Ap):
-            return ("@", self.find(self.memo[e.fun]), self.find(self.memo[e.arg]))
-        return None
+            head, args = e.head, e.args
+        elif isinstance(e, Ap):
+            head, args = Ap, (e.fun, e.arg)
+        else:
+            return self.ids.get(e)
+        kids = []
+        for a in args:
+            k = self.lookup(a)
+            if k is None:
+                return None
+            kids.append(k)
+        return self.ids.get((head, tuple(kids)))
 
-    def congruence(self) -> bool:
-        changed_any = False
-        while True:
-            changed = False
-            sigs: dict = {}
-            for i, e in enumerate(self.exprs):
-                sig = self._signature(e)
-                if sig is None:
-                    continue
-                j = sigs.get(sig)
-                if j is None:
-                    sigs[sig] = i
-                elif not self.same(i, j):
-                    self.union(i, j)
-                    self.steps.append(CongStep(self.exprs[j], e))
-                    changed = True
-            if not changed:
-                return changed_any
-            changed_any = True
+    # -- e-matching: substitutions map pattern variables to term ids, or
+    # to expressions from binder innards that are not in the bank
 
+    def _bind(self, x: str, v, subs: list[dict]) -> list[dict]:
+        out = []
+        for s in subs:
+            w = s.get(x)
+            if w is None:
+                out.append({**s, x: v})
+            elif w == v or (type(w) is int and type(v) is int and self.find(w) == self.find(v)):
+                out.append(s)
+        return out
 
-def _node_shape(u: Expr):
-    if isinstance(u, App):
-        return ("app", u.head, len(u.args))
-    if isinstance(u, Ap):
-        return ("@",)
-    return None
+    def _match(self, pat, t: int, subs: list[dict]) -> list[dict]:
+        """Extend each substitution by the matches of pat in the class of term t."""
+        if type(pat) is str:
+            return self._bind(pat, t, subs)
+        head = pat[0] if type(pat) is tuple else type(pat)
+        out: list[dict] = []
+        for m in self.members[self.find(t)]:
+            if self.heads[m] == head and not self.dup[m]:
+                out += self._at(pat, m, subs)
+        return out
 
-
-def _class_index(eng: _Engine) -> dict[tuple[int, tuple], Expr]:
-    """Per class and node shape, the earliest member: the representative
-    rigid matching is allowed to look through."""
-    index: dict[tuple[int, tuple], Expr] = {}
-    for j, u in enumerate(eng.exprs):
-        shape = _node_shape(u)
-        if shape is None:
-            continue
-        key = (eng.find(j), shape)
-        if key not in index:
-            index[key] = u
-    return index
-
-
-def _representative(eng: _Engine, index, t: Expr, shape: tuple):
-    """The class representative of t with the given shape, if any; t
-    itself when it is not a bank node (binder innards)."""
-    ti = eng.memo.get(t)
-    if ti is None:
-        return t if _node_shape(t) == shape else None
-    return index.get((eng.find(ti), shape))
-
-
-def _match_all(eng: _Engine, index, pat: Expr, t: Expr, pvars: frozenset[str], sub: dict[str, Expr]):
-    """Match a pattern against a term up to the engine's equivalence.
-
-    Rigid pattern nodes match the class representative of their shape,
-    so later rounds see through earlier merges; pattern-variable
-    bindings must be locally closed and class-consistent.  Yields
-    substitutions in a deterministic order.
-    """
-    if isinstance(pat, Var) and pat.name in pvars:
-        if not locally_closed(t):
-            return
-        prev = sub.get(pat.name)
-        if prev is None:
-            out = dict(sub)
-            out[pat.name] = t
-            yield out
-        elif eng.class_equal(prev, t):
-            yield sub
-        return
-    if isinstance(pat, (Var, BVar)):
-        if pat == t or eng.class_equal(pat, t):
-            yield sub
-        return
-    if isinstance(pat, App):
-        u = _representative(eng, index, t, ("app", pat.head, len(pat.args)))
-        if u is None:
-            return
-        subs = [sub]
-        for pa, ua in zip(pat.args, u.args):
-            subs = [s2 for s0 in subs for s2 in _match_all(eng, index, pa, ua, pvars, s0)]
+    def _at(self, pat, i: int, subs: list[dict]) -> list[dict]:
+        """Extend each substitution by the matches of pat at term i, whose head is pat's."""
+        if type(pat) is not tuple:
+            return self._rigid(pat, self.exprs[i], subs)
+        kids = self.kids[i]
+        if len(kids) != len(pat[1]):
+            return []
+        for p, k in zip(pat[1], kids):
+            subs = self._match(p, k, subs)
             if not subs:
-                return
-        yield from subs
-        return
-    if isinstance(pat, Ap):
-        u = _representative(eng, index, t, ("@",))
-        if u is None:
-            return
-        for s1 in _match_all(eng, index, pat.fun, u.fun, pvars, sub):
-            yield from _match_all(eng, index, pat.arg, u.arg, pvars, s1)
-        return
-    if isinstance(pat, Pi):
-        if isinstance(t, Pi):
-            for s1 in _match_all(eng, index, pat.dom, t.dom, pvars, sub):
-                yield from _match_all(eng, index, pat.cod, t.cod, pvars, s1)
-        return
-    if isinstance(pat, Lam):
-        if isinstance(t, Lam):
-            for s1 in _match_all(eng, index, pat.dom, t.dom, pvars, sub):
-                yield from _match_all(eng, index, pat.body, t.body, pvars, s1)
-        return
+                break
+        return subs
 
+    def _rigid(self, pat: Expr, e: Expr, subs: list[dict]) -> list[dict]:
+        """Match inside a binder, structurally; every variable is a pattern variable."""
+        if isinstance(pat, Var):
+            if not locally_closed(e):
+                return []
+            i = self.lookup(e)
+            return self._bind(pat.name, e if i is None else i, subs)
+        if type(pat) is not type(e):
+            return []
+        if isinstance(pat, App):
+            if pat.head != e.head or len(pat.args) != len(e.args):
+                return []
+            pairs = zip(pat.args, e.args)
+        elif isinstance(pat, Ap):
+            pairs = zip((pat.fun, pat.arg), (e.fun, e.arg))
+        elif isinstance(pat, Pi):
+            pairs = zip((pat.dom, pat.cod), (e.dom, e.cod))
+        elif isinstance(pat, Lam):
+            pairs = zip((pat.dom, pat.body), (e.dom, e.body))
+        else:
+            return subs if pat == e else []
+        for p, x in pairs:
+            subs = self._rigid(p, x, subs)
+            if not subs:
+                break
+        return subs
 
-def _axiom_patterns(theory: Theory):
-    """Equational axioms as (label, lhs, rhs, telescope vars)."""
-    return [(d.name, d.kind.lhs, d.kind.rhs, frozenset(d.arity)) for d in theory.axioms()]
+    def _probe(self, pat, sub: dict) -> Optional[int]:
+        """The class of pat's instance under sub, if a term already has its key."""
+        if type(pat) is str:
+            v = sub[pat]
+            return self.find(v) if type(v) is int else None
+        if type(pat) is not tuple:
+            return None
+        kids = []
+        for p in pat[1]:
+            c = self._probe(p, sub)
+            if c is None:
+                return None
+            kids.append(c)
+        j = self.table.get((pat[0], tuple(kids)))
+        return None if j is None else self.find(j)
+
+    def build(self, pat, sub: dict) -> int:
+        """Add pat's instance under sub."""
+        if type(pat) is str:
+            v = sub[pat]
+            return v if type(v) is int else self.add(v)
+        if type(pat) is tuple:
+            return self.node(pat[0], tuple([self.build(p, sub) for p in pat[1]]))
+        return self.add(substitute(pat, {x: self.exprs[v] if type(v) is int else v for x, v in sub.items()}))
+
+    def instance(self, label: str, lhs, rhs, sub: dict) -> None:
+        """Add an axiom instance and join its sides."""
+        il, ir = self.build(lhs, sub), self.build(rhs, sub)
+        subst = tuple(sorted((x, self.exprs[v] if type(v) is int else v) for x, v in sub.items()))
+        self.union(il, ir, AxiomStep(label, subst, self.exprs[il], self.exprs[ir]))
+        self.rebuild()
+
+    def beta_eta(self, start: int, end: int) -> None:
+        """Contract the beta redexes and eta expansions among terms start..end-1."""
+        for i in range(start, end):
+            e = self.exprs[i]
+            if isinstance(e, Ap) and isinstance(e.fun, Lam):
+                contractum = open_bound(e.fun.body, e.arg)
+                self.union(i, self.add(contractum), BetaStep(e, contractum))
+            elif (
+                isinstance(e, Lam)
+                and isinstance(e.body, Ap)
+                and e.body.arg == BVar(0)
+                and not mentions_bound(e.body.fun, 0)
+            ):
+                reduced = _strip_binder(e.body.fun)
+                self.union(i, self.add(reduced), EtaStep(e, reduced))
+        self.rebuild()
+
+    def touched(self, height: int) -> list[set[int]]:
+        """touched[h]: the terms with a class changed since the last call
+        at most h levels below them."""
+        out: list[set[int]] = [set()]
+        front = {self.find(c) for c in self.dirty}
+        self.dirty = []
+        for _ in range(height):
+            new = {i for c in front for i in self.uses[c]} - out[-1]
+            out.append(out[-1] | new)
+            front = {self.find(i) for i in new}
+        return out
+
+    def saturate(self, axioms, pi: bool, rounds: int) -> str:
+        """Match rounds until nothing changes ("closed") or rounds run out
+        ("fuel"); raises _Joined as soon as the goal's classes join.
+
+        A round matches each side only at canonical terms of its head that
+        are new, or that have a changed class within the side's height
+        below them: no other term can have gained a match.
+        """
+        seen = 0  # terms before this index took part in an earlier round
+        height = max((side[2] for *_, sides in axioms for side in sides), default=0)
+        for _ in range(rounds):
+            before, end = len(self.steps), len(self.exprs)
+            if pi:
+                self.beta_eta(seen, end)
+            touched = self.touched(height)
+            for label, lhs, rhs, sides in axioms:
+                for pat, head, h, other in sides:
+                    for i in self.by_head.get(head, ()):
+                        if i >= end:
+                            break
+                        if not self.dup[i] and (i >= seen or i in touched[h]):
+                            for sub in self._at(pat, i, [{}]):
+                                # the matched side's instance is in i's class
+                                if self._probe(other, sub) != self.find(i):
+                                    self.instance(label, lhs, rhs, sub)
+            seen = end
+            if len(self.steps) == before:
+                return "closed"
+        return "fuel"
 
 
 def eq_check(
@@ -353,85 +507,25 @@ def eq_check(
 ) -> EqVerdict:
     """Decide, with fuel, whether lhs = rhs follows from the theory's axioms.
 
-    Saturation seeds the class structure with both sides, instantiates
-    axioms by matching a whole side against existing nodes, closes under
-    congruence, and (under the Pi rules) fires beta and eta as oriented
-    rewrites.  Deterministic: iteration follows insertion order.
+    Both sides seed an e-graph.  Each round fires beta and eta (under the
+    Pi rules) as oriented rewrites, then matches every axiom side against
+    the e-graph (e-matching over all terms of a class, after de Moura &
+    Bjørner, CADE 2007) and joins the instances' sides, closing under
+    congruence.  It stops as soon as the goal's classes join.
+    Deterministic: iteration follows insertion order.
     """
     if lhs == rhs:
         return EqVerdict(True, ())
-    eng = _Engine(fuel)
-    il = eng.add(lhs)
-    ir = eng.add(rhs)
-    if il is None or ir is None:
-        return EqVerdict(False, reason="fuel")
-    axioms = _axiom_patterns(theory)
-    seen: set = set()
-
-    for _ in range(fuel.max_iterations):
-        changed = False
-
-        if rules.pi:
-            for i, e in list(enumerate(eng.exprs)):
-                if isinstance(e, Ap) and isinstance(e.fun, Lam):
-                    contractum = open_bound(e.fun.body, e.arg)
-                    j = eng.add(contractum)
-                    if j is None:
-                        break
-                    if eng.union(i, j):
-                        eng.steps.append(BetaStep(e, contractum))
-                        changed = True
-                elif (
-                    isinstance(e, Lam)
-                    and isinstance(e.body, Ap)
-                    and e.body.arg == BVar(0)
-                    and not mentions_bound(e.body.fun, 0)
-                ):
-                    reduced = _strip_binder(e.body.fun)
-                    j = eng.add(reduced)
-                    if j is None:
-                        break
-                    if eng.union(i, j):
-                        eng.steps.append(EtaStep(e, reduced))
-                        changed = True
-
-        index = _class_index(eng)
-        for label, al, ar, pvars in axioms:
-            for side, other in ((al, ar), (ar, al)):
-                if isinstance(side, Var):
-                    continue
-                if not set(free_vars(other)) <= set(free_vars(side)):
-                    continue
-                # one probe per equivalence class, against representatives
-                for j, t in list(enumerate(eng.exprs)):
-                    if eng.find(j) != j:
-                        continue
-                    for sub in list(_match_all(eng, index, side, t, pvars, {})):
-                        key = (label, tuple(sorted(sub.items())))
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        inst_l = substitute(al, sub)
-                        inst_r = substitute(ar, sub)
-                        jl = eng.add(inst_l)
-                        jr = eng.add(inst_r)
-                        if jl is None or jr is None:
-                            break
-                        if eng.union(jl, jr):
-                            eng.steps.append(
-                                AxiomStep(label, tuple(sorted(sub.items())), inst_l, inst_r)
-                            )
-                            changed = True
-
-        if eng.congruence():
-            changed = True
-        if eng.overflow:
-            return EqVerdict(False, reason="fuel")
-        if eng.same(il, ir):
-            return EqVerdict(True, tuple(eng.steps))
-        if not changed:
-            return EqVerdict(False, reason="closed")
-    return EqVerdict(False, reason="fuel")
+    axioms = [_axiom_pattern(d) for d in theory.axioms()]
+    g = _EGraph(fuel.max_eq_nodes)
+    try:
+        g.goal = (g.add(lhs), g.add(rhs))
+        reason = g.saturate(axioms, rules.pi, fuel.max_iterations)
+    except _Joined:
+        return EqVerdict(True, tuple(g.steps))
+    except _OutOfFuel:
+        reason = "fuel"
+    return EqVerdict(False, reason=reason)
 
 
 def replay_eq_trace(
@@ -547,16 +641,26 @@ def _equal_types(
 ) -> None:
     if got == expected:
         return
+    if _apart(theory, got, expected):
+        raise ArgumentTypeMismatch(f"expected type {_brief(expected)}, inferred {_brief(got)}")
     v = eq_check(theory, ctx, got, expected, rules, fuel)
     if v.proved:
         if sink is not None:
             sink.append(v)
         return
-    if v.reason == "fuel":
-        raise InconclusiveEquality(
-            f"could not decide {_brief(got)} = {_brief(expected)} within fuel"
-        )
-    raise ArgumentTypeMismatch(f"expected type {_brief(expected)}, inferred {_brief(got)}")
+    raise InconclusiveEquality(
+        f"could not prove {_brief(got)} = {_brief(expected)} ({v.reason})"
+    )
+
+
+def _apart(theory: Theory, a: Expr, b: Expr) -> bool:
+    """Provably unequal types: without type equations, types are equal
+    only under the same type symbol or the same type former."""
+    if any(isinstance(d.kind, TypeEqKind) for d in theory.axioms()):
+        return False
+    if isinstance(a, App) and isinstance(b, App):
+        return a.head != b.head
+    return type(a) is not type(b)
 
 
 def _brief(e: Expr) -> str:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import BudgetExceeded, ModelError
 from .expr import App, Expr, Var
@@ -174,12 +175,40 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     budget counts nodes: one per whole table chosen and one per cell
     value tried.
     """
+    out: list[Model] = []
+
+    def leaf(m: Model) -> None:
+        out.append(
+            Model(
+                theory,
+                {c: dict(t) for c, t in m.carriers.items()},
+                {c: dict(t) for c, t in m.funcs.items()},
+            )
+        )
+
+    _search(theory, bound, budget, leaf)
+    return out
+
+
+def count_models(theory: Theory, bound: int, budget: int = 2_000_000) -> int:
+    """len(enumerate_models(...)), without copying the models."""
+    n = 0
+
+    def leaf(_: Model) -> None:
+        nonlocal n
+        n += 1
+
+    _search(theory, bound, budget, leaf)
+    return n
+
+
+def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], None]) -> None:
+    """The search of enumerate_models; leaf sees each model as it is completed."""
     if bound < 0:
         raise ModelError("carrier bound must be non-negative")
     if budget < 0:
         raise ModelError("node budget must be non-negative")
     plan = _plan(theory)
-    out: list[Model] = []
     model = Model(theory)
     nodes = 0
 
@@ -288,13 +317,7 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
 
     def rec(s: int) -> None:
         if s == len(plan):
-            out.append(
-                Model(
-                    theory,
-                    {c: dict(t) for c, t in model.carriers.items()},
-                    {c: dict(t) for c, t in model.funcs.items()},
-                )
-            )
+            leaf(model)
             return
         d, watched, eqs = plan[s]
         envs = context_instances(model, d.ctx)
@@ -316,11 +339,6 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
         tables.pop(d.name, None)
 
     rec(0)
-    return out
-
-
-def count_models(theory: Theory, bound: int, budget: int = 2_000_000) -> int:
-    return len(enumerate_models(theory, bound, budget))
 
 
 def reduct(model: Model, interp: Interpretation) -> Model:

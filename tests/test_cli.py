@@ -76,6 +76,37 @@ def test_eq_command_inconclusive_exit_two():
     assert "Inconclusive" in out
 
 
+MON_WITH_FAMILY = """
+theory MonP {
+  sym Mon : () => Type
+  sym u : () => Mon
+  sym mul : (y1 : Mon, y2 : Mon) => Mon
+  ax _1 : (y : Mon) => mul(u, y) = y : Mon
+  ax _2 : (y : Mon) => mul(y, u) = y : Mon
+  ax _3 : (y1 : Mon, y2 : Mon, y3 : Mon) => mul(mul(y1, y2), y3) = mul(y1, mul(y2, y3)) : Mon
+  sym P : (m : Mon) => Type
+  sym p : (a : Mon, b : Mon, c : Mon, d : Mon, e : Mon) => P(mul(mul(mul(mul(a, b), c), d), e))
+  sym q : (m : Mon) => P(m)
+}
+
+judgment assoc over MonP {
+  (a : Mon, b : Mon, c : Mon, d : Mon, e : Mon) |- p(a, b, c, d, e) : P(mul(a, mul(b, mul(c, mul(d, e)))))
+}
+
+judgment comm over MonP { (a : Mon, b : Mon) |- q(mul(a, b)) : P(mul(b, a)) }
+"""
+
+
+def test_unproved_argument_type_is_inconclusive(tmp_path):
+    # a type equality the engine cannot prove is not a refutation
+    p = tmp_path / "monp.gat"
+    p.write_text(MON_WITH_FAMILY)
+    code, out = run(["check", str(p)])
+    assert "judgment assoc: ok" in out
+    assert "judgment comm: Inconclusive" in out
+    assert code == 2
+
+
 def test_models_count_only():
     code, out = run(["models", "--theory", "Ty0", "--max-size", "2", "--count-only"])
     assert code == 0

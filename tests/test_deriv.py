@@ -24,6 +24,7 @@ from gatc.deriv import (
 from gatc.errors import (
     ArgumentTypeMismatch,
     ArityMismatch,
+    InconclusiveEquality,
     NotAType,
     NotATerm,
     ScopeError,
@@ -337,3 +338,190 @@ def test_eq_beta_axiom_interplay():
     assert v.proved
     assert v.axiom_instances() == 1
     assert replay_eq_trace(stlc, lhs, rhs, v.steps, WITH_PI)
+
+
+# -- completeness: goals a bounded rewrite search reaches are Proved ---------
+
+
+def _syntactic(pat, e, sub):
+    """sub extended so that pat under it is e, or None."""
+    if isinstance(pat, Var):
+        if sub.get(pat.name, e) != e:
+            return None
+        return {**sub, pat.name: e}
+    if not (isinstance(e, App) and pat.head == e.head and len(pat.args) == len(e.args)):
+        return None
+    for p, x in zip(pat.args, e.args):
+        sub = _syntactic(p, x, sub)
+        if sub is None:
+            return None
+    return sub
+
+
+def _subterms(t, path=()):
+    yield path, t
+    if isinstance(t, App):
+        for k, a in enumerate(t.args):
+            yield from _subterms(a, path + (k,))
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    k = path[0]
+    return App(t.head, t.args[:k] + (_replace(t.args[k], path[1:], new),) + t.args[k + 1 :])
+
+
+def _one_step(th, ctx, t):
+    """The terms one axiom rewrite from t, either way round, at any
+    position.  Variables that only the new side has (the objects of an
+    inserted identity) are read off the types of the ones the old side
+    binds, which also keeps a bare-variable side at well-typed positions."""
+    out = []
+    for d in th.axioms():
+        for old, new in ((d.kind.lhs, d.kind.rhs), (d.kind.rhs, d.kind.lhs)):
+            for path, s in _subterms(t):
+                sub = _syntactic(old, s, {})
+                for x, ty in d.ctx:
+                    if sub is not None and x in sub:
+                        sub = _syntactic(ty, infer_type(th, ctx, sub[x]), sub)
+                if sub is not None and set(sub) == set(d.arity):
+                    out.append(_replace(t, path, substitute(new, sub)))
+    return out
+
+
+def _reached(th, ctx, t, steps):
+    """Every term at most steps rewrites from t, other than t, in BFS order."""
+    seen = {t: None}
+    frontier = [t]
+    for _ in range(steps):
+        nxt = []
+        for s in frontier:
+            for u in _one_step(th, ctx, s):
+                if u not in seen:
+                    seen[u] = None
+                    nxt.append(u)
+        frontier = nxt
+    return list(seen)[1:]
+
+
+def _mon_start(rng):
+    leaves = [Var(x) for x in rng.sample(["a", "b", "c"], rng.randint(2, 3))]
+    if rng.random() < 0.5:
+        leaves.insert(rng.randint(0, len(leaves)), App("u"))
+    while len(leaves) > 1:
+        k = rng.randrange(len(leaves) - 1)
+        leaves[k : k + 2] = [App("mul", (leaves[k], leaves[k + 1]))]
+    return leaves[0]
+
+
+def _comp(p, q):
+    """The composite of two morphisms given as (term, source, target) with
+    objects o_source, o_target."""
+    (f, a, b), (g, _, c) = p, q
+    return App("comp", (Var(f"o{a}"), Var(f"o{b}"), Var(f"o{c}"), f, g)), a, c
+
+
+def _path(n):
+    """f_i : o_i -> o_(i+1) for i < n, as (term, source, target)."""
+    return [(Var(f"f{i}"), i, i + 1) for i in range(n)]
+
+
+def _cat_start(rng):
+    # a random bracketing of a path of 2 or 3 morphisms
+    path = _path(rng.randint(2, 3))
+    while len(path) > 1:
+        k = rng.randrange(len(path) - 1)
+        path[k : k + 2] = [_comp(path[k], path[k + 1])]
+    return path[0][0]
+
+
+def _cat_ctx(n):
+    return tuple((f"o{i}", OB) for i in range(n + 1)) + tuple(
+        (f"f{i}", hom(Var(f"o{i}"), Var(f"o{i + 1}"))) for i in range(n)
+    )
+
+
+MON_CTX = (("a", MON), ("b", MON), ("c", MON))
+
+
+def _fold(op, xs, right=False):
+    """xs combined with op, bracketed to the left or to the right."""
+    if right:
+        return _fold(lambda a, b: op(b, a), xs[::-1])
+    t = xs[0]
+    for x in xs[1:]:
+        t = op(t, x)
+    return t
+
+
+def _assert_proved(th, ctx, lhs, rhs):
+    v = eq_check(th, ctx, lhs, rhs)
+    assert v.proved, (lhs, rhs, v.reason)
+    assert eq_check(th, ctx, lhs, rhs) == v
+    assert replay_eq_trace(th, lhs, rhs, v.steps)
+
+
+def test_rewrite_reachable_goals_are_proved():
+    # oracle: a goal some rewrite sequence joins is derivable
+    rng = random.Random(2024)
+    for th, ctx, start in ((stdlib()["Mon"], MON_CTX, _mon_start), (stdlib()["Cat"], _cat_ctx(3), _cat_start)):
+        for _ in range(3):
+            t = start(rng)
+            for goal in _reached(th, ctx, t, 3):
+                _assert_proved(th, ctx, t, goal)
+    # reassociations 4 and 7 rewrites long
+    mul = lambda a, b: App("mul", (a, b))  # noqa: E731
+    vs = [Var(x) for x in "abcde"]
+    ctx = tuple((x.name, MON) for x in vs)
+    _assert_proved(stdlib()["Mon"], ctx, _fold(mul, vs), _fold(mul, vs, right=True))
+    left, right = _fold(_comp, _path(8)), _fold(_comp, _path(8), right=True)
+    _assert_proved(stdlib()["Cat"], _cat_ctx(8), left[0], right[0])
+
+
+def test_match_after_merge_two_levels_below_the_root():
+    # h(g(x), k(x)) matches h(g(a), k(b)) once a = b joins two classes two
+    # levels below h; the classes of g(a) and k(b) themselves do not
+    # change, so only a search that looks two levels down re-matches h.
+    # (Every non-linear variable of Cat's axioms also occurs right below
+    # the root, where such a merge shows one level down.)
+    from gatc.theory import check_theory, term_eq_ax, term_sym, type_sym
+
+    s = App("S")
+    g = lambda e: App("g", (e,))  # noqa: E731
+    k = lambda e: App("k", (e,))  # noqa: E731
+    t = check_theory(
+        [
+            type_sym("S"),
+            *(term_sym(c, (), s) for c in ("a", "b", "c")),
+            term_sym("g", (("x", s),), s),
+            term_sym("k", (("x", s),), s),
+            term_sym("h", (("x", s), ("y", s)), s),
+            # declared first, so the first round matches it before a = b
+            term_eq_ax("hgk", (("x", s),), App("h", (g(Var("x")), k(Var("x")))), App("c"), s),
+            term_eq_ax("ab", (), App("a"), App("b"), s),
+        ]
+    )
+    lhs = App("h", (g(App("a")), k(App("b"))))
+    v = eq_check(t, (), lhs, App("c"))
+    assert v.proved
+    assert v.axiom_instances() == 2
+    assert replay_eq_trace(t, lhs, App("c"), v.steps)
+
+
+def test_unproved_type_equality_is_inconclusive_not_a_mismatch():
+    from gatc.theory import extend, term_sym, type_sym
+
+    mul = lambda a, b: App("mul", (a, b))  # noqa: E731
+    vs = [Var(x) for x in "abcde"]
+    ctx = tuple((x.name, MON) for x in vs)
+    t = extend(stdlib()["Mon"], type_sym("P", (("m", MON),)))
+    t = extend(t, term_sym("p", ctx, App("P", (_fold(mul, vs),))))
+    t = extend(t, term_sym("q", (("m", MON),), App("P", (Var("m"),))))
+    # derivable by associativity alone: proved
+    j = Judgment(ctx, HasType(App("p", tuple(vs)), App("P", (_fold(mul, vs, right=True),))))
+    assert check_judgment(t, j).ok
+    # not derivable, but the engine never refutes an equation
+    j = Judgment(ctx, HasType(App("q", (mul(vs[0], vs[1]),)), App("P", (mul(vs[1], vs[0]),))))
+    with pytest.raises(InconclusiveEquality):
+        check_judgment(t, j)

@@ -324,3 +324,17 @@ def test_budget_error_on_blowup():
 def test_binder_theories_rejected():
     with pytest.raises(ModelError):
         enumerate_models(LIB["STLC"], 1)
+
+
+@pytest.mark.parametrize("name", sorted(LIB))
+def test_count_models_counts_what_enumerate_models_returns(name):
+    t = LIB[name]
+    if t.pi:
+        for search in (count_models, enumerate_models):
+            with pytest.raises(ModelError):
+                search(t, 2)
+        return
+    n = count_models(t, 2)
+    assert n == len(enumerate_models(t, 2))
+    if name == "Ty3":
+        assert n == 33_673
