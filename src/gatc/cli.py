@@ -18,7 +18,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from . import deriv, gatcat, gatform, models, poly, theory
@@ -84,32 +84,23 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
+_STEP_KINDS = {AxiomStep: "axiom", CongStep: "congruence", BetaStep: "beta", EtaStep: "eta"}
+
+
+def _step_field(value):
+    if isinstance(value, str):
+        return value
+    if isinstance(value, tuple):  # an axiom step's substitution
+        return {v: gatform.print_expr(e) for v, e in value}
+    return gatform.print_expr(value)
+
+
 def _steps_json(steps) -> list:
-    out = []
-    for s in steps:
-        if isinstance(s, AxiomStep):
-            out.append(
-                {
-                    "kind": "axiom",
-                    "label": s.label,
-                    "subst": {v: gatform.print_expr(e) for v, e in s.subst},
-                    "lhs": gatform.print_expr(s.lhs),
-                    "rhs": gatform.print_expr(s.rhs),
-                }
-            )
-        elif isinstance(s, CongStep):
-            out.append(
-                {"kind": "congruence", "lhs": gatform.print_expr(s.lhs), "rhs": gatform.print_expr(s.rhs)}
-            )
-        elif isinstance(s, BetaStep):
-            out.append(
-                {"kind": "beta", "redex": gatform.print_expr(s.redex), "contractum": gatform.print_expr(s.contractum)}
-            )
-        elif isinstance(s, EtaStep):
-            out.append(
-                {"kind": "eta", "expanded": gatform.print_expr(s.expanded), "reduced": gatform.print_expr(s.reduced)}
-            )
-    return out
+    """Each step as its kind followed by its fields, in field order."""
+    return [
+        {"kind": _STEP_KINDS[type(s)], **{f.name: _step_field(getattr(s, f.name)) for f in fields(s)}}
+        for s in steps
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -36,12 +36,14 @@ from .expr import (
     Pi,
     Var,
     abstract_var,
+    children,
     free_vars,
     locally_closed,
     mentions_bound,
     open_binder,
     open_bound,
     substitute,
+    walk,
 )
 from .theory import Declaration, TermKind, Theory, TypeEqKind, TypeKind
 
@@ -169,9 +171,23 @@ class EqVerdict:
 _DEAD = Var("__unused__")
 
 
-def _strip_binder(e: Expr) -> Expr:
-    """Remove one binder level from a body that does not mention index 0."""
-    return open_bound(e, _DEAD)
+def _beta(e: Expr) -> Optional[Expr]:
+    """The contractum of e when e is a beta redex, else None."""
+    if isinstance(e, Ap) and isinstance(e.fun, Lam):
+        return open_bound(e.fun.body, e.arg)
+    return None
+
+
+def _eta(e: Expr) -> Optional[Expr]:
+    """f when e is the eta expansion lam x. f @ x of an f without x, else None."""
+    if (
+        isinstance(e, Lam)
+        and isinstance(e.body, Ap)
+        and e.body.arg == BVar(0)
+        and not mentions_bound(e.body.fun)
+    ):
+        return open_bound(e.body.fun, _DEAD)  # index 0 is unused: this only shifts
+    return None
 
 
 class _Joined(Exception):
@@ -182,17 +198,20 @@ class _OutOfFuel(Exception):
     """The term bank is full."""
 
 
+def _head(e: Expr):
+    """What a term is keyed on besides its children: an application's
+    symbol, Ap for an object-level application, None for a leaf."""
+    return e.head if isinstance(e, App) else Ap if isinstance(e, Ap) else None
+
+
 def _pattern(e: Expr):
     """An axiom side as a pattern: a variable's name, (head, argument
     patterns) for an application (head Ap for an object-level one), or a
     binder expression, which is matched structurally."""
     if isinstance(e, Var):
         return e.name
-    if isinstance(e, App):
-        return (e.head, tuple(_pattern(a) for a in e.args))
-    if isinstance(e, Ap):
-        return (Ap, (_pattern(e.fun), _pattern(e.arg)))
-    return e
+    head = _head(e)
+    return e if head is None else (head, tuple(_pattern(a) for a in children(e)))
 
 
 def _height(pat) -> int:
@@ -327,14 +346,11 @@ class _EGraph:
 
     def lookup(self, e: Expr) -> Optional[int]:
         """The term id of e, or None when e is not in the bank."""
-        if isinstance(e, App):
-            head, args = e.head, e.args
-        elif isinstance(e, Ap):
-            head, args = Ap, (e.fun, e.arg)
-        else:
+        head = _head(e)
+        if head is None:
             return self.ids.get(e)
         kids = []
-        for a in args:
+        for a in children(e):
             k = self.lookup(a)
             if k is None:
                 return None
@@ -385,21 +401,14 @@ class _EGraph:
                 return []
             i = self.lookup(e)
             return self._bind(pat.name, e if i is None else i, subs)
-        if type(pat) is not type(e):
+        if type(pat) is not type(e) or (type(pat) is App and pat.head != e.head):
             return []
-        if isinstance(pat, App):
-            if pat.head != e.head or len(pat.args) != len(e.args):
-                return []
-            pairs = zip(pat.args, e.args)
-        elif isinstance(pat, Ap):
-            pairs = zip((pat.fun, pat.arg), (e.fun, e.arg))
-        elif isinstance(pat, Pi):
-            pairs = zip((pat.dom, pat.cod), (e.dom, e.cod))
-        elif isinstance(pat, Lam):
-            pairs = zip((pat.dom, pat.body), (e.dom, e.body))
-        else:
+        kids, e_kids = children(pat), children(e)
+        if len(kids) != len(e_kids):
+            return []
+        if not kids:
             return subs if pat == e else []
-        for p, x in pairs:
+        for p, x in zip(kids, e_kids):
             subs = self._rigid(p, x, subs)
             if not subs:
                 break
@@ -441,16 +450,11 @@ class _EGraph:
         """Contract the beta redexes and eta expansions among terms start..end-1."""
         for i in range(start, end):
             e = self.exprs[i]
-            if isinstance(e, Ap) and isinstance(e.fun, Lam):
-                contractum = open_bound(e.fun.body, e.arg)
+            contractum = _beta(e)
+            if contractum is not None:
                 self.union(i, self.add(contractum), BetaStep(e, contractum))
-            elif (
-                isinstance(e, Lam)
-                and isinstance(e.body, Ap)
-                and e.body.arg == BVar(0)
-                and not mentions_bound(e.body.fun, 0)
-            ):
-                reduced = _strip_binder(e.body.fun)
+            reduced = _eta(e)
+            if reduced is not None:
                 self.union(i, self.add(reduced), EtaStep(e, reduced))
         self.rebuild()
 
@@ -570,40 +574,20 @@ def replay_eq_trace(
             union(st.lhs, st.rhs)
         elif isinstance(st, CongStep):
             a, b = st.lhs, st.rhs
-            if isinstance(a, App) and isinstance(b, App):
-                if a.head != b.head or len(a.args) != len(b.args):
-                    return False
-                if not all(merged(x, y) for x, y in zip(a.args, b.args)):
-                    return False
-            elif isinstance(a, Ap) and isinstance(b, Ap):
-                if not (merged(a.fun, b.fun) and merged(a.arg, b.arg)):
-                    return False
-            else:
+            ka, kb = children(a), children(b)
+            if _head(a) is None or _head(a) != _head(b) or len(ka) != len(kb):
+                return False
+            if not all(merged(x, y) for x, y in zip(ka, kb)):
                 return False
             union(a, b)
         elif isinstance(st, BetaStep):
-            if not rules.pi:
+            if not rules.pi or _beta(st.redex) != st.contractum:
                 return False
-            r = st.redex
-            if not (isinstance(r, Ap) and isinstance(r.fun, Lam)):
-                return False
-            if open_bound(r.fun.body, r.arg) != st.contractum:
-                return False
-            union(r, st.contractum)
+            union(st.redex, st.contractum)
         elif isinstance(st, EtaStep):
-            if not rules.pi:
+            if not rules.pi or _eta(st.expanded) != st.reduced:
                 return False
-            e = st.expanded
-            if not (
-                isinstance(e, Lam)
-                and isinstance(e.body, Ap)
-                and e.body.arg == BVar(0)
-                and not mentions_bound(e.body.fun, 0)
-            ):
-                return False
-            if _strip_binder(e.body.fun) != st.reduced:
-                return False
-            union(e, st.reduced)
+            union(st.expanded, st.reduced)
         else:
             return False
     return merged(lhs, rhs)
@@ -615,11 +599,14 @@ def replay_eq_trace(
 
 
 def _scope_check(bound: Iterable[str], e: Expr) -> None:
+    """Every free variable of e is bound (the first that is not is
+    reported), and no index dangles; one walk over e."""
     bound_set = set(bound)
-    for v in free_vars(e):
-        if v not in bound_set:
-            raise ScopeError(f"variable {v!r} is not bound by the context")
-    if not locally_closed(e):
+    nodes = walk(e)
+    for t, _ in nodes:
+        if t.__class__ is Var and t.name not in bound_set:
+            raise ScopeError(f"variable {t.name!r} is not bound by the context")
+    if any(t.__class__ is BVar and t.index >= d for t, d in nodes):
         raise ScopeError("expression has a dangling bound-variable index")
 
 

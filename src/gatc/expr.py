@@ -7,16 +7,24 @@ stay named (locally nameless), so alpha-equivalent expressions are
 structurally equal and substitution of locally closed values never
 captures.  Printed names of bound variables are kept as hints that do not
 participate in equality or hashing.
+
+Every structural operation reads a node's subexpressions through one
+table of field getters, the one behind children().  The folds
+(free_vars, head_symbols, locally_closed, mentions_bound) read walk(), an
+iterative preorder walk with binder depths, so they take terms of any
+depth.  The maps (substitute, abstract_var, open_bound, translate,
+hypothesize, rename_symbols) are one recursive bottom-up rebuild,
+_rebuild(), told what to do at variables, at bound variables and at
+applications.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Container, Iterable, Mapping
+from operator import attrgetter
+from typing import Callable, Container, Iterable, Mapping
 
 from .errors import ArityMismatch, UnknownSymbol, VariableClash
-
-VarName = str
 
 
 class Expr:
@@ -68,69 +76,103 @@ class Ap(Expr):
 SymbolImage = tuple[tuple[str, ...], Expr]
 
 
+# The one place that knows which fields of a node are subexpressions.
+_FIELDS = {
+    App: attrgetter("args"),
+    Ap: attrgetter("fun", "arg"),
+    Pi: attrgetter("dom", "cod"),
+    Lam: attrgetter("dom", "body"),
+}
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The immediate subexpressions of e in field order; the second child
+    of a binder (Pi, Lam) sits one binder deeper than the node."""
+    get = _FIELDS.get(e.__class__)
+    return get(e) if get else ()
+
+
+def walk(e: Expr, kind: type | None = None, depth: int = 0) -> list[tuple[Expr, int]]:
+    """The subexpressions of e, e included, of class kind (all when kind is
+    None) in preorder, each with its binder depth: the binders above it
+    inside e, plus depth.  Iterative, so any nesting depth is fine."""
+    out: list[tuple[Expr, int]] = []
+    stack: list = [e]
+    while stack:
+        t = stack.pop()
+        c = t.__class__
+        if c is int:  # a binder's second child starts (+1) or ends (-1)
+            depth += t
+            continue
+        if c is kind or kind is None:
+            out.append((t, depth))
+        get = _FIELDS.get(c)
+        if get is not None:
+            kids = get(t)
+            if c is Pi or c is Lam:
+                stack += (-1, kids[1], 1, kids[0])
+            else:
+                stack += kids[::-1]
+    return out
+
+
 def free_vars(e: Expr) -> tuple[str, ...]:
-    """Free variables of e in first-occurrence order."""
-    out: list[str] = []
-    seen: set[str] = set()
-
-    def go(t: Expr) -> None:
-        if isinstance(t, Var):
-            if t.name not in seen:
-                seen.add(t.name)
-                out.append(t.name)
-        elif isinstance(t, App):
-            for a in t.args:
-                go(a)
-        elif isinstance(t, Pi):
-            go(t.dom)
-            go(t.cod)
-        elif isinstance(t, Lam):
-            go(t.dom)
-            go(t.body)
-        elif isinstance(t, Ap):
-            go(t.fun)
-            go(t.arg)
-
-    go(e)
-    return tuple(out)
+    """Free variables of e in first-occurrence (preorder) order."""
+    return tuple(dict.fromkeys([t.name for t, _ in walk(e, Var)]))
 
 
 def head_symbols(e: Expr) -> set[str]:
     """All symbol names applied anywhere in e."""
-    out: set[str] = set()
-
-    def go(t: Expr) -> None:
-        if isinstance(t, App):
-            out.add(t.head)
-            for a in t.args:
-                go(a)
-        elif isinstance(t, Pi):
-            go(t.dom)
-            go(t.cod)
-        elif isinstance(t, Lam):
-            go(t.dom)
-            go(t.body)
-        elif isinstance(t, Ap):
-            go(t.fun)
-            go(t.arg)
-
-    go(e)
-    return out
+    return {t.head for t, _ in walk(e, App)}
 
 
 def locally_closed(e: Expr, depth: int = 0) -> bool:
     """True when e has no bound-variable index escaping its own binders."""
-    if isinstance(e, BVar):
-        return e.index < depth
-    if isinstance(e, App):
-        return all(locally_closed(a, depth) for a in e.args)
-    if isinstance(e, Pi):
-        return locally_closed(e.dom, depth) and locally_closed(e.cod, depth + 1)
-    if isinstance(e, Lam):
-        return locally_closed(e.dom, depth) and locally_closed(e.body, depth + 1)
-    if isinstance(e, Ap):
-        return locally_closed(e.fun, depth) and locally_closed(e.arg, depth)
-    return True
+    return all(t.index < d for t, d in walk(e, BVar, depth))
+
+
+def mentions_bound(e: Expr, depth: int = 0) -> bool:
+    """True when e mentions the bound variable of the binder depth levels out."""
+    return any(t.index == d for t, d in walk(e, BVar, depth))
+
+
+def _same(t: Expr, depth: int) -> Expr:
+    return t
+
+
+def _app(t: App, args: tuple[Expr, ...]) -> Expr:
+    return App(t.head, args)
+
+
+def _rebuild(
+    e: Expr,
+    app: Callable[[App, tuple[Expr, ...]], Expr] = _app,
+    var: Callable[[Var, int], Expr] = _same,
+    bvar: Callable[[BVar, int], Expr] = _same,
+    depth: int = 0,
+) -> Expr:
+    """Rebuild e bottom-up.
+
+    Variables become var(node, depth) and bound variables bvar(node,
+    depth), where depth counts the binders above them inside e (plus the
+    starting depth); an application becomes app(node, rebuilt arguments),
+    its arguments rebuilt first.  Pi, Lam and Ap nodes are rebuilt
+    structurally, keeping binder hints.
+    """
+    c = e.__class__
+    if c is App:
+        return app(e, tuple([_rebuild(a, app, var, bvar, depth) for a in e.args]))
+    if c is Var:
+        return var(e, depth)
+    if c is BVar:
+        return bvar(e, depth)
+    kids = children(e)
+    if not kids:
+        raise TypeError(f"unexpected expression node: {e!r}")
+    first = _rebuild(kids[0], app, var, bvar, depth)
+    if c is Ap:
+        return Ap(first, _rebuild(kids[1], app, var, bvar, depth))
+    return c(first, _rebuild(kids[1], app, var, bvar, depth + 1), e.hint)
 
 
 def substitute(e: Expr, sub: Mapping[str, Expr]) -> Expr:
@@ -142,71 +184,23 @@ def substitute(e: Expr, sub: Mapping[str, Expr]) -> Expr:
     """
     if not sub:
         return e
-    if isinstance(e, Var):
-        return sub.get(e.name, e)
-    if isinstance(e, (BVar,)):
-        return e
-    if isinstance(e, App):
-        return App(e.head, tuple(substitute(a, sub) for a in e.args))
-    if isinstance(e, Pi):
-        return Pi(substitute(e.dom, sub), substitute(e.cod, sub), e.hint)
-    if isinstance(e, Lam):
-        return Lam(substitute(e.dom, sub), substitute(e.body, sub), e.hint)
-    if isinstance(e, Ap):
-        return Ap(substitute(e.fun, sub), substitute(e.arg, sub))
-    raise TypeError(f"unexpected expression node: {e!r}")
+    return _rebuild(e, var=lambda t, d: sub.get(t.name, t))
 
 
 def abstract_var(e: Expr, name: str, depth: int = 0) -> Expr:
     """Turn free occurrences of name into the bound index at depth."""
-    if isinstance(e, Var):
-        return BVar(depth) if e.name == name else e
-    if isinstance(e, BVar):
-        return e
-    if isinstance(e, App):
-        return App(e.head, tuple(abstract_var(a, name, depth) for a in e.args))
-    if isinstance(e, Pi):
-        return Pi(abstract_var(e.dom, name, depth), abstract_var(e.cod, name, depth + 1), e.hint)
-    if isinstance(e, Lam):
-        return Lam(abstract_var(e.dom, name, depth), abstract_var(e.body, name, depth + 1), e.hint)
-    if isinstance(e, Ap):
-        return Ap(abstract_var(e.fun, name, depth), abstract_var(e.arg, name, depth))
-    raise TypeError(f"unexpected expression node: {e!r}")
+    return _rebuild(e, var=lambda t, d: BVar(d) if t.name == name else t, depth=depth)
 
 
 def open_bound(e: Expr, value: Expr, depth: int = 0) -> Expr:
     """Remove one binder: replace index depth by value, shift deeper indices down."""
-    if isinstance(e, BVar):
-        if e.index == depth:
+
+    def bvar(t: BVar, d: int) -> Expr:
+        if t.index == d:
             return value
-        if e.index > depth:
-            return BVar(e.index - 1)
-        return e
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, App):
-        return App(e.head, tuple(open_bound(a, value, depth) for a in e.args))
-    if isinstance(e, Pi):
-        return Pi(open_bound(e.dom, value, depth), open_bound(e.cod, value, depth + 1), e.hint)
-    if isinstance(e, Lam):
-        return Lam(open_bound(e.dom, value, depth), open_bound(e.body, value, depth + 1), e.hint)
-    if isinstance(e, Ap):
-        return Ap(open_bound(e.fun, value, depth), open_bound(e.arg, value, depth))
-    raise TypeError(f"unexpected expression node: {e!r}")
+        return BVar(t.index - 1) if t.index > d else t
 
-
-def mentions_bound(e: Expr, depth: int = 0) -> bool:
-    if isinstance(e, BVar):
-        return e.index == depth
-    if isinstance(e, App):
-        return any(mentions_bound(a, depth) for a in e.args)
-    if isinstance(e, Pi):
-        return mentions_bound(e.dom, depth) or mentions_bound(e.cod, depth + 1)
-    if isinstance(e, Lam):
-        return mentions_bound(e.dom, depth) or mentions_bound(e.body, depth + 1)
-    if isinstance(e, Ap):
-        return mentions_bound(e.fun, depth) or mentions_bound(e.arg, depth)
-    return False
+    return _rebuild(e, bvar=bvar, depth=depth)
 
 
 def fresh_name(base: str, avoid: Container[str]) -> str:
@@ -241,25 +235,18 @@ def translate(e: Expr, images: Mapping[str, SymbolImage]) -> Expr:
     arguments; variables are fixed.  The extension is the unique one that
     is identity on variables and commutes with substitution.
     """
-    if isinstance(e, (Var, BVar)):
-        return e
-    if isinstance(e, App):
-        targs = tuple(translate(a, images) for a in e.args)
-        if e.head not in images:
-            raise UnknownSymbol(f"symbol {e.head!r} has no image")
-        params, body = images[e.head]
+
+    def app(t: App, targs: tuple[Expr, ...]) -> Expr:
+        if t.head not in images:
+            raise UnknownSymbol(f"symbol {t.head!r} has no image")
+        params, body = images[t.head]
         if len(params) != len(targs):
             raise ArityMismatch(
-                f"symbol {e.head!r} expects {len(params)} arguments, got {len(targs)}"
+                f"symbol {t.head!r} expects {len(params)} arguments, got {len(targs)}"
             )
         return substitute(body, dict(zip(params, targs)))
-    if isinstance(e, Pi):
-        return Pi(translate(e.dom, images), translate(e.cod, images), e.hint)
-    if isinstance(e, Lam):
-        return Lam(translate(e.dom, images), translate(e.body, images), e.hint)
-    if isinstance(e, Ap):
-        return Ap(translate(e.fun, images), translate(e.arg, images))
-    raise TypeError(f"unexpected expression node: {e!r}")
+
+    return _rebuild(e, app)
 
 
 def hypothesize(e: Expr, x0: str, syms: Container[str]) -> Expr:
@@ -271,52 +258,9 @@ def hypothesize(e: Expr, x0: str, syms: Container[str]) -> Expr:
     """
     if x0 in free_vars(e):
         raise VariableClash(f"hypothesis variable {x0!r} already occurs free")
-
-    def go(t: Expr) -> Expr:
-        if isinstance(t, (Var, BVar)):
-            return t
-        if isinstance(t, App):
-            args = tuple(go(a) for a in t.args)
-            if t.head in syms:
-                return App(t.head, (Var(x0),) + args)
-            return App(t.head, args)
-        if isinstance(t, Pi):
-            return Pi(go(t.dom), go(t.cod), t.hint)
-        if isinstance(t, Lam):
-            return Lam(go(t.dom), go(t.body), t.hint)
-        if isinstance(t, Ap):
-            return Ap(go(t.fun), go(t.arg))
-        raise TypeError(f"unexpected expression node: {t!r}")
-
-    return go(e)
+    hv = (Var(x0),)
+    return _rebuild(e, lambda t, args: App(t.head, hv + args if t.head in syms else args))
 
 
 def rename_symbols(e: Expr, renaming: Mapping[str, str]) -> Expr:
-    if isinstance(e, (Var, BVar)):
-        return e
-    if isinstance(e, App):
-        return App(renaming.get(e.head, e.head), tuple(rename_symbols(a, renaming) for a in e.args))
-    if isinstance(e, Pi):
-        return Pi(rename_symbols(e.dom, renaming), rename_symbols(e.cod, renaming), e.hint)
-    if isinstance(e, Lam):
-        return Lam(rename_symbols(e.dom, renaming), rename_symbols(e.body, renaming), e.hint)
-    if isinstance(e, Ap):
-        return Ap(rename_symbols(e.fun, renaming), rename_symbols(e.arg, renaming))
-    raise TypeError(f"unexpected expression node: {e!r}")
-
-
-def subexprs(e: Expr) -> Iterable[Expr]:
-    """e and all its subexpressions, preorder; binder bodies included."""
-    yield e
-    if isinstance(e, App):
-        for a in e.args:
-            yield from subexprs(a)
-    elif isinstance(e, Pi):
-        yield from subexprs(e.dom)
-        yield from subexprs(e.cod)
-    elif isinstance(e, Lam):
-        yield from subexprs(e.dom)
-        yield from subexprs(e.body)
-    elif isinstance(e, Ap):
-        yield from subexprs(e.fun)
-        yield from subexprs(e.arg)
+    return _rebuild(e, lambda t, args: App(renaming.get(t.head, t.head), args))

@@ -89,12 +89,9 @@ class Interpretation:
 
 
 def identity(theory: Theory, name: str = "") -> Interpretation:
-    mapping = {
-        d.name: App(d.name, tuple(Var(x) for x in d.arity))
-        for d in theory.decls
-        if d.is_symbol
-    }
-    return Interpretation(theory, theory, mapping, name or f"id[{theory.name}]")
+    return renaming_interpretation(
+        theory, theory, {d.name: d.name for d in theory.decls}, name or f"id[{theory.name}]"
+    )
 
 
 def compose(first: Interpretation, second: Interpretation, name: str = "") -> Interpretation:
@@ -236,26 +233,8 @@ def coproduct(t1: Theory, t2: Theory, name: str = "", fuel: Fuel = deriv.DEFAULT
     out = check_theory(
         a.decls + b.decls, rules, fuel, name or safe_name(f"{t1.name}_x_{t2.name}")
     )
-    inc1 = Interpretation(
-        t1,
-        out,
-        {
-            d.name: App(r1[d.name], tuple(Var(x) for x in d.arity))
-            for d in t1.decls
-            if d.is_symbol
-        },
-        f"inl[{t1.name}]",
-    )
-    inc2 = Interpretation(
-        t2,
-        out,
-        {
-            d.name: App(r2[d.name], tuple(Var(x) for x in d.arity))
-            for d in t2.decls
-            if d.is_symbol
-        },
-        f"inr[{t2.name}]",
-    )
+    inc1 = renaming_interpretation(t1, out, r1, f"inl[{t1.name}]")
+    inc2 = renaming_interpretation(t2, out, r2, f"inr[{t2.name}]")
     return Coproduct(out, inc1, inc2)
 
 

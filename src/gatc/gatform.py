@@ -122,6 +122,13 @@ def _lex(text: str) -> list[Token]:
 
 
 # Raw expressions: identifiers not yet split into variables and symbols.
+# Each node records its height (a name's is 0) for the nesting bound.
+
+# Deepest nesting the parser accepts; parentheses, argument lists, binder
+# parts and '@' applications each open one level.  resolve(), the
+# rebuilds, typing and printing recurse a few frames per level, so this
+# keeps them well inside Python's default recursion limit.
+MAX_NESTING = 200
 
 
 @dataclass(frozen=True)
@@ -129,6 +136,7 @@ class RName:
     name: str
     line: int
     col: int
+    height: int = 0
 
 
 @dataclass(frozen=True)
@@ -137,6 +145,7 @@ class RApp:
     args: tuple
     line: int
     col: int
+    height: int
 
 
 @dataclass(frozen=True)
@@ -147,6 +156,7 @@ class RBind:
     body: object
     line: int
     col: int
+    height: int
 
 
 @dataclass(frozen=True)
@@ -155,6 +165,7 @@ class RAp:
     arg: object
     line: int
     col: int
+    height: int
 
 
 def resolve(raw, scope: Sequence[str]) -> Expr:
@@ -224,6 +235,7 @@ class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
+        self.depth = 0  # nesting level of the expression being parsed
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -245,11 +257,25 @@ class _Parser:
 
     # -- expressions -------------------------------------------------------
 
+    def _too_deep(self, t: Token) -> GatSyntaxError:
+        return GatSyntaxError(f"expression nested more than {MAX_NESTING} levels deep", t.line, t.col)
+
     def expr(self):
+        """An expression at the current level, its subexpressions one deeper;
+        a left-nested '@' chain pushes its first operand down one level per
+        '@', which only the chain's height shows."""
+        if self.depth > MAX_NESTING:
+            raise self._too_deep(self.peek())
+        level = self.depth
+        self.depth += 1
         e = self.atom()
         while self.at("AT"):
             t = self.next()
-            e = RAp(e, self.atom(), t.line, t.col)
+            arg = self.atom()
+            e = RAp(e, arg, t.line, t.col, 1 + max(e.height, arg.height))
+            if level + e.height > MAX_NESTING:
+                raise self._too_deep(t)
+        self.depth = level
         return e
 
     def atom(self):
@@ -262,7 +288,7 @@ class _Parser:
             dom = self.expr()
             self.expect("RPAREN")
             body = self.expr()
-            return RBind(t.kind, var, dom, body, t.line, t.col)
+            return RBind(t.kind, var, dom, body, t.line, t.col, 1 + max(dom.height, body.height))
         if t.kind == "LPAREN":
             self.next()
             e = self.expr()
@@ -277,7 +303,7 @@ class _Parser:
                     self.next()
                     args.append(self.expr())
                 self.expect("RPAREN")
-                return RApp(t.value, tuple(args), t.line, t.col)
+                return RApp(t.value, tuple(args), t.line, t.col, 1 + max(a.height for a in args))
             return RName(t.value, t.line, t.col)
         raise GatSyntaxError(f"expected an expression, found {t.value or 'end of input'!r}", t.line, t.col)
 

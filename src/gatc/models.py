@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import BudgetExceeded, ModelError
-from .expr import App, Expr, Var
-from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout
+from .expr import App, Expr, Var, walk
+from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout, identity
 from .theory import Declaration, TermEqKind, TermKind, Theory, TypeEqKind, TypeKind
 
 Instance = tuple[int, ...]
@@ -58,15 +58,12 @@ def _plan(theory: Theory) -> list[tuple[Declaration, list[Declaration], list[Dec
         reads: set[str] = set()
         mentions: set[str] = set()
         for j, e in enumerate(d.exprs()):
-            stack = [e]
-            while stack:
-                sub = stack.pop()
+            for sub, _ in walk(e):
                 if sub.__class__ is App:
                     if j < len(d.ctx):
                         reads.add(sub.head)
                     if j < len(d.ctx) + 2:  # a TermEqKind.ty is never evaluated
                         mentions.add(sub.head)
-                    stack.extend(sub.args)
                 elif sub.__class__ is not Var:
                     raise ModelError(
                         f"theory {theory.name!r} uses binders; finite models cover "
@@ -408,15 +405,7 @@ def _pushout_duality(po: Pushout, bound: int, budget: int) -> DualityReport:
     ms = enumerate_models(po.theory, bound, budget)
     prime = enumerate_models(po.along.dst, bound, budget)
     total = enumerate_models(po.total, bound, budget)
-    incl = Interpretation(
-        po.sub,
-        po.total,
-        {
-            d.name: App(d.name, tuple(Var(x) for x in d.arity))
-            for d in po.sub.decls
-            if d.is_symbol
-        },
-    )
+    incl = identity(po.sub).retarget(po.total)
     expected = {
         (a.key(), b.key())
         for a in prime

@@ -24,6 +24,7 @@ from .gatcat import (
     EquivalenceResult,
     Interpretation,
     Pushout,
+    _default_rules,
     check_interpretation,
     check_mutually_inverse,
     compose,
@@ -74,7 +75,7 @@ def poly_apply(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv
     declaration, not an appeal to stability; a failure here would expose
     a stability bug.
     """
-    rules = rules if rules is not None else (deriv.WITH_PI if base.pi else deriv.BASE)
+    rules = rules if rules is not None else _default_rules(base)
     syms = set(base.symbol_names())
     reserved = fresh_name("A0", {d.name for d in base.decls})
     decls: list[Declaration] = [type_sym(reserved)]
@@ -227,7 +228,7 @@ def derive_unit(base: Theory, leg: Interpretation, rules: Optional[RuleSet] = No
     wk . (id, leg) on the first and proj . leg on the second; the
     defining equations are checked post hoc by check_unit_laws.
     """
-    rules = rules if rules is not None else (deriv.WITH_PI if base.pi else deriv.BASE)
+    rules = rules if rules is not None else _default_rules(base)
     fib = fib_product_el0(base, leg, fuel)
     poly_fib = poly_apply(fib.theory, rules, fuel)
     poly_base = poly_apply(base, rules, fuel)
@@ -277,7 +278,7 @@ def check_unit_laws(unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fue
     first-projection law (weakening side) and second-projection law
     (projection side)."""
     base = unit.base
-    rules = rules if rules is not None else (deriv.WITH_PI if base.pi else deriv.BASE)
+    rules = rules if rules is not None else _default_rules(base)
     poly_base = poly_apply(base, rules, fuel)
     pel0 = poly_apply(mk_El(0), rules, fuel)
     prod = product_with_ty0(base, fuel)
@@ -297,7 +298,7 @@ def check_unit_laws(unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fue
 
 def recover_weakening(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
     """Round trip: the unit at the product leg recovers weakening."""
-    rules = rules if rules is not None else (deriv.WITH_PI if base.pi else deriv.BASE)
+    rules = rules if rules is not None else _default_rules(base)
     prod = product_with_ty0(base, fuel)
     # the second projection of base x Ty0 is its leg
     leg = Interpretation(mk_Ty(0), prod.theory, {"A0": prod.right.image("A0")}, "pr2")
@@ -339,7 +340,7 @@ def check_triangles(
     second (at a leg) reduces to the second or third axiom depending on
     the leg.
     """
-    rules = rules if rules is not None else (deriv.WITH_PI if base.pi else deriv.BASE)
+    rules = rules if rules is not None else _default_rules(base)
     out = []
     out.append(replace(_check_p4(base, rules, fuel), name=f"triangle-counit[{base.name}]"))
     out.append(_triangle_unit(leg_base, leg, rules, fuel))

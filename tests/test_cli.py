@@ -68,6 +68,50 @@ def test_eq_command_stdlib_theory():
     assert "Proved" in out
 
 
+def _left_nested_mul(depth):
+    e = "u"
+    for _ in range(depth):
+        e = f"mul({e}, u)"
+    return e
+
+
+def test_nesting_at_the_bound_is_accepted(tmp_path):
+    deep = _left_nested_mul(gatform.MAX_NESTING)
+    code, out = run(["eq", "--theory", "Mon", "--lhs", deep, "--rhs", "u", "--json", "--trace"])
+    assert code == 0
+    assert json.loads(out)["items"][0]["verdict"] == "Proved"
+    p = tmp_path / "deep.gat"
+    p.write_text(f"judgment deep over Mon {{\n  () |- {deep} : Mon\n}}\n")
+    code, out = run(["check", str(p), "--json", "--trace"])
+    assert code == 0
+    assert json.loads(out)["items"][0]["verdict"] == "ok"
+    # an application chain and parentheses at the bound still parse
+    for text in ("u" + " @ u" * gatform.MAX_NESTING, "(" * gatform.MAX_NESTING + "u" + ")" * gatform.MAX_NESTING):
+        code, _ = run(["eq", "--theory", "Mon", "--lhs", text, "--rhs", "u"])
+        assert code != 3
+
+
+def test_nesting_past_the_bound_is_a_positioned_syntax_error(tmp_path, capsys):
+    n = gatform.MAX_NESTING + 1
+    deep = _left_nested_mul(n)
+    code, out = run(["eq", "--theory", "Mon", "--lhs", deep, "--rhs", "u", "--json", "--trace"])
+    assert code == 3 and out == ""
+    # the innermost u, after n times "mul("
+    assert "syntax error: 1:805: expression nested more than 200 levels deep" in capsys.readouterr().err
+    p = tmp_path / "deep.gat"
+    p.write_text(f"judgment deep over Mon {{\n  () |- {deep} : Mon\n}}\n")
+    code, _ = run(["check", str(p), "--json", "--trace"])
+    assert code == 3
+    assert f"syntax error: 2:{len('  () |- ') + 805}:" in capsys.readouterr().err
+    # the last '@' of a left-nested chain, and the innermost parenthesis
+    code, _ = run(["eq", "--theory", "Mon", "--lhs", "u" + " @ u" * n, "--rhs", "u"])
+    assert code == 3
+    assert f"syntax error: 1:{3 + 4 * (n - 1)}:" in capsys.readouterr().err
+    code, _ = run(["eq", "--theory", "Mon", "--lhs", "(" * n + "u" + ")" * n, "--rhs", "u"])
+    assert code == 3
+    assert f"syntax error: 1:{n + 1}:" in capsys.readouterr().err
+
+
 def test_eq_command_inconclusive_exit_two():
     code, out = run(
         ["eq", "--theory", "Mon", "--ctx", "(a : Mon, b : Mon)", "--lhs", "mul(a, b)", "--rhs", "mul(b, a)"]

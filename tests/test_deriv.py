@@ -54,6 +54,17 @@ def test_category_context_ok():
 def test_unbound_variable_scope_error():
     with pytest.raises(ScopeError):
         check_context(stdlib()["Cat"], (("y", hom(Var("x1"), Var("x2"))),))
+    # the first unbound variable is reported, before any dangling index
+    from gatc.expr import BVar
+
+    for ty, message in [
+        (Var("x"), "variable 'x' is not bound by the context"),
+        (hom(Var("z"), Var("y")), "variable 'z' is not bound by the context"),
+        (hom(BVar(0), Var("y")), "variable 'y' is not bound by the context"),
+        (BVar(0), "expression has a dangling bound-variable index"),
+    ]:
+        with pytest.raises(ScopeError, match=f"^{message}$"):
+            check_judgment(stdlib()["Cat"], Judgment((), IsType(ty)))
 
 
 def test_infer_identity_morphism():
@@ -237,6 +248,46 @@ def test_beta_eta_need_pi_rules():
     lhs = App("mul", (App("u"), Var("y")))
     v = eq_check(mon, (("y", MON),), lhs, Var("y"))
     assert replay_eq_trace(mon, lhs, Var("y"), v.steps, BASE)
+
+
+def test_replay_rechecks_congruence_beta_and_eta_steps():
+    from gatc.deriv import BetaStep, CongStep, EtaStep
+    from gatc.expr import Ap, BVar, Lam, mk_lam
+
+    mon, stlc = stdlib()["Mon"], stdlib()["STLC"]
+    y, u = Var("y"), App("u")
+    yy = App("mul", (y, y))
+    for other in (App("f", (y, y)), Ap(y, y), App("mul", (y, u))):
+        # a different head, an application of another kind, unmerged children
+        assert not replay_eq_trace(mon, yy, other, (CongStep(yy, other),))
+    a, f, g, z = App("A"), Var("f"), Var("g"), Var("z")
+    redex = Ap(mk_lam("x", a, Ap(f, Var("x"))), z)
+    assert replay_eq_trace(stlc, redex, Ap(f, z), (BetaStep(redex, Ap(f, z)),), WITH_PI)
+    assert not replay_eq_trace(stlc, redex, Ap(f, f), (BetaStep(redex, Ap(f, f)),), WITH_PI)
+    # lam x. (g @ y') @ x under a binder y': reducing shifts y' from index 1 to 0
+    expanded = Lam(a, Ap(Ap(g, BVar(1)), BVar(0)))
+    assert replay_eq_trace(stlc, expanded, Ap(g, BVar(0)), (EtaStep(expanded, Ap(g, BVar(0))),), WITH_PI)
+    for wrong in (Ap(g, BVar(1)), g):
+        assert not replay_eq_trace(stlc, expanded, wrong, (EtaStep(expanded, wrong),), WITH_PI)
+    not_eta = mk_lam("x", a, Ap(Var("x"), Var("x")))
+    assert not replay_eq_trace(stlc, not_eta, f, (EtaStep(not_eta, f),), WITH_PI)
+
+
+def test_binder_side_matches_heads_under_the_binder():
+    # STLC's axiom abs(a, b, lam (x : El(a)) app(a, b, f, x)) = f has a side
+    # with a binder, matched structurally: another head under it must not match
+    from gatc.expr import mk_lam
+
+    stlc = stdlib()["STLC"]
+    a, b, f = Var("a"), Var("b"), Var("f")
+    ctx = (("a", App("Ty")), ("b", App("Ty")), ("f", App("El", (App("Fun", (a, b)),))))
+
+    def expanded(head):
+        return App("abs", (a, b, mk_lam("x", App("El", (a,)), App(head, (a, b, f, Var("x"))))))
+
+    v = eq_check(stlc, ctx, expanded("app"), f, WITH_PI)
+    assert v.proved and replay_eq_trace(stlc, expanded("app"), f, v.steps, WITH_PI)
+    assert not eq_check(stlc, ctx, expanded("app2"), f, WITH_PI).proved
 
 
 # -- stability meta-properties over the corpus ------------------------------

@@ -12,10 +12,14 @@ from gatc.expr import (
     Var,
     abstract_var,
     free_vars,
+    head_symbols,
     hypothesize,
+    locally_closed,
+    mentions_bound,
     mk_lam,
     mk_pi,
     open_bound,
+    rename_symbols,
     substitute,
     translate,
 )
@@ -44,10 +48,11 @@ def test_substitute_single_variable():
 
 def test_substitute_identity_is_identity(gen):
     rng = random.Random(7)
-    for _ in range(200):
-        e = random_expr(rng, MONOID_SIG, ["a", "b"], 4)
-        sub = {v: Var(v) for v in free_vars(e)}
-        assert substitute(e, sub) == e
+    for binders in (False, True):
+        for _ in range(200):
+            e = random_expr(rng, MONOID_SIG, ["a", "b"], 4, binders)
+            sub = {v: Var(v) for v in free_vars(e)}
+            assert substitute(e, sub) == e
 
 
 def test_substitute_unmapped_fixed():
@@ -58,14 +63,15 @@ def test_substitute_unmapped_fixed():
 def test_substitute_composition_law(gen):
     # oracle: applying sigma then rho agrees with applying the composed map
     rng = random.Random(11)
-    for _ in range(300):
-        e = random_expr(rng, MONOID_SIG, ["a", "b", "c"], 4)
-        sigma = {v: random_expr(rng, MONOID_SIG, ["a", "b"], 2) for v in ("a", "b", "c")}
-        rho = {v: random_expr(rng, MONOID_SIG, [], 2) for v in ("a", "b")}
-        lhs = substitute(substitute(e, sigma), rho)
-        composed = {v: substitute(t, rho) for v, t in sigma.items()}
-        rhs = substitute(e, composed)
-        assert lhs == rhs
+    for binders in (False, True):
+        for _ in range(300):
+            e = random_expr(rng, MONOID_SIG, ["a", "b", "c"], 4, binders)
+            sigma = {v: random_expr(rng, MONOID_SIG, ["a", "b"], 2, binders) for v in ("a", "b", "c")}
+            rho = {v: random_expr(rng, MONOID_SIG, [], 2, binders) for v in ("a", "b")}
+            lhs = substitute(substitute(e, sigma), rho)
+            composed = {v: substitute(t, rho) for v, t in sigma.items()}
+            rhs = substitute(e, composed)
+            assert lhs == rhs
 
 
 def test_substitute_under_binder_no_capture():
@@ -98,14 +104,15 @@ def test_translate_commutes_with_substitute(gen):
         "u": ((), App("g2", (App("c0"), App("c0")))),
         "mul": (("y1", "y2"), App("g2", (Var("y1"), App("f1", (Var("y2"),))))),
     }
-    for _ in range(300):
-        e = random_expr(rng, MONOID_SIG, ["a", "b"], 4)
-        sigma = {v: random_expr(rng, MONOID_SIG, ["a"], 2) for v in ("a", "b")}
-        lhs = translate(substitute(e, sigma), images)
-        rhs = substitute(
-            translate(e, images), {v: translate(t, images) for v, t in sigma.items()}
-        )
-        assert lhs == rhs
+    for binders in (False, True):
+        for _ in range(300):
+            e = random_expr(rng, MONOID_SIG, ["a", "b"], 4, binders)
+            sigma = {v: random_expr(rng, MONOID_SIG, ["a"], 2, binders) for v in ("a", "b")}
+            lhs = translate(substitute(e, sigma), images)
+            rhs = substitute(
+                translate(e, images), {v: translate(t, images) for v, t in sigma.items()}
+            )
+            assert lhs == rhs
 
 
 def test_translate_injective_preserves_distinctness(gen):
@@ -158,11 +165,12 @@ def test_hypothesize_naturality_square(gen):
             hypothesize(images["mul"][1], "x0", set(CATEGORY_LIKE_SIG)),
         ),
     }
-    for _ in range(300):
-        e = random_expr(rng, MONOID_SIG, ["a", "b"], 4)
-        lhs = hypothesize(translate(e, images), "x0", set(CATEGORY_LIKE_SIG))
-        rhs = translate(hypothesize(e, "x0", set(MONOID_SIG)), hyp_images)
-        assert lhs == rhs
+    for binders in (False, True):
+        for _ in range(300):
+            e = random_expr(rng, MONOID_SIG, ["a", "b"], 4, binders)
+            lhs = hypothesize(translate(e, images), "x0", set(CATEGORY_LIKE_SIG))
+            rhs = translate(hypothesize(e, "x0", set(MONOID_SIG)), hyp_images)
+            assert lhs == rhs
 
 
 def test_alpha_equivalent_binders_structurally_equal():
@@ -183,7 +191,98 @@ def test_alpha_congruence_under_operations():
 
 def test_abstract_then_open_round_trip(gen):
     rng = random.Random(23)
-    for _ in range(200):
-        e = random_expr(rng, MONOID_SIG, ["a", "b"], 3)
-        body = abstract_var(e, "a")
-        assert open_bound(body, Var("a")) == e
+    for binders in (False, True):
+        for _ in range(200):
+            e = random_expr(rng, MONOID_SIG, ["a", "b"], 3, binders)
+            body = abstract_var(e, "a")
+            assert open_bound(body, Var("a")) == e
+
+
+def test_head_symbols_of_a_substitution(gen):
+    # the heads of e[sigma] are e's heads and those of the values substituted
+    # for e's free variables
+    rng = random.Random(29)
+    for binders in (False, True):
+        for _ in range(300):
+            e = random_expr(rng, CATEGORY_LIKE_SIG, ["a", "b"], 4, binders)
+            sigma = {"a": random_expr(rng, MONOID_SIG, ["c"], 2, binders)}
+            expected = set(head_symbols(e))
+            if "a" in free_vars(e):
+                expected |= head_symbols(sigma["a"])
+            assert head_symbols(substitute(e, sigma)) == expected
+
+
+def test_rename_symbols_round_trip_and_agrees_with_translate(gen):
+    rng = random.Random(31)
+    renaming = {"u": "one", "mul": "times"}
+    inverse = {b: a for a, b in renaming.items()}
+    images = {"u": ((), App("one")), "mul": (("y1", "y2"), App("times", (Var("y1"), Var("y2"))))}
+    for binders in (False, True):
+        for _ in range(300):
+            e = random_expr(rng, MONOID_SIG, ["a", "b"], 4, binders)
+            renamed = rename_symbols(e, renaming)
+            assert head_symbols(renamed) == {renaming[h] for h in head_symbols(e)}
+            assert rename_symbols(renamed, inverse) == e
+            assert renamed == translate(e, images)
+
+
+def test_mentions_bound_and_opening_two_binders(gen):
+    # x is e as the body of lam a. lam b. e: b at index 0, a at index 1;
+    # opening the inner binder first shifts a's index down
+    rng = random.Random(37)
+    for binders in (False, True):
+        for _ in range(300):
+            e = random_expr(rng, MONOID_SIG, ["a", "b", "c"], 4, binders)
+            x = abstract_var(abstract_var(e, "b"), "a", 1)
+            fv = free_vars(e)
+            assert locally_closed(e) and not mentions_bound(e)
+            assert mentions_bound(x, 0) == ("b" in fv)
+            assert mentions_bound(x, 1) == ("a" in fv)
+            assert locally_closed(x) == ("a" not in fv and "b" not in fv)
+            assert locally_closed(x, 1) == ("a" not in fv)
+            assert locally_closed(x, 2)
+            assert open_bound(open_bound(x, Var("b")), Var("a")) == e
+
+
+DEEP = 10_000
+
+
+def _deep_app_chain():
+    # s(s(...s(x0, y1)..., y9998), y9999): preorder meets x0, y1, ..., y9999
+    e = Var("x0")
+    for i in range(1, DEEP):
+        e = App("s", (e, Var(f"y{i}")))
+    return e
+
+
+def _deep_lam_chain(escape: int):
+    # DEEP binders around f @ BVar(DEEP - 1 + escape)
+    e = Ap(Var("f"), BVar(DEEP - 1 + escape))
+    for _ in range(DEEP):
+        e = Lam(App("A"), e)
+    return e
+
+
+@pytest.mark.parametrize("fold", ["free_vars", "head_symbols", "locally_closed", "mentions_bound", "walk"])
+def test_folds_do_not_recurse_on_deep_terms(fold):
+    from gatc import expr
+
+    chain, closed, open_ = _deep_app_chain(), _deep_lam_chain(0), _deep_lam_chain(1)
+    if fold == "free_vars":
+        assert expr.free_vars(chain) == ("x0",) + tuple(f"y{i}" for i in range(1, DEEP))
+        assert expr.free_vars(closed) == ("f",)
+    elif fold == "head_symbols":
+        assert expr.head_symbols(chain) == {"s"}
+        assert expr.head_symbols(closed) == {"A"}
+    elif fold == "locally_closed":
+        assert expr.locally_closed(chain) and expr.locally_closed(closed)
+        assert not expr.locally_closed(open_)
+    elif fold == "mentions_bound":
+        assert not expr.mentions_bound(chain) and not expr.mentions_bound(closed)
+        assert expr.mentions_bound(open_)
+        assert expr.mentions_bound(closed.body)
+    else:
+        nodes = expr.walk(closed)
+        assert len(nodes) == 2 * DEEP + 3
+        assert max(d for _, d in nodes) == DEEP
+        assert len(expr.walk(chain)) == 2 * DEEP - 1
