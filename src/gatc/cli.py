@@ -155,7 +155,7 @@ def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
             try:
                 t = theory.check_theory(block.decls, rules, fuel, name=block.name)
             except GatError as exc:
-                line = _offending_line(block, exc)
+                line = block.decl_lines.get(exc.decl, block.line)
                 env.items.append(_error_item(f"theory {block.name}", exc, line))
                 continue
             env.theories[block.name] = t
@@ -179,22 +179,12 @@ def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
     return env
 
 
-def _offending_line(block: gatform.TheoryBlock, exc: Exception) -> Optional[int]:
-    msg = str(exc)
-    for name, line in block.decl_lines.items():
-        if f"'{name}'" in msg:
-            return line
-    return block.line
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("check", list(env.items))
+def cmd_check(args, env, report, rules, fuel) -> None:
     for jb in env.judgments:
         name = f"judgment {jb.name}"
         try:
@@ -209,12 +199,9 @@ def cmd_check(args, rules, fuel) -> Report:
             tuple(s for v in r.eq_traces if isinstance(v, EqVerdict) for s in v.steps)
         )
         report.items.append(item)
-    return report
 
 
-def cmd_eq(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("eq", list(env.items))
+def cmd_eq(args, env, report, rules, fuel) -> None:
     t = env.theory(args.theory)
     ctx = gatform.parse_context(args.ctx) if args.ctx else ()
     scope = [x for x, _ in ctx]
@@ -235,53 +222,34 @@ def cmd_eq(args, rules, fuel) -> Report:
         _steps_json(v.steps),
     )
     report.items.append(item)
-    return report
 
 
-def cmd_coprod(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("coprod", list(env.items))
+def cmd_coprod(args, env, report, rules, fuel) -> None:
     cp = gatcat.coproduct(env.theory(args.left), env.theory(args.right), fuel=fuel)
     report.items.append(Item(f"coproduct {args.left}+{args.right}", "ok"))
     report.payload["theory"] = gatform.print_theory(cp.theory, args.unicode)
-    return report
 
 
-def cmd_coeq(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("coeq", list(env.items))
+def cmd_coeq(args, env, report, rules, fuel) -> None:
     try:
         ce = gatcat.coequalizer(env.interp(args.left), env.interp(args.right), rules, fuel)
     except GatError as exc:
         report.items.append(_error_item("coequalizer", exc))
-        return report
+        return
     report.items.append(Item("coequalizer", "ok"))
     report.payload["theory"] = gatform.print_theory(ce.theory, args.unicode)
-    return report
 
 
-def cmd_pushout(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("pushout", list(env.items))
-    try:
-        po = gatcat.pushout(
-            env.theory(args.base), env.theory(args.total), env.interp(args.along), rules, fuel
-        )
-    except GatError as exc:
-        report.items.append(_error_item("pushout", exc))
-        return report
+def cmd_pushout(args, env, report, rules, fuel) -> None:
+    po = gatcat.pushout(env.theory(args.base), env.theory(args.total), env.interp(args.along), rules, fuel)
     report.items.append(Item("pushout", "ok"))
     report.payload["theory"] = gatform.print_theory(po.theory, args.unicode)
-    return report
 
 
-def cmd_poly(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("poly", list(env.items))
+def cmd_poly(args, env, report, rules, fuel) -> None:
     p = poly.poly_apply(env.theory(args.theory), rules, fuel)
     report.items.append(Item(f"families of {args.theory}", "ok"))
     report.payload["theory"] = gatform.print_theory(p.theory, args.unicode)
-    return report
 
 
 def _law_item(r: poly.LawReport, with_trace: bool) -> Item:
@@ -294,9 +262,7 @@ def _law_item(r: poly.LawReport, with_trace: bool) -> Item:
     )
 
 
-def cmd_verify_poly(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("verify-poly", list(env.items))
+def cmd_verify_poly(args, env, report, rules, fuel) -> None:
     names = args.samples.split(",") if args.samples else [t.name for t in poly.default_samples()]
     samples = []
     for n in names:
@@ -304,12 +270,9 @@ def cmd_verify_poly(args, rules, fuel) -> Report:
         samples.append(theory.terminal_theory() if n == "terminal" else env.theory(n))
     for r in poly.verify_polynomial_axioms(samples, rules, fuel, corrupt_subst=args.corrupt_subst):
         report.items.append(_law_item(r, True))
-    return report
 
 
-def cmd_unit_triangles(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("unit-triangles", list(env.items))
+def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     lib = theory.stdlib()
     ty0, el0, mon = lib["Ty0"], lib["El0"], lib["Mon"]
     prod = poly.product_with_ty0(mon, fuel)
@@ -340,22 +303,17 @@ def cmd_unit_triangles(args, rules, fuel) -> Report:
                 report.items.append(_law_item(r, True))
         except GatError as exc:
             report.items.append(_error_item(f"triangles[{label}]", exc))
-    return report
 
 
-def cmd_pi_square(args, rules, fuel) -> Report:
-    report = Report("pi-square")
+def cmd_pi_square(args, env, report, rules, fuel) -> None:
     if not rules.pi:
         raise UsageError("pi-square requires --rules pi")
     r = poly.pi_square(fuel)
     for law in (r.commutes, r.forward, r.backward):
         report.items.append(_law_item(law, True))
-    return report
 
 
-def cmd_present(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("present", list(env.items))
+def cmd_present(args, env, report, rules, fuel) -> None:
     t = env.theory(args.theory)
     clauses = gatcat.limit_presentation(t)
     tower = {"type-symbol": "context tower", "term-symbol": "element tower"}
@@ -377,17 +335,14 @@ def cmd_present(args, rules, fuel) -> Report:
             v = gatcat.check_interpretation(i, rules, fuel)
             if not v.ok:
                 report.items.append(Item("reconstruction", "Inconclusive", v.detail))
-                return report
+                return
         mi = gatcat.check_mutually_inverse(fwd, back, rules, fuel)
         report.items.append(
             Item("reconstruction", "Proved" if mi.proved else "Inconclusive")
         )
-    return report
 
 
-def cmd_models(args, rules, fuel) -> Report:
-    env = load_environment(args.file, rules, fuel)
-    report = Report("models", list(env.items))
+def cmd_models(args, env, report, rules, fuel) -> None:
     t = env.theory(args.theory)
     if args.count_only:
         count = models.count_models(t, args.max_size, args.budget)
@@ -398,7 +353,6 @@ def cmd_models(args, rules, fuel) -> Report:
     report.items.append(
         Item(f"models of {args.theory} (max size {args.max_size})", "ok", str(count), {"count": count})
     )
-    return report
 
 
 def _model_json(m: models.Model) -> dict:
@@ -414,8 +368,7 @@ def _model_json(m: models.Model) -> dict:
     }
 
 
-def cmd_stdlib(args, rules, fuel) -> Report:
-    report = Report("stdlib")
+def cmd_stdlib(args, env, report, rules, fuel) -> None:
     lib = theory.stdlib()
     os.makedirs(args.emit, exist_ok=True)
     for name, t in lib.items():
@@ -429,7 +382,6 @@ def cmd_stdlib(args, rules, fuel) -> Report:
             fh.write(gatform.print_interp(i, args.unicode))
             fh.write("\n")
     report.items.append(Item("wrote interpretations.gat", "ok"))
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +498,11 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     rules = deriv.WITH_PI if args.rules == "pi" else deriv.BASE
 
     start = time.monotonic()
+    report = Report(args.cmd)
     try:
-        report = _COMMANDS[args.cmd](args, rules, fuel)
+        env = load_environment(getattr(args, "file", None), rules, fuel)
+        report.items += env.items
+        _COMMANDS[args.cmd](args, env, report, rules, fuel)
     except UsageError as exc:
         print(f"gatc: {exc}", file=sys.stderr)
         return 3
@@ -558,7 +513,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         print(f"gatc: {exc}", file=sys.stderr)
         return 3
     except GatError as exc:
-        report = Report(args.cmd, [_error_item(args.cmd, exc)])
+        report.items.append(_error_item(args.cmd, exc))
     elapsed = time.monotonic() - start
 
     if args.json:

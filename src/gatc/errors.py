@@ -11,6 +11,10 @@ from __future__ import annotations
 class GatError(Exception):
     """Base class for all kernel errors."""
 
+    def __init__(self, *args, decl: str | None = None):
+        super().__init__(*args)
+        self.decl = decl  # the declaration being certified, when known
+
 
 class ScopeError(GatError):
     """An expression mentions a variable not bound by the ambient context."""

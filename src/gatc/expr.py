@@ -203,6 +203,12 @@ def open_bound(e: Expr, value: Expr, depth: int = 0) -> Expr:
     return _rebuild(e, bvar=bvar, depth=depth)
 
 
+def _shift(e: Expr, by: int) -> Expr:
+    """Raise the indices that escape e's own binders by `by`, for e moved
+    under that many more binders."""
+    return _rebuild(e, bvar=lambda t, d: BVar(t.index + by) if t.index >= d else t)
+
+
 def fresh_name(base: str, avoid: Container[str]) -> str:
     if base not in avoid:
         return base
@@ -232,8 +238,11 @@ def translate(e: Expr, images: Mapping[str, SymbolImage]) -> Expr:
 
     Each application c(a1, ..., an) is replaced bottom-up by the image of c
     with its parameters simultaneously substituted by the translated
-    arguments; variables are fixed.  The extension is the unique one that
-    is identity on variables and commutes with substitution.
+    arguments; variables are fixed.  An argument placed under binders of
+    the image has its dangling indices shifted past them, so the binders
+    around the application keep their occurrences.  The extension is the
+    unique one that is identity on variables and commutes with
+    substitution.
     """
 
     def app(t: App, targs: tuple[Expr, ...]) -> Expr:
@@ -244,7 +253,15 @@ def translate(e: Expr, images: Mapping[str, SymbolImage]) -> Expr:
             raise ArityMismatch(
                 f"symbol {t.head!r} expects {len(params)} arguments, got {len(targs)}"
             )
-        return substitute(body, dict(zip(params, targs)))
+        if not params:
+            return body
+        sub = dict(zip(params, targs))
+
+        def var(v: Var, d: int) -> Expr:
+            a = sub.get(v.name, v)
+            return _shift(a, d) if d else a
+
+        return _rebuild(body, var=var)
 
     return _rebuild(e, app)
 

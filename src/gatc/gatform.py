@@ -1,16 +1,19 @@
-"""The .gat surface syntax: lexer, parser, resolver and printer.
+"""The .gat surface syntax: lexer, parser and printer.
 
-A source file is a sequence of theory, interp and judgment blocks.
-Identifier occurrences inside theory and judgment blocks resolve
-lexically (telescope and binder variables shadow symbols); images inside
-interp blocks are kept raw until the source theory's telescopes are
-known.  Printing then parsing is the identity up to whitespace and
-anonymous axiom labels; the printer is canonical, so repeated runs are
-byte-stable.
+A source file is a sequence of theory, interp and judgment blocks.  The
+parser reads text straight into expressions: each expression is read
+against the variables in scope (a telescope plus the binders around it),
+so a name in scope is a variable and any other name a symbol.  An interp
+image is checked for syntax alone when the file is parsed and read again,
+from its tokens, once the source symbol's telescope is known.  Printing
+then parsing is the identity up to whitespace and anonymous axiom labels,
+in ASCII and in unicode (the printer's '⇒' and 'Π' read as '=>' and
+'Pi'); the printer is canonical, so repeated runs are byte-stable.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -43,21 +46,37 @@ from .theory import (
 
 KEYWORDS = {"theory", "interp", "judgment", "sym", "ax", "over", "Type", "Pi", "lam", "Ctx"}
 
-_PUNCT = [
-    ("|->", "MAPSTO"),
-    ("|-", "TURNSTILE"),
-    ("->", "RARROW"),
-    ("=>", "DARROW"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-    (",", "COMMA"),
-    (";", "SEMI"),
-    (":", "COLON"),
-    ("=", "EQUALS"),
-    ("@", "AT"),
-]
+# Punctuation by literal; a literal comes before any longer one it starts.
+# '⇒' is the printer's unicode spelling of '=>'.
+_PUNCT = {
+    "|->": "MAPSTO",
+    "|-": "TURNSTILE",
+    "->": "RARROW",
+    "=>": "DARROW",
+    "⇒": "DARROW",
+    "(": "LPAREN",
+    ")": "RPAREN",
+    "{": "LBRACE",
+    "}": "RBRACE",
+    ",": "COMMA",
+    ";": "SEMI",
+    ":": "COLON",
+    "=": "EQUALS",
+    "@": "AT",
+}
+# kind -> its first (ASCII) literal, for expected-token messages
+_SPELLING = {kind: lit for lit, kind in reversed(_PUNCT.items())}
+_WORDS = {**{k: k for k in KEYWORDS}, "Π": "Pi"}
+
+# One token per match.  A word is a run of word characters, "'", '#' and
+# '-' (except where '-' starts '--' or '->'); its first character must
+# also pass isalpha() or be '_', which _lex checks.
+_TOKEN = re.compile(
+    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>--[^\n]*)"
+    rf"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT))})"
+    r"|(?P<WORD>\w(?:[\w'#]|-(?![->]))*)|(?P<BAD>.)",
+    re.S,
+)
 
 
 @dataclass(frozen=True)
@@ -69,126 +88,32 @@ class Token:
 
 
 def _lex(text: str) -> list[Token]:
+    """Tokens with 1-based line and column; a comment's characters do not
+    count towards the column of the end of input that follows it."""
     toks: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("--", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        matched = False
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                toks.append(Token(kind, lit, line, col))
-                i += len(lit)
-                col += len(lit)
-                matched = True
-                break
-        if matched:
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            # '-' is allowed inside identifiers (e.g. MLTT-N) but "--" still
-            # opens a comment and "->" is still an arrow.
-            while (
-                j < n
-                and (text[j].isalnum() or text[j] in "_'#-")
-                and not text.startswith("--", j)
-                and not text.startswith("->", j)
-            ):
-                j += 1
-            word = text[i:j]
-            kind = word if word in KEYWORDS else "IDENT"
-            toks.append(Token(kind, word, line, col))
-            col += j - i
-            i = j
-            continue
-        raise GatSyntaxError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(text):
+        group, value, end = m.lastgroup, m.group(), m.end()
+        col = m.start() - line_start + 1
+        if group == "NL":
+            line, line_start = line + 1, end
+        elif group == "COMMENT":
+            end = m.start()
+        elif group == "PUNCT":
+            toks.append(Token(_PUNCT[value], value, line, col))
+        elif group == "WORD" and (value[0].isalpha() or value[0] == "_"):
+            toks.append(Token(_WORDS.get(value, "IDENT"), value, line, col))
+        elif group != "WS":
+            raise GatSyntaxError(f"unexpected character {value[0]!r}", line, col)
+    toks.append(Token("EOF", "", line, end - line_start + 1))
     return toks
 
 
-# Raw expressions: identifiers not yet split into variables and symbols.
-# Each node records its height (a name's is 0) for the nesting bound.
-
 # Deepest nesting the parser accepts; parentheses, argument lists, binder
-# parts and '@' applications each open one level.  resolve(), the
-# rebuilds, typing and printing recurse a few frames per level, so this
-# keeps them well inside Python's default recursion limit.
+# parts and '@' applications each open one level.  The rebuilds, typing
+# and printing recurse a few frames per level, so this keeps them well
+# inside Python's default recursion limit.
 MAX_NESTING = 200
-
-
-@dataclass(frozen=True)
-class RName:
-    name: str
-    line: int
-    col: int
-    height: int = 0
-
-
-@dataclass(frozen=True)
-class RApp:
-    name: str
-    args: tuple
-    line: int
-    col: int
-    height: int
-
-
-@dataclass(frozen=True)
-class RBind:
-    binder: str  # "Pi" or "lam"
-    var: str
-    dom: object
-    body: object
-    line: int
-    col: int
-    height: int
-
-
-@dataclass(frozen=True)
-class RAp:
-    fun: object
-    arg: object
-    line: int
-    col: int
-    height: int
-
-
-def resolve(raw, scope: Sequence[str]) -> Expr:
-    """Turn a raw tree into an expression given the variables in scope."""
-    if isinstance(raw, RName):
-        if raw.name in scope:
-            return Var(raw.name)
-        return App(raw.name, ())
-    if isinstance(raw, RApp):
-        if raw.name in scope:
-            raise GatSyntaxError(
-                f"variable {raw.name!r} cannot take arguments", raw.line, raw.col
-            )
-        return App(raw.name, tuple(resolve(a, scope) for a in raw.args))
-    if isinstance(raw, RBind):
-        dom = resolve(raw.dom, scope)
-        body = resolve(raw.body, tuple(scope) + (raw.var,))
-        if raw.binder == "Pi":
-            return mk_pi(raw.var, dom, body)
-        return mk_lam(raw.var, dom, body)
-    if isinstance(raw, RAp):
-        return Ap(resolve(raw.fun, scope), resolve(raw.arg, scope))
-    raise TypeError(f"unexpected raw node: {raw!r}")
 
 
 @dataclass
@@ -204,7 +129,8 @@ class InterpBlock:
     name: str
     src_name: str
     dst_name: str
-    assignments: list[tuple[str, object, int, int]]  # symbol, raw expr, line, col
+    # symbol, the image's tokens (and the one after them), line, col
+    assignments: list[tuple[str, list[Token], int, int]]
     line: int
 
 
@@ -231,11 +157,17 @@ class SourceFile:
         return [b for b in self.items if isinstance(b, JudgmentBlock)]
 
 
+# The variables an expression is read against; None reads every name as
+# a symbol and raises no scope error, for a syntax-only pass.
+Scope = Optional[tuple[str, ...]]
+
+
 class _Parser:
     def __init__(self, toks: list[Token]):
         self.toks = toks
         self.pos = 0
         self.depth = 0  # nesting level of the expression being parsed
+        self.height = 0  # height of the expression parsed last (a name's is 0)
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -248,7 +180,7 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         t = self.peek()
         if t.kind != kind:
-            want = dict((k, lit) for lit, k in _PUNCT).get(kind, kind)
+            want = _SPELLING.get(kind, kind)
             raise GatSyntaxError(f"expected {want!r}, found {t.value or 'end of input'!r}", t.line, t.col)
         return self.next()
 
@@ -260,75 +192,83 @@ class _Parser:
     def _too_deep(self, t: Token) -> GatSyntaxError:
         return GatSyntaxError(f"expression nested more than {MAX_NESTING} levels deep", t.line, t.col)
 
-    def expr(self):
-        """An expression at the current level, its subexpressions one deeper;
-        a left-nested '@' chain pushes its first operand down one level per
-        '@', which only the chain's height shows."""
+    def expr(self, scope: Scope) -> Expr:
+        """An expression at the current level, its subexpressions one
+        deeper; names in scope are variables, other names symbols.  Leaves
+        the expression's height in self.height: a left-nested '@' chain
+        pushes its first operand down one level per '@', which only the
+        chain's height shows."""
         if self.depth > MAX_NESTING:
             raise self._too_deep(self.peek())
         level = self.depth
         self.depth += 1
-        e = self.atom()
+        e = self.atom(scope)
+        height = self.height
         while self.at("AT"):
             t = self.next()
-            arg = self.atom()
-            e = RAp(e, arg, t.line, t.col, 1 + max(e.height, arg.height))
-            if level + e.height > MAX_NESTING:
+            e = Ap(e, self.atom(scope))
+            height = 1 + max(height, self.height)
+            if level + height > MAX_NESTING:
                 raise self._too_deep(t)
         self.depth = level
+        self.height = height
         return e
 
-    def atom(self):
-        t = self.peek()
+    def atom(self, scope: Scope) -> Expr:
+        t = self.next()
         if t.kind in ("Pi", "lam"):
-            self.next()
             self.expect("LPAREN")
             var = self.expect("IDENT").value
             self.expect("COLON")
-            dom = self.expr()
+            dom = self.expr(scope)
+            height = self.height
             self.expect("RPAREN")
-            body = self.expr()
-            return RBind(t.kind, var, dom, body, t.line, t.col, 1 + max(dom.height, body.height))
+            body = self.expr(None if scope is None else scope + (var,))
+            self.height = 1 + max(height, self.height)
+            return (mk_pi if t.kind == "Pi" else mk_lam)(var, dom, body)
         if t.kind == "LPAREN":
-            self.next()
-            e = self.expr()
+            e = self.expr(scope)
             self.expect("RPAREN")
             return e
         if t.kind == "IDENT":
+            is_var = bool(scope) and t.value in scope
+            if not self.at("LPAREN"):
+                self.height = 0
+                return Var(t.value) if is_var else App(t.value)
+            if is_var:
+                raise GatSyntaxError(f"variable {t.value!r} cannot take arguments", t.line, t.col)
             self.next()
-            if self.at("LPAREN"):
+            args = [self.expr(scope)]
+            height = self.height
+            while self.at("COMMA"):
                 self.next()
-                args = [self.expr()]
-                while self.at("COMMA"):
-                    self.next()
-                    args.append(self.expr())
-                self.expect("RPAREN")
-                return RApp(t.value, tuple(args), t.line, t.col, 1 + max(a.height for a in args))
-            return RName(t.value, t.line, t.col)
+                args.append(self.expr(scope))
+                height = max(height, self.height)
+            self.expect("RPAREN")
+            self.height = 1 + height
+            return App(t.value, tuple(args))
         raise GatSyntaxError(f"expected an expression, found {t.value or 'end of input'!r}", t.line, t.col)
 
-    def telescope(self) -> list[tuple[str, object]]:
+    def type_or_expr(self, scope: Scope) -> Optional[Expr]:
+        """The keyword 'Type' (None) or an expression."""
+        if self.at("Type"):
+            self.next()
+            return None
+        return self.expr(scope)
+
+    def telescope(self) -> tuple[tuple[str, Expr], ...]:
+        """A parenthesized telescope, each type read over the names before it."""
         self.expect("LPAREN")
-        out: list[tuple[str, object]] = []
+        out: list[tuple[str, Expr]] = []
         if not self.at("RPAREN"):
             while True:
                 name = self.expect("IDENT").value
                 self.expect("COLON")
-                out.append((name, self.expr()))
-                if self.at("COMMA"):
-                    self.next()
-                    continue
-                break
+                out.append((name, self.expr(tuple(x for x, _ in out))))
+                if not self.at("COMMA"):
+                    break
+                self.next()
         self.expect("RPAREN")
-        return out
-
-    def resolved_telescope(self) -> tuple[tuple[str, Expr], ...]:
-        raw = self.telescope()
-        scope: list[str] = []
-        out: list[tuple[str, Expr]] = []
-        for x, rty in raw:
-            out.append((x, resolve(rty, scope)))
-            scope.append(x)
         return tuple(out)
 
     # -- blocks ------------------------------------------------------------
@@ -366,41 +306,29 @@ class _Parser:
         return TheoryBlock(name, decls, t.line, decl_lines)
 
     def decl(self, so_far: list[Declaration]) -> Declaration:
-        t = self.peek()
+        t = self.next()
         if t.kind == "sym":
-            self.next()
             name = self.expect("IDENT").value
             self.expect("COLON")
-            ctx = self.resolved_telescope()
-            scope = [x for x, _ in ctx]
+            ctx = self.telescope()
+            scope = tuple(x for x, _ in ctx)
             self.expect("DARROW")
-            if self.at("Type"):
-                self.next()
-                return Declaration(name, ctx, TypeKind())
-            ty = resolve(self.expr(), scope)
-            return Declaration(name, ctx, TermKind(ty))
+            ty = self.type_or_expr(scope)
+            return Declaration(name, ctx, TypeKind() if ty is None else TermKind(ty))
         if t.kind == "ax":
-            self.next()
             label = self.expect("IDENT").value if self.at("IDENT") else anonymous_label(so_far)
             self.expect("COLON")
-            ctx = self.resolved_telescope()
-            scope = [x for x, _ in ctx]
+            ctx = self.telescope()
+            scope = tuple(x for x, _ in ctx)
             self.expect("DARROW")
-            lhs = resolve(self.expr(), scope)
+            lhs = self.expr(scope)
             self.expect("EQUALS")
-            rhs = resolve(self.expr(), scope)
-            ty: Optional[Expr] = None
-            is_type_eq = False
-            if self.at("COLON"):
-                self.next()
-                if self.at("Type"):
-                    self.next()
-                    is_type_eq = True
-                else:
-                    ty = resolve(self.expr(), scope)
-            if is_type_eq:
-                return Declaration(label, ctx, TypeEqKind(lhs, rhs))
-            return Declaration(label, ctx, TermEqKind(lhs, rhs, ty))
+            rhs = self.expr(scope)
+            if not self.at("COLON"):
+                return Declaration(label, ctx, TermEqKind(lhs, rhs, None))
+            self.next()
+            ty = self.type_or_expr(scope)
+            return Declaration(label, ctx, TypeEqKind(lhs, rhs) if ty is None else TermEqKind(lhs, rhs, ty))
         raise GatSyntaxError(f"expected 'sym' or 'ax', found {t.value!r}", t.line, t.col)
 
     def interp_block(self) -> InterpBlock:
@@ -415,7 +343,9 @@ class _Parser:
         while not self.at("RBRACE"):
             s = self.expect("IDENT")
             self.expect("MAPSTO")
-            assignments.append((s.value, self.expr(), s.line, s.col))
+            start = self.pos
+            self.expr(None)
+            assignments.append((s.value, self.toks[start : self.pos + 1], s.line, s.col))
             if self.at("SEMI"):
                 self.next()
         self.expect("RBRACE")
@@ -427,33 +357,26 @@ class _Parser:
         self.expect("over")
         theory_name = self.expect("IDENT").value
         self.expect("LBRACE")
-        ctx = self.resolved_telescope()
-        scope = [x for x, _ in ctx]
+        ctx = self.telescope()
         self.expect("TURNSTILE")
-        stmt = self.statement(scope)
+        stmt = self.statement(tuple(x for x, _ in ctx))
         self.expect("RBRACE")
         return JudgmentBlock(name, theory_name, ctx, stmt, t.line)
 
-    def statement(self, scope) -> deriv.Statement:
+    def statement(self, scope: tuple[str, ...]) -> deriv.Statement:
         if self.at("Ctx"):
             self.next()
             return deriv.CtxOk()
-        first = resolve(self.expr(), scope)
+        first = self.expr(scope)
         if self.at("EQUALS"):
             self.next()
-            second = resolve(self.expr(), scope)
+            second = self.expr(scope)
             self.expect("COLON")
-            if self.at("Type"):
-                self.next()
-                return deriv.TypeEq(first, second)
-            ty = resolve(self.expr(), scope)
-            return deriv.TermEq(first, second, ty)
+            ty = self.type_or_expr(scope)
+            return deriv.TypeEq(first, second) if ty is None else deriv.TermEq(first, second, ty)
         self.expect("COLON")
-        if self.at("Type"):
-            self.next()
-            return deriv.IsType(first)
-        ty = resolve(self.expr(), scope)
-        return deriv.HasType(first, ty)
+        ty = self.type_or_expr(scope)
+        return deriv.IsType(first) if ty is None else deriv.HasType(first, ty)
 
 
 def parse(text: str) -> SourceFile:
@@ -463,31 +386,31 @@ def parse(text: str) -> SourceFile:
 
 def parse_expr(text: str, scope: Sequence[str] = ()) -> Expr:
     p = _Parser(_lex(text))
-    e = resolve(p.expr(), scope)
+    e = p.expr(tuple(scope))
     p.expect("EOF")
     return e
 
 
 def parse_context(text: str) -> tuple[tuple[str, Expr], ...]:
     p = _Parser(_lex(text))
-    ctx = p.resolved_telescope()
+    ctx = p.telescope()
     p.expect("EOF")
     return ctx
 
 
 def resolve_interp_block(block: InterpBlock, src: Theory, dst: Theory):
-    """Resolve raw images against the source theory's telescopes."""
+    """Read each image again with its source symbol's telescope in scope."""
     from .gatcat import Interpretation
 
     mapping: dict[str, Expr] = {}
-    for sym, raw, line, col in block.assignments:
+    for sym, toks, line, col in block.assignments:
         try:
             d = src.decl(sym)
         except UnknownSymbol:
             raise GatSyntaxError(f"{sym!r} is not declared in {src.name!r}", line, col)
         if not d.is_symbol:
             continue  # axiom entries are irrelevant
-        mapping[sym] = resolve(raw, d.arity)
+        mapping[sym] = _Parser(toks).expr(d.arity)
     return Interpretation(src, dst, mapping, block.name)
 
 

@@ -206,7 +206,7 @@ def check_theory(
     seen: set[str] = set()
     for d in decls:
         if d.name in seen:
-            raise DuplicateName(f"declaration name {d.name!r} repeated")
+            raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
         seen.add(d.name)
     certified: list[Declaration] = []
     names = [d.name for d in decls]
@@ -216,7 +216,7 @@ def check_theory(
             _scan_references(prefix, d, set(names[i:]))
             certified.append(_check_decl(prefix, d, rules, fuel))
         except GatError as exc:
-            raise type(exc)(f"in declaration {d.name!r}: {exc}") from None
+            raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
     return Theory(name, tuple(certified), rules.pi)
 
 
@@ -230,7 +230,7 @@ def extend(theory: Theory, d: Declaration, rules=None, fuel=None) -> Theory:
         _scan_references(theory, d, {d.name})
         d2 = _check_decl(theory, d, rules, fuel)
     except GatError as exc:
-        raise type(exc)(f"in declaration {d.name!r}: {exc}") from None
+        raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
     return Theory(theory.name, theory.decls + (d2,), theory.pi or rules.pi)
 
 

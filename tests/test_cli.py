@@ -53,6 +53,54 @@ def test_check_forward_reference_positioned(tmp_path):
     assert "line 4" in out
 
 
+AXIOM_APPLIED_FILE = """
+theory T {
+  sym A : () => Type
+  sym u : () => A
+  ax a : () => u = u : A
+  sym c : () => a
+}
+theory F {
+  sym A : () => Type
+  sym f : (x : A) => A
+  sym b : () => A
+  sym c : () => f(b)
+}
+"""
+
+
+def test_theory_error_names_the_failing_declarations_line(tmp_path):
+    # the messages quote names declared earlier ('a', 'f'); the line is
+    # still that of the failing declaration 'c'
+    p = tmp_path / "applied.gat"
+    p.write_text(AXIOM_APPLIED_FILE)
+    code, out = run(["check", str(p), "--json"])
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert items[0]["detail"].startswith("line 6: UnknownSymbol: in declaration 'c'")
+    assert items[1]["detail"].startswith("line 12: NotAType: in declaration 'c'")
+
+
+def test_command_error_keeps_the_files_items(tmp_path):
+    p = tmp_path / "bad.gat"
+    p.write_text(AXIOM_APPLIED_FILE + "interp I : Ty0 -> Mon { A0 |-> Mon }\n")
+    code, out = run(["eq", str(p), "--theory", "Nope", "--lhs", "u", "--rhs", "u", "--json"])
+    assert code == 1
+    items = json.loads(out)["items"]
+    assert [(i["name"], i["verdict"]) for i in items] == [
+        ("theory T", "error"), ("theory F", "error"), ("interp I", "ok"), ("eq", "error"),
+    ]
+    assert items[-1]["detail"] == "GatError: theory 'Nope' is not defined (file or stdlib)"
+
+
+def test_variable_applied_in_an_image_is_an_item_of_its_interp(tmp_path):
+    p = tmp_path / "image.gat"
+    p.write_text("\ninterp I : Ty0 -> Mon { A0 |-> lam (x : Mon) x(u) }\n")
+    code, out = run(["check", str(p)])
+    assert code == 1
+    assert "interp I: error  (line 2: GatSyntaxError: 2:46: variable 'x' cannot take arguments)" in out
+
+
 def test_parse_error_exit_three(tmp_path):
     p = tmp_path / "bad.gat"
     p.write_text("theory T { sym A0 : ( => Type }")

@@ -115,6 +115,36 @@ def test_translate_commutes_with_substitute(gen):
             assert lhs == rhs
 
 
+def test_translate_does_not_capture_under_image_binders():
+    # c's image binds z around its parameter; the argument x stays the
+    # outer binder's variable instead of becoming z
+    e = mk_lam("x", App("A"), App("c", (Var("x"),)))
+    images = {"A": ((), App("A")), "c": (("y",), mk_lam("z", App("A"), App("g", (Var("y"), Var("z")))))}
+    expected = mk_lam("x", App("A"), mk_lam("z", App("A"), App("g", (Var("x"), Var("z")))))
+    assert translate(e, images) == expected
+    assert translate(e, images).body == Lam(App("A"), App("g", (BVar(1), BVar(0))))
+
+
+def test_translate_commutes_with_binding_when_images_bind(gen):
+    # oracle: translating then abstracting (or opening) a variable agrees
+    # with abstracting (opening) it first, for images that have binders
+    rng = random.Random(41)
+    fixed = {
+        "u": ((), mk_pi("z", App("c0"), App("f1", (Var("z"),)))),
+        "mul": (("y1", "y2"), mk_lam("z", App("c0"), App("g2", (Var("y1"), App("g2", (Var("z"), Var("y2"))))))),
+    }
+    for k in range(400):
+        images = fixed if k % 2 else {
+            "u": ((), random_expr(rng, CATEGORY_LIKE_SIG, [], 2, True)),
+            "mul": (("y1", "y2"), random_expr(rng, CATEGORY_LIKE_SIG, ["y1", "y2"], 3, True)),
+        }
+        e = random_expr(rng, MONOID_SIG, ["a", "b"], 4, True)
+        body = abstract_var(e, "a")
+        assert translate(body, images) == abstract_var(translate(e, images), "a")
+        opened = open_bound(body, Var("b"))
+        assert translate(opened, images) == open_bound(translate(body, images), Var("b"))
+
+
 def test_translate_injective_preserves_distinctness(gen):
     # injective relabeling of symbols keeps distinct expressions distinct
     rng = random.Random(17)

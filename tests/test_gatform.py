@@ -6,6 +6,7 @@ from gatc import deriv
 from gatc.errors import GatSyntaxError
 from gatc.expr import Ap, App, Var, mk_lam, mk_pi
 from gatc.gatform import (
+    _lex,
     parse,
     parse_context,
     parse_expr,
@@ -14,7 +15,7 @@ from gatc.gatform import (
     print_theory,
     resolve_interp_block,
 )
-from gatc.gatcat import check_interpretation, mon_to_catpt
+from gatc.gatcat import check_interpretation, corpus_interpretations, mon_to_catpt
 from gatc.theory import check_theory, stdlib
 
 LIB = stdlib()
@@ -200,3 +201,82 @@ def test_fuzz_random_bytes_never_crash():
             parse(blob.decode("utf-8", errors="replace"))
         except GatSyntaxError:
             pass
+
+
+# Tokens as (kind, value, line, col), or the error message; each expected
+# value was read off the character-by-character lexer this one replaced.
+LEX_CASES = [
+    ("MLTT-N", [("IDENT", "MLTT-N", 1, 1), ("EOF", "", 1, 7)]),
+    ("a->b", [("IDENT", "a", 1, 1), ("RARROW", "->", 1, 2), ("IDENT", "b", 1, 4), ("EOF", "", 1, 5)]),
+    ("a-b->c", [("IDENT", "a-b", 1, 1), ("RARROW", "->", 1, 4), ("IDENT", "c", 1, 6), ("EOF", "", 1, 7)]),
+    ("x--c", [("IDENT", "x", 1, 1), ("EOF", "", 1, 2)]),
+    ("a-->b", [("IDENT", "a", 1, 1), ("EOF", "", 1, 2)]),
+    ("a-", [("IDENT", "a-", 1, 1), ("EOF", "", 1, 3)]),
+    ("a\tb\r c", [("IDENT", "a", 1, 1), ("IDENT", "b", 1, 3), ("IDENT", "c", 1, 6), ("EOF", "", 1, 7)]),
+    (
+        "f(x) -- note",
+        [("IDENT", "f", 1, 1), ("LPAREN", "(", 1, 2), ("IDENT", "x", 1, 3), ("RPAREN", ")", 1, 4), ("EOF", "", 1, 6)],
+    ),
+    ("x\n  -- c\n", [("IDENT", "x", 1, 1), ("EOF", "", 3, 1)]),
+    ("λx_1'#", [("IDENT", "λx_1'#", 1, 1), ("EOF", "", 1, 7)]),
+    ("x²", [("IDENT", "x²", 1, 1), ("EOF", "", 1, 3)]),
+    (
+        "a|->b|-c=>d",
+        [
+            ("IDENT", "a", 1, 1), ("MAPSTO", "|->", 1, 2), ("IDENT", "b", 1, 5), ("TURNSTILE", "|-", 1, 6),
+            ("IDENT", "c", 1, 8), ("DARROW", "=>", 1, 9), ("IDENT", "d", 1, 11), ("EOF", "", 1, 12),
+        ],
+    ),
+    ("²", "1:1: unexpected character '²'"),
+    ("1ab", "1:1: unexpected character '1'"),
+    ("a - b", "1:3: unexpected character '-'"),
+    ("a\xa0b", "1:2: unexpected character '\\xa0'"),
+]
+
+
+@pytest.mark.parametrize("text,expected", LEX_CASES, ids=[repr(t) for t, _ in LEX_CASES])
+def test_lexer_edge_cases(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(GatSyntaxError) as err:
+            _lex(text)
+        assert str(err.value) == expected
+    else:
+        assert [(t.kind, t.value, t.line, t.col) for t in _lex(text)] == expected
+
+
+def test_unicode_spellings_lex_as_ascii_kinds():
+    toks = _lex("Π (x : A) B ⇒ Πx")
+    assert [t.kind for t in toks] == ["Pi", "LPAREN", "IDENT", "COLON", "IDENT", "RPAREN", "IDENT", "DARROW", "IDENT", "EOF"]
+    assert parse_expr("Π (x : A0) A1(x)") == parse_expr("Pi (x : A0) A1(x)")
+    # expected-token messages keep the ASCII spelling
+    with pytest.raises(GatSyntaxError, match="1:23: expected '=>', found 'Type'"):
+        parse("theory T { sym A : () Type }")
+
+
+def test_unicode_round_trip_of_the_corpus():
+    for name, t in LIB.items():
+        [tb] = parse(print_theory(t, unicode=True)).theories()
+        rules = deriv.WITH_PI if t.pi else deriv.BASE
+        assert check_theory(tb.decls, rules, name=tb.name).decls == t.decls, name
+    interps = corpus_interpretations()
+    text = "".join(print_interp(i, unicode=True) for i in interps.values())
+    for ib in parse(text).interps():
+        i = interps[ib.name]
+        assert resolve_interp_block(ib, i.src, i.dst).mapping == i.mapping, ib.name
+
+
+def test_variable_applied_in_an_image_is_positioned():
+    # images are read against the source symbol's telescope only when the
+    # interp is resolved; a binder variable applied to arguments is then
+    # an error at its own position
+    [ib] = parse("\ninterp I : Ty0 -> Mon { A0 |-> lam (x : Mon) x(u) }\n").interps()
+    with pytest.raises(GatSyntaxError) as err:
+        resolve_interp_block(ib, LIB["Ty0"], LIB["Mon"])
+    assert str(err.value) == "2:46: variable 'x' cannot take arguments"
+
+
+def test_variable_application_reported_before_a_later_syntax_error():
+    # the variable error comes first in the text, so it is the one reported
+    with pytest.raises(GatSyntaxError) as err:
+        parse_context("(x : A, y : x(x), z : )")
+    assert str(err.value) == "1:13: variable 'x' cannot take arguments"

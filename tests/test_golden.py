@@ -1,6 +1,6 @@
 """Byte stability of the structural outputs across code versions.
 
-The emitted corpus, the families theory of every corpus theory and the
+The emitted corpus (in ASCII and in unicode), the families theory of every corpus theory and the
 three colimit constructions are printed from declarations alone; no
 proof search shapes them, so a change to the equality engine must leave
 these bytes unchanged.  Proof traces are deliberately not pinned here.
@@ -66,16 +66,15 @@ def _run(argv: list[str]) -> str:
     return buf.getvalue()
 
 
-def _emit(directory: Path) -> dict[str, str]:
-    _run(["stdlib", "--emit", str(directory)])
+def _emit(directory: Path, *flags: str) -> dict[str, str]:
+    _run(["stdlib", "--emit", str(directory), *flags])
     return {p.name: p.read_text(encoding="utf-8") for p in sorted(directory.iterdir())}
 
 
-def _corpus(directory: Path) -> dict[str, str]:
+def _corpus(directory: Path) -> None:
     """Emit the corpus and the models source into directory."""
-    emitted = _emit(directory)
+    _emit(directory)
     (directory / "models-source.gat").write_text(MODELS_SOURCE, encoding="utf-8")
-    return emitted
 
 
 def _report(case: str, corpus: Path) -> str:
@@ -90,12 +89,20 @@ def corpus(tmp_path_factory) -> Path:
     return directory
 
 
-def test_stdlib_emit_matches_golden(tmp_path):
-    emitted = _emit(tmp_path)
-    expected = {p.name: p.read_text(encoding="utf-8") for p in (GOLDEN / "stdlib").iterdir()}
+def _assert_emit_matches(golden: str, directory: Path, *flags: str) -> None:
+    emitted = _emit(directory, *flags)
+    expected = {p.name: p.read_text(encoding="utf-8") for p in (GOLDEN / golden).iterdir()}
     assert sorted(emitted) == sorted(expected)
     for name, text in expected.items():
         assert emitted[name] == text, name
+
+
+def test_stdlib_emit_matches_golden(tmp_path):
+    _assert_emit_matches("stdlib", tmp_path)
+
+
+def test_unicode_stdlib_emit_matches_golden(tmp_path):
+    _assert_emit_matches("stdlib_unicode", tmp_path, "--unicode")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -107,13 +114,16 @@ def test_report_matches_golden(case, corpus):
 def _write_golden() -> None:
     import tempfile
 
-    stdlib_dir = GOLDEN / "stdlib"
-    stdlib_dir.mkdir(parents=True, exist_ok=True)
-    for old in stdlib_dir.iterdir():
-        old.unlink()
+    for golden, flags in (("stdlib", ()), ("stdlib_unicode", ("--unicode",))):
+        stdlib_dir = GOLDEN / golden
+        stdlib_dir.mkdir(parents=True, exist_ok=True)
+        for old in stdlib_dir.iterdir():
+            old.unlink()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, text in _emit(Path(tmp), *flags).items():
+                (stdlib_dir / name).write_text(text, encoding="utf-8")
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in _corpus(Path(tmp)).items():
-            (stdlib_dir / name).write_text(text, encoding="utf-8")
+        _corpus(Path(tmp))
         for case in CASES:
             (GOLDEN / f"{case}.json").write_text(_report(case, Path(tmp)), encoding="utf-8")
 
