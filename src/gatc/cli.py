@@ -8,17 +8,18 @@ document under --json.
 
 Exit codes: 0 all items ok/Proved; 1 any Failed or error; 2 any
 Inconclusive (and none failed), including a model search that ran out of
-its node budget; 3 usage or parse error.
+its node budget; 3 usage or parse error, or an unreadable source file.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import deriv, gatcat, gatform, models, poly, theory
@@ -139,8 +140,11 @@ def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
     env = Environment(theories=dict(theory.stdlib()))
     if path is None:
         return env
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text: {exc}") from None
     sf = gatform.parse(text)
     seen_names: set[tuple[str, str]] = set()
     for block in sf.items:
@@ -252,14 +256,8 @@ def cmd_poly(args, env, report, rules, fuel) -> None:
     report.payload["theory"] = gatform.print_theory(p.theory, args.unicode)
 
 
-def _law_item(r: poly.LawReport, with_trace: bool) -> Item:
-    return Item(
-        r.name,
-        r.verdict,
-        r.detail,
-        {"axiom_instances": r.axiom_instances},
-        _steps_json(r.steps) if with_trace else None,
-    )
+def _law_item(r: poly.LawReport) -> Item:
+    return Item(r.name, r.verdict, r.detail, {"axiom_instances": r.axiom_instances}, _steps_json(r.steps))
 
 
 def cmd_verify_poly(args, env, report, rules, fuel) -> None:
@@ -269,7 +267,7 @@ def cmd_verify_poly(args, env, report, rules, fuel) -> None:
         n = n.strip()
         samples.append(theory.terminal_theory() if n == "terminal" else env.theory(n))
     for r in poly.verify_polynomial_axioms(samples, rules, fuel, corrupt_subst=args.corrupt_subst):
-        report.items.append(_law_item(r, True))
+        report.items.append(_law_item(r))
 
 
 def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
@@ -287,7 +285,7 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
         try:
             unit = poly.derive_unit(base, leg, rules, fuel)
             for r in poly.check_unit_laws(unit, rules, fuel):
-                report.items.append(_law_item(poly.LawReport(f"{r.name}[{label}]", r.verdict, r.axiom_instances, r.detail, r.steps), True))
+                report.items.append(_law_item(replace(r, name=f"{r.name}[{label}]")))
         except GatError as exc:
             report.items.append(_error_item(f"unit[{label}]", exc))
     try:
@@ -300,7 +298,7 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     for label, base, leg in instances:
         try:
             for r in poly.check_triangles(base, base, leg, rules, fuel):
-                report.items.append(_law_item(r, True))
+                report.items.append(_law_item(r))
         except GatError as exc:
             report.items.append(_error_item(f"triangles[{label}]", exc))
 
@@ -310,7 +308,7 @@ def cmd_pi_square(args, env, report, rules, fuel) -> None:
         raise UsageError("pi-square requires --rules pi")
     r = poly.pi_square(fuel)
     for law in (r.commutes, r.forward, r.backward):
-        report.items.append(_law_item(law, True))
+        report.items.append(_law_item(law))
 
 
 def cmd_present(args, env, report, rules, fuel) -> None:
@@ -393,7 +391,9 @@ class UsageError(Exception):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing keeps no state in it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fuel-nodes", type=int, default=None, help="equality node budget")
     common.add_argument("--fuel-iters", type=int, default=None, help="saturation round budget")
@@ -488,8 +488,8 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
 
     nodes = args.fuel_nodes
     if nodes is None:
-        nodes = int(os.environ.get("GATC_FUEL_NODES", "10000"))
-    iters = args.fuel_iters if args.fuel_iters is not None else 8
+        nodes = int(os.environ.get("GATC_FUEL_NODES", deriv.DEFAULT_FUEL.max_eq_nodes))
+    iters = args.fuel_iters if args.fuel_iters is not None else deriv.DEFAULT_FUEL.max_iterations
     try:
         fuel = Fuel(nodes, iters)
     except ValueError as exc:
@@ -509,7 +509,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     except GatSyntaxError as exc:
         print(f"gatc: syntax error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable source file or --emit directory
         print(f"gatc: {exc}", file=sys.stderr)
         return 3
     except GatError as exc:

@@ -1,5 +1,10 @@
 """Derivability engine: judgment checking and fuel-bounded equality.
 
+A judgment is checked in three steps: its context, then what its
+statement presupposes (a typing's type is a type; an equation's sides
+are types, or terms of its type), then the claim itself.  A declaration
+asserts a judgment over its context (Declaration.judgment), and
+certification checks its presuppositions over the earlier declarations.
 Typing is checked algorithmically (symbol rule instantiated by
 substitution; weakening, projection and substitution are admissible in
 this presentation).  Equality of types and terms is undecidable in
@@ -45,7 +50,7 @@ from .expr import (
     substitute,
     walk,
 )
-from .theory import Declaration, TermKind, Theory, TypeEqKind, TypeKind
+from .theory import Declaration, ExprFields, TermKind, Theory, TypeEqKind, TypeKind
 
 Context = tuple[tuple[str, Expr], ...]
 
@@ -85,7 +90,10 @@ DEFAULT_FUEL = Fuel()
 # ---------------------------------------------------------------------------
 
 
-class Statement:
+class Statement(ExprFields):
+    """Base of the five statement forms; only TermEq.ty may be None
+    (omitted: it is inferred from the left side)."""
+
     __slots__ = ()
 
 
@@ -115,7 +123,7 @@ class TypeEq(Statement):
 class TermEq(Statement):
     lhs: Expr
     rhs: Expr
-    ty: Expr
+    ty: Optional[Expr] = None
 
 
 @dataclass(frozen=True)
@@ -640,6 +648,12 @@ def _equal_types(
     )
 
 
+def _check_term(theory: Theory, ctx: Context, term: Expr, ty: Expr, rules, fuel, sink) -> None:
+    """term has type ty: its inferred type is provably ty."""
+    got = infer_type(theory, ctx, term, rules, fuel, sink)
+    _equal_types(theory, ctx, got, ty, rules, fuel, sink)
+
+
 def _apart(theory: Theory, a: Expr, b: Expr) -> bool:
     """Provably unequal types: without type equations, types are equal
     only under the same type symbol or the same type former."""
@@ -796,54 +810,67 @@ class JudgmentResult:
         return self.status == "ok"
 
 
+def presupposed(
+    theory: Theory,
+    ctx: Context,
+    stmt: Statement,
+    rules: RuleSet = BASE,
+    fuel: Fuel = DEFAULT_FUEL,
+    sink: Optional[list] = None,
+) -> Statement:
+    """Check what stmt presupposes over a well-formed ctx: a typing's
+    type is a type; an equation's sides are types, or terms of its type.
+
+    An omitted term-equation type is inferred from the left side, and the
+    statement comes back with it filled in; any other statement comes
+    back as the same object.
+    """
+    if isinstance(stmt, HasType):
+        check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
+    elif isinstance(stmt, TypeEq):
+        check_is_type(theory, ctx, stmt.lhs, rules, fuel, sink)
+        check_is_type(theory, ctx, stmt.rhs, rules, fuel, sink)
+    elif isinstance(stmt, TermEq):
+        terms = (stmt.lhs, stmt.rhs)
+        if stmt.ty is None:
+            stmt = TermEq(stmt.lhs, stmt.rhs, infer_type(theory, ctx, stmt.lhs, rules, fuel, sink))
+            terms = (stmt.rhs,)
+        else:
+            check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
+        for term in terms:
+            _check_term(theory, ctx, term, stmt.ty, rules, fuel, sink)
+    return stmt
+
+
 def check_judgment(
     theory: Theory,
     judgment: Judgment,
     rules: RuleSet = BASE,
     fuel: Fuel = DEFAULT_FUEL,
 ) -> JudgmentResult:
-    """Check one of the five judgment forms over the theory.
+    """Check one of the five judgment forms over the theory, in three
+    steps: the context; the statement's scope and presuppositions
+    (presupposed); then the claim: A type, t : A, or an equation, which
+    goes to eq_check.
 
-    Equality statements delegate to eq_check; an unproved equality yields
-    an inconclusive result rather than an error, since the engine never
-    refutes.
+    An unproved equation yields an inconclusive result rather than an
+    error, since the engine never refutes.
     """
     sink: list = []
     ctx = judgment.ctx
     check_context(theory, ctx, rules, fuel, sink)
     names = [x for x, _ in ctx]
-    stmt = judgment.stmt
-    if isinstance(stmt, CtxOk):
-        return JudgmentResult("ok", eq_traces=tuple(sink))
+    for e in judgment.stmt.exprs():
+        _scope_check(names, e)
+    stmt = presupposed(theory, ctx, judgment.stmt, rules, fuel, sink)
     if isinstance(stmt, IsType):
-        _scope_check(names, stmt.ty)
         check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
-        return JudgmentResult("ok", eq_traces=tuple(sink))
-    if isinstance(stmt, HasType):
-        _scope_check(names, stmt.term)
-        _scope_check(names, stmt.ty)
-        check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
-        got = infer_type(theory, ctx, stmt.term, rules, fuel, sink)
-        _equal_types(theory, ctx, got, stmt.ty, rules, fuel, sink)
-        return JudgmentResult("ok", eq_traces=tuple(sink))
-    if isinstance(stmt, TypeEq):
-        _scope_check(names, stmt.lhs)
-        _scope_check(names, stmt.rhs)
-        check_is_type(theory, ctx, stmt.lhs, rules, fuel, sink)
-        check_is_type(theory, ctx, stmt.rhs, rules, fuel, sink)
+    elif isinstance(stmt, HasType):
+        _check_term(theory, ctx, stmt.term, stmt.ty, rules, fuel, sink)
+    elif isinstance(stmt, (TypeEq, TermEq)):
         v = eq_check(theory, ctx, stmt.lhs, stmt.rhs, rules, fuel)
-        if v.proved:
-            return JudgmentResult("ok", eq_traces=tuple(sink) + (v,))
-        return JudgmentResult("inconclusive", f"type equality not proved ({v.reason})")
-    if isinstance(stmt, TermEq):
-        _scope_check(names, stmt.lhs)
-        _scope_check(names, stmt.rhs)
-        check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
-        for side in (stmt.lhs, stmt.rhs):
-            got = infer_type(theory, ctx, side, rules, fuel, sink)
-            _equal_types(theory, ctx, got, stmt.ty, rules, fuel, sink)
-        v = eq_check(theory, ctx, stmt.lhs, stmt.rhs, rules, fuel)
-        if v.proved:
-            return JudgmentResult("ok", eq_traces=tuple(sink) + (v,))
-        return JudgmentResult("inconclusive", f"term equality not proved ({v.reason})")
-    raise TypeError(f"unexpected statement: {stmt!r}")
+        if not v.proved:
+            what = "type" if isinstance(stmt, TypeEq) else "term"
+            return JudgmentResult("inconclusive", f"{what} equality not proved ({v.reason})")
+        sink.append(v)
+    return JudgmentResult("ok", eq_traces=tuple(sink))

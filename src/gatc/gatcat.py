@@ -15,19 +15,10 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import deriv
-from .deriv import (
-    EqVerdict,
-    Fuel,
-    HasType,
-    IsType,
-    Judgment,
-    RuleSet,
-    TermEq,
-    TypeEq,
-)
-from .errors import ArityMismatch, GatError, UnknownSymbol
+from .deriv import EqVerdict, Fuel, Judgment, RuleSet
+from .errors import GatError, UnknownSymbol
 from .gatform_names import safe_name
-from .expr import App, Expr, Var, free_vars, fresh_name, rename_symbols, substitute, translate
+from .expr import App, Expr, Var, fresh_name, rename_symbols, substitute, translate
 from .theory import (
     Declaration,
     TermEqKind,
@@ -122,44 +113,22 @@ def check_interpretation(
 ) -> ValidityResult:
     """Check validity declaration by declaration in source order.
 
-    Every source declaration's basic judgment must check over the target
-    after translation; an equality obligation that exhausts fuel makes
-    the whole result inconclusive.
+    Every source declaration's judgment must check over the target after
+    translation.  The translated context keeps the telescope's names, so
+    an image that mentions any other variable is a scope error.  An
+    equality obligation that exhausts fuel makes the whole result
+    inconclusive.
     """
     rules = rules if rules is not None else _default_rules(interp.src, interp.dst)
     for d in interp.src.decls:
-        ctx2 = interp.apply_ctx(d.ctx)
-        k = d.kind
-        if isinstance(k, TypeKind):
-            img = interp.image(d.name)
-            _image_scope(d, img)
-            stmt = IsType(img)
-        elif isinstance(k, TermKind):
-            img = interp.image(d.name)
-            _image_scope(d, img)
-            stmt = HasType(img, interp.apply(k.ty))
-        elif isinstance(k, TypeEqKind):
-            stmt = TypeEq(interp.apply(k.lhs), interp.apply(k.rhs))
-        elif isinstance(k, TermEqKind):
-            stmt = TermEq(interp.apply(k.lhs), interp.apply(k.rhs), interp.apply(k.ty))
-        else:
-            raise TypeError(f"unexpected kind: {k!r}")
+        j = Judgment(interp.apply_ctx(d.ctx), d.judgment().map(interp.apply))
         try:
-            r = deriv.check_judgment(interp.dst, Judgment(ctx2, stmt), rules, fuel)
+            r = deriv.check_judgment(interp.dst, j, rules, fuel)
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
             return ValidityResult("inconclusive", f"obligation for {d.name!r}: {r.detail}")
     return ValidityResult("ok")
-
-
-def _image_scope(d: Declaration, img: Expr) -> None:
-    allowed = set(d.arity)
-    for v in free_vars(img):
-        if v not in allowed:
-            raise ArityMismatch(
-                f"image of {d.name!r} mentions {v!r} outside its telescope"
-            )
 
 
 @dataclass

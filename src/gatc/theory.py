@@ -16,22 +16,26 @@ from .errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
 from .expr import Ap, App, Expr, Var, head_symbols, mk_lam, mk_pi, rename_symbols
 
 
-class DeclKind:
-    """Base of the four declaration kinds.
-
-    Every kind is a frozen dataclass whose fields are all expressions;
-    only TermEqKind.ty may be None (omitted in source).
-    """
+class ExprFields:
+    """Base of frozen dataclasses whose fields are all expressions, where
+    an omitted type is None: the declaration kinds and the statements."""
 
     __slots__ = ()
 
     def exprs(self) -> tuple[Expr, ...]:
-        """The kind's expressions in field order; an omitted type is skipped."""
+        """The expressions in field order; an omitted type is skipped."""
         return tuple(v for v in vars(self).values() if v is not None)
 
-    def map(self, fn: Callable[[Expr], Expr]) -> DeclKind:
-        """The same kind with fn applied to each of its expressions."""
+    def map(self, fn: Callable[[Expr], Expr]):
+        """The same record with fn applied to each of its expressions."""
         return type(self)(**{k: fn(v) for k, v in vars(self).items() if v is not None})
+
+
+class DeclKind(ExprFields):
+    """Base of the four declaration kinds; only TermEqKind.ty may be
+    None (omitted in source)."""
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)
@@ -97,6 +101,19 @@ class Declaration:
             tuple((x, fn(ty)) for x, ty in self.ctx),
             self.kind.map(fn),
         )
+
+    def judgment(self) -> _deriv.Statement:
+        """The statement the declaration asserts over its context:
+        A(ctx) type, c(ctx) : T, or its equation."""
+        k = self.kind
+        head = App(self.name, tuple(Var(x) for x in self.arity))
+        if isinstance(k, TypeKind):
+            return _deriv.IsType(head)
+        if isinstance(k, TermKind):
+            return _deriv.HasType(head, k.ty)
+        if isinstance(k, TypeEqKind):
+            return _deriv.TypeEq(k.lhs, k.rhs)
+        return _deriv.TermEq(k.lhs, k.rhs, k.ty)
 
 
 Pretheory = Sequence[Declaration]
@@ -167,31 +184,18 @@ def _scan_references(prefix: Theory, d: Declaration, pending: set[str]) -> None:
             raise UnknownSymbol(f"{h!r} is not declared")
 
 
-def _check_decl(prefix: Theory, d: Declaration, rules, fuel) -> Declaration:
-    """Check one declaration over an already certified prefix."""
-    _deriv.check_context(prefix, d.ctx, rules, fuel)
-    k = d.kind
-    if isinstance(k, TypeKind):
-        return d
-    if isinstance(k, TermKind):
-        _deriv.check_is_type(prefix, d.ctx, k.ty, rules, fuel)
-        return d
-    if isinstance(k, TypeEqKind):
-        _deriv.check_is_type(prefix, d.ctx, k.lhs, rules, fuel)
-        _deriv.check_is_type(prefix, d.ctx, k.rhs, rules, fuel)
-        return d
-    if isinstance(k, TermEqKind):
-        ty = k.ty
-        if ty is None:
-            ty = _deriv.infer_type(prefix, d.ctx, k.lhs, rules, fuel)
-        else:
-            _deriv.check_is_type(prefix, d.ctx, ty, rules, fuel)
-            got = _deriv.infer_type(prefix, d.ctx, k.lhs, rules, fuel)
-            _deriv._equal_types(prefix, d.ctx, got, ty, rules, fuel, None)
-        got = _deriv.infer_type(prefix, d.ctx, k.rhs, rules, fuel)
-        _deriv._equal_types(prefix, d.ctx, got, ty, rules, fuel, None)
-        return replace(d, kind=TermEqKind(k.lhs, k.rhs, ty))
-    raise TypeError(f"unexpected kind: {k!r}")
+def _check_decl(prefix: Theory, d: Declaration, pending: set[str], rules, fuel) -> Declaration:
+    """Certify one declaration over an already certified prefix: its
+    references, its context and what its judgment presupposes.  Errors
+    name the declaration; an omitted term-equation type comes back filled in."""
+    try:
+        _scan_references(prefix, d, pending)
+        _deriv.check_context(prefix, d.ctx, rules, fuel)
+        stmt = d.judgment()
+        filled = _deriv.presupposed(prefix, d.ctx, stmt, rules, fuel)
+    except GatError as exc:
+        raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
+    return d if filled is stmt else replace(d, kind=replace(d.kind, ty=filled.ty))
 
 
 def check_theory(
@@ -212,11 +216,7 @@ def check_theory(
     names = [d.name for d in decls]
     for i, d in enumerate(decls):
         prefix = Theory(name, tuple(certified), rules.pi)
-        try:
-            _scan_references(prefix, d, set(names[i:]))
-            certified.append(_check_decl(prefix, d, rules, fuel))
-        except GatError as exc:
-            raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
+        certified.append(_check_decl(prefix, d, set(names[i:]), rules, fuel))
     return Theory(name, tuple(certified), rules.pi)
 
 
@@ -226,11 +226,7 @@ def extend(theory: Theory, d: Declaration, rules=None, fuel=None) -> Theory:
     fuel = _deriv.DEFAULT_FUEL if fuel is None else fuel
     if theory.has(d.name):
         raise DuplicateName(f"declaration name {d.name!r} repeated")
-    try:
-        _scan_references(theory, d, {d.name})
-        d2 = _check_decl(theory, d, rules, fuel)
-    except GatError as exc:
-        raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
+    d2 = _check_decl(theory, d, {d.name}, rules, fuel)
     return Theory(theory.name, theory.decls + (d2,), theory.pi or rules.pi)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 
@@ -106,6 +107,22 @@ def test_parse_error_exit_three(tmp_path):
     p.write_text("theory T { sym A0 : ( => Type }")
     code, _ = run(["check", str(p)])
     assert code == 3
+
+
+def test_undecodable_file_exit_three(tmp_path, capsys):
+    p = tmp_path / "latin.gat"
+    p.write_bytes(b"theory T { sym A : () => Type }\n\xff\n")
+    code, out = run(["check", str(p)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"gatc: {p}: not UTF-8 text:") and "0xff" in err
+
+
+def test_directory_as_file_exit_three(tmp_path, capsys):
+    code, out = run(["check", str(tmp_path)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("gatc: ") and "Is a directory" in err
 
 
 def test_eq_command_stdlib_theory():
@@ -355,6 +372,21 @@ def test_fuel_flags_and_env(monkeypatch):
     monkeypatch.delenv("GATC_FUEL_NODES")
     code, _ = run(["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "mul(u, u)"])
     assert code == 0
+
+
+def test_parser_is_built_once_per_process(monkeypatch):
+    argv = ["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "mul(u, u)"]
+    assert run(argv)[0] == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(argv)[0] == 0
+    assert built == []
 
 
 def test_stdlib_emit_round_trips(tmp_path):

@@ -19,6 +19,7 @@ from gatc.deriv import (
     check_judgment,
     eq_check,
     infer_type,
+    presupposed,
     replay_eq_trace,
 )
 from gatc.errors import (
@@ -119,6 +120,33 @@ def test_judgment_unit_square():
     verdict = r.eq_traces[-1]
     assert verdict.axiom_instances() == 1
     assert replay_eq_trace(stdlib()["Mon"], App("u"), App("mul", (App("u"), App("u"))), verdict.steps)
+
+
+def test_judgment_infers_an_omitted_term_equation_type():
+    mon = stdlib()["Mon"]
+    uu = App("mul", (App("u"), App("u")))
+    r = check_judgment(mon, Judgment((), TermEq(App("u"), uu, None)))
+    assert r.ok and r.eq_traces[-1].proved
+    assert presupposed(mon, (), TermEq(App("u"), uu)) == TermEq(App("u"), uu, MON)
+    stmt = TermEq(App("u"), uu, MON)
+    assert presupposed(mon, (), stmt) is stmt
+
+
+def test_term_equation_type_is_scope_checked():
+    j = Judgment((), TermEq(App("u"), App("u"), App("P", (Var("z"),))))
+    with pytest.raises(ScopeError, match="variable 'z' is not bound by the context"):
+        check_judgment(stdlib()["Mon"], j)
+
+
+@pytest.mark.parametrize("name", sorted(stdlib()))
+def test_every_declaration_judgment_derives_in_its_theory(name):
+    t = stdlib()[name]
+    rules = WITH_PI if t.pi else BASE
+    for i, d in enumerate(t.decls):
+        stmt = d.judgment()
+        assert presupposed(t.prefix(i), d.ctx, stmt, rules) == t.decls[i].judgment()
+        r = check_judgment(t, Judgment(d.ctx, stmt), rules)
+        assert r.ok, (d.name, r.detail)
 
 
 def test_judgment_ctx_statement():

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from gatc.errors import GatError
+from gatc.errors import GatError, ScopeError
 from gatc.expr import App, Var
 from gatc.gatcat import (
     Interpretation,
@@ -59,6 +59,14 @@ def test_invalid_interpretation_rejected():
     })
     v = check_interpretation(bad)
     assert not v.ok  # the left-unit obligation cannot be proved over Ob
+
+
+def test_image_outside_its_telescope_is_a_scope_error():
+    mon = LIB["Mon"]
+    bad = Interpretation(mon, mon, {"Mon": App("Mon"), "u": Var("z"), "mul": App("mul", (Var("y1"), Var("y2")))})
+    with pytest.raises(ScopeError) as info:
+        check_interpretation(bad)
+    assert str(info.value) == "at source symbol 'u': variable 'z' is not bound by the context"
 
 
 def test_compose_identity_laws():
