@@ -30,6 +30,10 @@ Instance = tuple[int, ...]
 
 @dataclass
 class Model:
+    """Carrier sizes and function values, one table per symbol keyed by
+    the symbol's arguments.  Models from one enumeration share tables, so
+    treat every table as read-only."""
+
     theory: Theory
     carriers: dict[str, dict[Instance, int]] = field(default_factory=dict)
     funcs: dict[str, dict[Instance, int]] = field(default_factory=dict)
@@ -170,18 +174,13 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     as the cell it waits on is set.  Values are tried in ascending order,
     so models come out in the order of the whole-table product.  The
     budget counts nodes: one per whole table chosen and one per cell
-    value tried.
+    value tried.  The models share every table that is the same in
+    several of them, so they must be treated as read-only.
     """
     out: list[Model] = []
 
     def leaf(m: Model) -> None:
-        out.append(
-            Model(
-                theory,
-                {c: dict(t) for c, t in m.carriers.items()},
-                {c: dict(t) for c, t in m.funcs.items()},
-            )
-        )
+        out.append(Model(theory, dict(m.carriers), dict(m.funcs)))
 
     _search(theory, bound, budget, leaf)
     return out
@@ -293,7 +292,9 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         while j >= 0:
             if j == n:
                 if not eqs or holds(eqs):
+                    funcs[name] = dict(table)  # the snapshot later levels and models share
                     rec(s + 1)
+                    funcs[name] = table
                 j -= 1
                 continue
             key = keys[j]
@@ -406,12 +407,10 @@ def _pushout_duality(po: Pushout, bound: int, budget: int) -> DualityReport:
     prime = enumerate_models(po.along.dst, bound, budget)
     total = enumerate_models(po.total, bound, budget)
     incl = identity(po.sub).retarget(po.total)
-    expected = {
-        (a.key(), b.key())
-        for a in prime
-        for b in total
-        if reduct(a, po.along).key() == reduct(b, incl).key()
-    }
+    over: dict = {}  # the total models over each model of the shared part
+    for b in total:
+        over.setdefault(reduct(b, incl).key(), []).append(b.key())
+    expected = {(a.key(), b) for a in prime for b in over.get(reduct(a, po.along).key(), ())}
     pairs = [(reduct(m, po.into_prime).key(), reduct(m, po.into_total).key()) for m in ms]
     ok = len(pairs) == len(set(pairs)) and set(pairs) == expected
     return DualityReport(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
-from .expr import Ap, App, Expr, Var, head_symbols, mk_lam, mk_pi, rename_symbols
+from .expr import Ap, App, Expr, Var, mk_lam, mk_pi, rename_symbols, walk
 
 
 class ExprFields:
@@ -172,7 +172,8 @@ from . import deriv as _deriv  # noqa: E402
 
 def _scan_references(prefix: Theory, d: Declaration, pending: set[str]) -> None:
     for e in d.exprs():
-        for h in head_symbols(e):
+        for t, _ in walk(e, App):  # preorder, so the first offender in the text is named
+            h = t.head
             if prefix.has_symbol(h):
                 continue
             if h == d.name or h in pending:

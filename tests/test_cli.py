@@ -1,9 +1,15 @@
 import argparse
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from gatc import cli, gatform
 from gatc.theory import stdlib
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(argv):
@@ -52,6 +58,32 @@ def test_check_forward_reference_positioned(tmp_path):
     assert code == 1
     assert "ForwardReference" in out
     assert "line 4" in out
+
+
+UNKNOWN_SYMBOLS_FILE = """
+theory T {
+  sym A : () => Type
+  sym c : () => A
+  ax e : () => zeta(c, beta(c), gamma(c)) = alpha(c) : A
+}
+"""
+
+
+def test_unknown_symbol_named_is_the_first_in_the_text(tmp_path):
+    # which symbol a set of names yields first depends on the hash seed
+    p = tmp_path / "unknown.gat"
+    p.write_text(UNKNOWN_SYMBOLS_FILE)
+    outs = [
+        subprocess.run(
+            [sys.executable, "-m", "gatc", "check", str(p), "--json"],
+            capture_output=True,
+            env={**os.environ, "PYTHONPATH": SRC, "PYTHONHASHSEED": seed},
+            timeout=60,
+        ).stdout
+        for seed in ("1", "2")
+    ]
+    assert outs[0] == outs[1]
+    assert b"in declaration 'e': 'zeta' is not declared" in outs[0]
 
 
 AXIOM_APPLIED_FILE = """

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -216,6 +217,8 @@ def test_pushout_duality_pointed_monoid():
     r = check_colimit_duality(po, 2)
     assert r.bijection
     assert r.colimit_count == 9
+    r = check_colimit_duality(po, 3)
+    assert (r.bijection, r.colimit_count, r.component_counts) == (True, 108, (38, 6))
 
 
 def test_general_pushout_agrees_with_prefix_pushout_on_models():
@@ -256,10 +259,45 @@ def test_coequalizer_duality_reflexive_pair():
     [("Cat", 2, 340), ("CatPt", 2, 673), ("Mon", 3, 38)],
 )
 def test_counts_decided_within_default_budget(name, bound, expected):
+    # every model is still itself once the search has moved on: a table
+    # the search changed after handing it out would break one of these
     ms = enumerate_models(LIB[name], bound)
     assert len(ms) == expected
+    assert len({m.key() for m in ms}) == expected
     for m in ms:
         validate_model(m)
+
+
+@pytest.mark.parametrize(
+    "name, bound, nodes",
+    [("Cat", 2, 9_264), ("Ty3", 2, 33_872), ("Mon", 3, 552), ("El2", 2, 382)],
+)
+def test_budget_boundary_is_the_search_node_count(name, bound, nodes):
+    count_models(LIB[name], bound, budget=nodes)
+    with pytest.raises(BudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+        count_models(LIB[name], bound, budget=nodes - 1)
+
+
+@pytest.mark.parametrize(
+    "name, bound, digest",
+    [
+        ("Cat", 2, "95c245655046f5064a3f6a9103f604f24effd3c55c432e8ca7597c03548a3df2"),
+        ("CatPt", 2, "eed03c5bec10eac7f48e9e5aef7a4e804d798042c3050a3749209d103ad2af1f"),
+        ("Ty3", 2, "2410270e9e3d41c39cd3954466a28004819a56a843016cda9fafea877dff5881"),
+        ("El2", 2, "01df88762a7799ba1c11ce506b415d09c86423e40776b386e21c9b5a26862609"),
+        ("Mon", 3, "87b07d8a2d7fc867a6e8ddb7f28f5c98124efc553d36bb5db1f4b058e2d16a8b"),
+    ],
+)
+def test_enumerated_models_in_order_are_pinned(name, bound, digest):
+    keys = [m.key() for m in enumerate_models(LIB[name], bound)]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+
+
+def test_models_share_their_tables():
+    # Ty3 at bound 2: 33,673 models with four carrier tables each, found
+    # in 33,872 search nodes, each of which builds at most one table
+    ms = enumerate_models(LIB["Ty3"], 2)
+    assert len({id(t) for m in ms for t in m.carriers.values()}) <= 33_872
 
 
 def _mon_with_family(early: bool):
