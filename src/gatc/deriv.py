@@ -637,14 +637,16 @@ def _equal_types(
     if got == expected:
         return
     if _apart(theory, got, expected):
-        raise ArgumentTypeMismatch(f"expected type {_brief(expected)}, inferred {_brief(got)}")
+        raise ArgumentTypeMismatch(
+            f"expected type {print_expr(expected)}, inferred {print_expr(got)}"
+        )
     v = eq_check(theory, ctx, got, expected, rules, fuel)
     if v.proved:
         if sink is not None:
             sink.append(v)
         return
     raise InconclusiveEquality(
-        f"could not prove {_brief(got)} = {_brief(expected)} ({v.reason})"
+        f"could not prove {print_expr(got)} = {print_expr(expected)} ({v.reason})"
     )
 
 
@@ -662,25 +664,6 @@ def _apart(theory: Theory, a: Expr, b: Expr) -> bool:
     if isinstance(a, App) and isinstance(b, App):
         return a.head != b.head
     return type(a) is not type(b)
-
-
-def _brief(e: Expr) -> str:
-    # terse inline rendering for error messages; the full printer lives in gatform
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, BVar):
-        return f"^{e.index}"
-    if isinstance(e, App):
-        if not e.args:
-            return e.head
-        return f"{e.head}({', '.join(_brief(a) for a in e.args)})"
-    if isinstance(e, Pi):
-        return f"Pi ({e.hint} : {_brief(e.dom)}) {_brief(e.cod)}"
-    if isinstance(e, Lam):
-        return f"lam ({e.hint} : {_brief(e.dom)}) {_brief(e.body)}"
-    if isinstance(e, Ap):
-        return f"{_brief(e.fun)} @ {_brief(e.arg)}"
-    return repr(e)
 
 
 def _check_args(
@@ -728,7 +711,7 @@ def check_is_type(
         x, cod = open_binder(ty.cod, ty.hint, avoid)
         check_is_type(theory, ctx + ((x, ty.dom),), cod, rules, fuel, sink)
         return
-    raise NotAType(f"{_brief(ty)} is not a type expression")
+    raise NotAType(f"{print_expr(ty)} is not a type expression")
 
 
 def infer_type(
@@ -763,7 +746,7 @@ def infer_type(
             raise NotATerm("applications require the pi rule set")
         fty = infer_type(theory, ctx, term.fun, rules, fuel, sink)
         if not isinstance(fty, Pi):
-            raise NotATerm(f"applied expression has non-function type {_brief(fty)}")
+            raise NotATerm(f"applied expression has non-function type {print_expr(fty)}")
         aty = infer_type(theory, ctx, term.arg, rules, fuel, sink)
         _equal_types(theory, ctx, aty, fty.dom, rules, fuel, sink)
         return open_bound(fty.cod, term.arg)
@@ -874,3 +857,6 @@ def check_judgment(
             return JudgmentResult("inconclusive", f"{what} equality not proved ({v.reason})")
         sink.append(v)
     return JudgmentResult("ok", eq_traces=tuple(sink))
+
+
+from .gatform import print_expr  # noqa: E402  (gatform imports this module)

@@ -2,10 +2,12 @@
 
 A model assigns a finite carrier {0, ..., s-1} to every semantic
 instance of each dependent type symbol and an element to every instance
-of each term symbol, such that all instantiated axioms hold.  Models are
-counted as labeled structures on canonical carriers, which makes counts
-well-defined and the colimit comparison bijections literal.  The
-enumerator is the independent oracle for the colimit universal
+of each term symbol; it is valid when every declaration's judgment holds
+at every instance of its context.  One evaluator reads both kinds of
+table for validate_model, the finder's whole-equation checks and reduct.
+Models are counted as labeled structures on canonical carriers, which
+makes counts well-defined and the colimit comparison bijections literal.
+The enumerator is the independent oracle for the colimit universal
 properties; it is exhaustive, duplicate-free and deterministic.  It
 fills a function table one cell at a time when axioms can be checked on
 it cell by cell, and checks each such axiom instance as soon as the
@@ -20,10 +22,11 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .deriv import HasType, IsType, Statement, TermEq, TypeEq
 from .errors import BudgetExceeded, ModelError
 from .expr import App, Expr, Var, walk
 from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout, identity
-from .theory import Declaration, TermEqKind, TermKind, Theory, TypeEqKind, TypeKind
+from .theory import Declaration, TermEqKind, TermKind, Theory, TypeKind
 
 Instance = tuple[int, ...]
 
@@ -78,45 +81,29 @@ def _plan(theory: Theory) -> list[tuple[Declaration, list[Declaration], list[Dec
             plan.append((d, [], []))
             continue
         sym, watched, after = plan[max(position[h] for h in mentions)]
-        watch = (
-            isinstance(d.kind, TermEqKind)
-            and isinstance(sym.kind, TermKind)
-            and sym.name not in reads
-        )
-        (watched if watch else after).append(d)
+        watch = isinstance(d.kind, TermEqKind) and isinstance(sym.kind, TermKind)
+        (watched if watch and sym.name not in reads else after).append(d)
     return plan
 
 
-def eval_term(model: Model, env: dict[str, int], e: Expr) -> int:
-    """Compositional evaluation of a term to an element tag."""
-    if isinstance(e, Var):
+def evaluate(model: Model, env: dict[str, int], e: Expr) -> int:
+    """The element a term denotes at env, or the size of the carrier a
+    type denotes: carriers are initial segments, so a size determines one.
+    A head's table is looked up in funcs, then in carriers."""
+    if e.__class__ is Var:
         return env[e.name]
-    if isinstance(e, App):
-        table = model.funcs.get(e.head)
-        if table is None:
-            raise ModelError(f"no function table for {e.head!r}")
-        key = tuple(eval_term(model, env, a) for a in e.args)
-        if key not in table:
-            raise ModelError(f"function {e.head!r} undefined at {key}")
-        return table[key]
-    raise ModelError("cannot evaluate a binder expression in a finite model")
-
-
-def eval_type(model: Model, env: dict[str, int], e: Expr) -> int:
-    """Evaluate a type expression to its carrier size.
-
-    Carriers are canonical initial segments, so a carrier is determined
-    by its size; provably equal types must evaluate to equal sizes.
-    """
-    if isinstance(e, App):
+    if e.__class__ is not App:
+        raise ModelError("cannot evaluate a binder expression in a finite model")
+    table = model.funcs.get(e.head)
+    if table is None:
         table = model.carriers.get(e.head)
         if table is None:
-            raise ModelError(f"no carrier table for {e.head!r}")
-        key = tuple(eval_term(model, env, a) for a in e.args)
-        if key not in table:
-            raise ModelError(f"carrier {e.head!r} undefined at {key}")
-        return table[key]
-    raise ModelError("type expression expected")
+            raise ModelError(f"no table for {e.head!r}")
+    key = tuple([evaluate(model, env, a) for a in e.args])
+    v = table.get(key)
+    if v is None:
+        raise ModelError(f"{e.head!r} undefined at {key}")
+    return v
 
 
 def context_instances(model: Model, ctx) -> list[dict[str, int]]:
@@ -126,42 +113,43 @@ def context_instances(model: Model, ctx) -> list[dict[str, int]]:
     """
     envs: list[dict[str, int]] = [{}]
     for x, ty in ctx:
-        envs = [{**env, x: v} for env in envs for v in range(eval_type(model, env, ty))]
+        envs = [{**env, x: v} for env in envs for v in range(evaluate(model, env, ty))]
     return envs
 
 
+def _tables(model: Model, d: Declaration) -> dict[str, dict[Instance, int]]:
+    """Where symbol d's table lives: carriers for a type, funcs for a term."""
+    return model.carriers if isinstance(d.kind, TypeKind) else model.funcs
+
+
+def _true_at(model: Model, env: dict[str, int], j: Statement) -> bool:
+    """Whether a declaration's judgment holds at one context instance."""
+    match j:
+        case IsType(ty):
+            return evaluate(model, env, ty) >= 0
+        case HasType(term, ty):
+            return 0 <= evaluate(model, env, term) < evaluate(model, env, ty)
+        case TypeEq(lhs, rhs) | TermEq(lhs, rhs):
+            return evaluate(model, env, lhs) == evaluate(model, env, rhs)
+
+
 def validate_model(model: Model) -> None:
-    for d in model.theory.decls:
-        k = d.kind
-        if isinstance(k, TypeKind):
-            table = model.carriers.get(d.name)
-            if table is None:
-                raise ModelError(f"missing carrier table for {d.name!r}")
-            for env in context_instances(model, d.ctx):
-                key = tuple(env[x] for x in d.arity)
-                if key not in table:
-                    raise ModelError(f"carrier {d.name!r} undefined at {key}")
-                if table[key] < 0:
-                    raise ModelError("carrier sizes must be non-negative")
-        elif isinstance(k, TermKind):
-            table = model.funcs.get(d.name)
-            if table is None:
-                raise ModelError(f"missing function table for {d.name!r}")
-            for env in context_instances(model, d.ctx):
-                key = tuple(env[x] for x in d.arity)
-                if key not in table:
-                    raise ModelError(f"function {d.name!r} undefined at {key}")
-                size = eval_type(model, env, k.ty)
-                if not 0 <= table[key] < size:
-                    raise ModelError(f"function {d.name!r} out of range at {key}")
-        elif isinstance(k, TypeEqKind):
-            for env in context_instances(model, d.ctx):
-                if eval_type(model, env, k.lhs) != eval_type(model, env, k.rhs):
-                    raise ModelError(f"type axiom {d.name!r} fails at {env}")
-        elif isinstance(k, TermEqKind):
-            for env in context_instances(model, d.ctx):
-                if eval_term(model, env, k.lhs) != eval_term(model, env, k.rhs):
-                    raise ModelError(f"axiom {d.name!r} fails at {env}")
+    """Raise ModelError unless each symbol's table is in the dict of its
+    kind and in no other, and each declaration's judgment holds at every
+    instance of its context: a carrier size is defined and at least 0, an
+    element is defined and below its type's size, an equation's sides agree."""
+    decls = model.theory.decls
+    for d in decls:
+        if d.is_symbol and d.name not in _tables(model, d):
+            raise ModelError(f"missing table for {d.name!r}")
+    both = model.carriers.keys() & model.funcs.keys()
+    if both:
+        raise ModelError(f"{min(both)!r} has both a carrier and a function table")
+    for d in decls:
+        j = d.judgment()
+        for env in context_instances(model, d.ctx):
+            if not _true_at(model, env, j):
+                raise ModelError(f"{d.name!r} fails at {env}")
 
 
 def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> list[Model]:
@@ -221,9 +209,8 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         # every completion of this assignment, so it prunes like a failure.
         try:
             for d in eqs:
-                ev = eval_type if isinstance(d.kind, TypeEqKind) else eval_term
                 for env in context_instances(model, d.ctx):
-                    if ev(model, env, d.kind.lhs) != ev(model, env, d.kind.rhs):
+                    if evaluate(model, env, d.kind.lhs) != evaluate(model, env, d.kind.rhs):
                         return False
         except ModelError:
             return False
@@ -320,12 +307,11 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         d, watched, eqs = plan[s]
         envs = context_instances(model, d.ctx)
         keys = [tuple(env.values()) for env in envs]
-        if isinstance(d.kind, TypeKind):
-            tables = model.carriers
+        tables = _tables(model, d)
+        if tables is model.carriers:
             sizes = [bound + 1] * len(keys)
         else:
-            tables = model.funcs
-            sizes = [eval_type(model, env, d.kind.ty) for env in envs]
+            sizes = [evaluate(model, env, d.kind.ty) for env in envs]
         if watched:
             fill(s, keys, sizes)
         else:
@@ -342,27 +328,18 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
 def reduct(model: Model, interp: Interpretation) -> Model:
     """The model of the source theory induced along an interpretation.
 
-    Each source carrier (function) is the evaluation of the symbol's
-    image; equivalent interpretations induce identical reducts.
+    Each source symbol's table is the evaluation of the symbol's image;
+    equivalent interpretations induce identical reducts.
     """
     imgs = interp.images()
     out = Model(interp.src)
     for d in interp.src.decls:
-        if not d.is_symbol:
-            continue
-        params, body = imgs[d.name]
-        table: dict[Instance, int] = {}
-        for env in context_instances(out, d.ctx):
-            key = tuple(env[x] for x in d.arity)
-            bound_env = {p: env[p] for p in params}
-            if isinstance(d.kind, TypeKind):
-                table[key] = eval_type(model, bound_env, body)
-            else:
-                table[key] = eval_term(model, bound_env, body)
-        if isinstance(d.kind, TypeKind):
-            out.carriers[d.name] = table
-        else:
-            out.funcs[d.name] = table
+        if d.is_symbol:
+            params, body = imgs[d.name]
+            _tables(out, d)[d.name] = {
+                tuple(env.values()): evaluate(model, {p: env[p] for p in params}, body)
+                for env in context_instances(out, d.ctx)
+            }
     return out
 
 
@@ -387,17 +364,20 @@ def check_colimit_duality(construction, bound: int, budget: int = 2_000_000) -> 
     raise ModelError(f"unsupported construction: {construction!r}")
 
 
+def _bijection(construction: str, got: list, expected: set, components) -> DualityReport:
+    """The report on the comparison map, which sends the colimit's models to got."""
+    ok = len(got) == len(set(got)) and set(got) == expected
+    detail = "" if ok else "comparison map is not a bijection"
+    return DualityReport(construction, ok, len(got), tuple(map(len, components)), detail)
+
+
 def _coproduct_duality(cp: Coproduct, bound: int, budget: int) -> DualityReport:
     ms = enumerate_models(cp.theory, bound, budget)
     m1 = enumerate_models(cp.left.src, bound, budget)
     m2 = enumerate_models(cp.right.src, bound, budget)
     pairs = [(reduct(m, cp.left).key(), reduct(m, cp.right).key()) for m in ms]
     expected = {(a.key(), b.key()) for a in m1 for b in m2}
-    ok = len(pairs) == len(set(pairs)) and set(pairs) == expected
-    return DualityReport(
-        "coproduct", ok, len(ms), (len(m1), len(m2)),
-        "" if ok else "comparison map is not a bijection",
-    )
+    return _bijection("coproduct", pairs, expected, (m1, m2))
 
 
 def _pushout_duality(po: Pushout, bound: int, budget: int) -> DualityReport:
@@ -412,11 +392,7 @@ def _pushout_duality(po: Pushout, bound: int, budget: int) -> DualityReport:
         over.setdefault(reduct(b, incl).key(), []).append(b.key())
     expected = {(a.key(), b) for a in prime for b in over.get(reduct(a, po.along).key(), ())}
     pairs = [(reduct(m, po.into_prime).key(), reduct(m, po.into_total).key()) for m in ms]
-    ok = len(pairs) == len(set(pairs)) and set(pairs) == expected
-    return DualityReport(
-        "pushout", ok, len(ms), (len(prime), len(total)),
-        "" if ok else "comparison map is not a bijection",
-    )
+    return _bijection("pushout", pairs, expected, (prime, total))
 
 
 def _coequalizer_duality(ce: Coequalizer, bound: int, budget: int) -> DualityReport:
@@ -426,8 +402,4 @@ def _coequalizer_duality(ce: Coequalizer, bound: int, budget: int) -> DualityRep
         m.key() for m in base if reduct(m, ce.left).key() == reduct(m, ce.right).key()
     }
     got = [reduct(m, ce.quotient).key() for m in ms]
-    ok = len(got) == len(set(got)) and set(got) == expected
-    return DualityReport(
-        "coequalizer", ok, len(ms), (len(base),),
-        "" if ok else "comparison map is not a bijection",
-    )
+    return _bijection("coequalizer", got, expected, (base,))

@@ -351,13 +351,11 @@ def _triangle_unit(base: Theory, leg: Interpretation, rules, fuel) -> LawReport:
     name = f"triangle-unit[{base.name}]"
     try:
         unit = derive_unit(base, leg, rules, fuel)
-        fib = unit.fib
-        poly_fib_theory = poly_apply(fib.theory, rules, fuel)
-        fib2 = fib_product_el0(poly_fib_theory.theory, poly_fib_theory.leg, fuel)
-        subst_fib = substitution_interp(poly_fib_theory, fib2)
-        eta_x_el0 = fib_arrow(unit.eta, fib, fib2)
+        fib2 = fib_product_el0(unit.poly_fib.theory, unit.poly_fib.leg, fuel)
+        subst_fib = substitution_interp(unit.poly_fib, fib2)
+        eta_x_el0 = fib_arrow(unit.eta, unit.fib, fib2)
         composite = compose(subst_fib, eta_x_el0)
-        return _law(name, equivalent(composite, identity(fib.theory), rules, fuel))
+        return _law(name, equivalent(composite, identity(unit.fib.theory), rules, fuel))
     except GatError as exc:
         return _failed(name, exc)
 
@@ -454,11 +452,9 @@ def _check_p4(base: Theory, rules, fuel) -> LawReport:
     name = f"P4[{base.name}]"
     try:
         poly_base = poly_apply(base, rules, fuel)
-        fib = fib_product_el0(poly_base.theory, poly_base.leg, fuel)
-        poly_fib = poly_apply(fib.theory, rules, fuel)
-        subst = substitution_interp(poly_base, fib)
-        p_subst = poly_interp(subst, poly_base, poly_fib)
         unit = derive_unit(poly_base.theory, poly_base.leg, rules, fuel)
+        subst = substitution_interp(poly_base, unit.fib)
+        p_subst = poly_interp(subst, poly_base, unit.poly_fib)
         composite = compose(p_subst, unit.eta)
         return _law(name, equivalent(composite, identity(poly_base.theory), rules, fuel))
     except GatError as exc:

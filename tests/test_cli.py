@@ -248,6 +248,21 @@ def test_unproved_argument_type_is_inconclusive(tmp_path):
     assert code == 2
 
 
+def test_type_mismatch_prints_bound_variables_by_name(tmp_path):
+    # the expected type of natrec's step argument has two binders
+    p = tmp_path / "natrec.gat"
+    p.write_text(
+        "judgment j over MLTT-N { (n : El(N), C : Pi (x : El(N)) Ty, c0 : El(C @ zero))"
+        " |- natrec(n, C, c0, c0) : El(C @ n) }\n"
+    )
+    code, out = run(["check", str(p), "--rules", "pi"])
+    assert code == 1
+    assert (
+        "ArgumentTypeMismatch: expected type Pi (x : El(N)) Pi (y : El(C @ x))"
+        " El(C @ succ(x)), inferred El(C @ zero)" in out
+    )
+
+
 def test_models_count_only():
     code, out = run(["models", "--theory", "Ty0", "--max-size", "2", "--count-only"])
     assert code == 0

@@ -22,7 +22,8 @@ from gatc.models import (
     check_colimit_duality,
     count_models,
     enumerate_models,
-    eval_term,
+    evaluate,
+    evaluate as eval_term,
     reduct,
     validate_model,
 )
@@ -89,14 +90,21 @@ def test_enumeration_deterministic_and_duplicate_free():
 
 
 def test_every_enumerated_model_checks():
-    for name in ("Mon", "El1", "Ty2"):
-        for m in enumerate_models(LIB[name], 2):
+    for name, bound in (
+        ("Mon", 2), ("El1", 2), ("Ty2", 2), ("Cat", 1), ("CatPt", 1), ("Ty3", 1)
+    ):
+        for m in enumerate_models(LIB[name], bound):
             validate_model(m)
 
 
 def test_eval_variable_is_environment_lookup():
     m = enumerate_models(LIB["Mon"], 2)[-1]
     assert eval_term(m, {"y": 1}, Var("y")) == 1
+
+
+def test_type_symbol_evaluates_to_its_carrier_size():
+    for m in enumerate_models(LIB["Mon"], 2):
+        assert evaluate(m, {}, App("Mon")) == m.carriers["Mon"][()]
 
 
 def test_unit_law_forces_square_of_unit():
@@ -163,6 +171,37 @@ def hand_catpt_model() -> Model:
             "b": {(): 0},
         },
     )
+
+
+# each breaks one judgment of the valid hand-made model, or its tables
+CATPT_DEFECTS = {
+    "missing carrier table": lambda m: m.carriers.pop("Hom"),
+    "missing function table": lambda m: m.funcs.pop("comp"),
+    "undefined carrier cell": lambda m: m.carriers["Hom"].clear(),
+    "undefined function cell": lambda m: m.funcs["comp"].pop((0, 0, 0, 1, 1)),
+    "negative carrier": lambda m: m.carriers["Hom"].update({(0, 0): -5}),
+    "value out of range": lambda m: m.funcs["b"].update({(): 1}),
+    "failing unit law": lambda m: m.funcs["id"].update({(0,): 1}),
+}
+
+
+@pytest.mark.parametrize("defect", list(CATPT_DEFECTS))
+def test_validate_model_rejects_each_defect(defect):
+    m = hand_catpt_model()
+    validate_model(m)
+    CATPT_DEFECTS[defect](m)
+    with pytest.raises(ModelError):
+        validate_model(m)
+
+
+def test_validate_model_rejects_a_type_symbol_in_funcs():
+    # evaluate reads funcs first, so a well-sized Hom table there would
+    # hide the negative carrier from the judgments
+    m = hand_catpt_model()
+    m.carriers["Hom"][(0, 0)] = -5
+    m.funcs["Hom"] = {(0, 0): 2}
+    with pytest.raises(ModelError, match="'Hom' has both a carrier and a function table"):
+        validate_model(m)
 
 
 def test_reduct_endomorphism_monoid():

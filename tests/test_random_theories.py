@@ -19,7 +19,7 @@ from gatc.gatcat import (
     renaming_interpretation,
 )
 from gatc.gatform import parse, print_theory
-from gatc.models import check_colimit_duality, enumerate_models, eval_term
+from gatc.models import check_colimit_duality, enumerate_models, evaluate as eval_term
 from gatc.poly import poly_apply
 from gatc.theory import (
     Declaration,
