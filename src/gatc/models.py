@@ -10,10 +10,10 @@ makes counts well-defined and the colimit comparison bijections literal.
 The enumerator is the independent oracle for the colimit universal
 properties; it is exhaustive, duplicate-free and deterministic.  It
 fills a function table one cell at a time when axioms can be checked on
-it cell by cell, and checks each such axiom instance as soon as the
-cells it reads are set, after Zhang & Zhang's SEM (IJCAI 1995) and
-McCune's Mace4 (2003); it breaks no symmetries, so counts stay those of
-labeled structures.
+it cell by cell, and checks each such axiom instance, grounded once,
+when the latest cell it reads is set, after Zhang & Zhang's SEM (IJCAI
+1995) and McCune's Mace4 (2003); it breaks no symmetries, so counts stay
+those of labeled structures.
 """
 
 from __future__ import annotations
@@ -99,7 +99,7 @@ def evaluate(model: Model, env: dict[str, int], e: Expr) -> int:
         table = model.carriers.get(e.head)
         if table is None:
             raise ModelError(f"no table for {e.head!r}")
-    key = tuple([evaluate(model, env, a) for a in e.args])
+    key = tuple([env[a.name] if a.__class__ is Var else evaluate(model, env, a) for a in e.args])
     v = table.get(key)
     if v is None:
         raise ModelError(f"{e.head!r} undefined at {key}")
@@ -134,10 +134,10 @@ def _true_at(model: Model, env: dict[str, int], j: Statement) -> bool:
 
 
 def validate_model(model: Model) -> None:
-    """Raise ModelError unless each symbol's table is in the dict of its
-    kind and in no other, and each declaration's judgment holds at every
-    instance of its context: a carrier size is defined and at least 0, an
-    element is defined and below its type's size, an equation's sides agree."""
+    """Raise ModelError unless there is one table per symbol, in the dict of
+    its kind only and keyed by exactly its context's instances, and each
+    declaration's judgment holds at each instance of its context: a size is
+    at least 0, an element below its type's size, an equation's sides equal."""
     decls = model.theory.decls
     for d in decls:
         if d.is_symbol and d.name not in _tables(model, d):
@@ -145,9 +145,15 @@ def validate_model(model: Model) -> None:
     both = model.carriers.keys() & model.funcs.keys()
     if both:
         raise ModelError(f"{min(both)!r} has both a carrier and a function table")
+    stray = (model.carriers.keys() | model.funcs.keys()) - {d.name for d in decls if d.is_symbol}
+    if stray:
+        raise ModelError(f"{min(stray)!r} is not a symbol of {model.theory.name!r}")
     for d in decls:
+        envs = context_instances(model, d.ctx)
+        if d.is_symbol and _tables(model, d)[d.name].keys() != {tuple(e.values()) for e in envs}:
+            raise ModelError(f"{d.name!r} is not defined at exactly its context's instances")
         j = d.judgment()
-        for env in context_instances(model, d.ctx):
+        for env in envs:
             if not _true_at(model, env, j):
                 raise ModelError(f"{d.name!r} fails at {env}")
 
@@ -158,32 +164,28 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     Symbols are assigned in declaration order.  A carrier table, or a
     function table that no equation watches, is chosen whole; a watched
     function table is filled one cell at a time in context-instance key
-    order, and each watched equation instance is evaluated again as soon
-    as the cell it waits on is set.  Values are tried in ascending order,
-    so models come out in the order of the whole-table product.  The
-    budget counts nodes: one per whole table chosen and one per cell
-    value tried.  The models share every table that is the same in
-    several of them, so they must be treated as read-only.
+    order.  Each watched equation instance is grounded once, with its
+    variables and the complete tables read, and waits on the latest cell
+    it reads that is still unset: as cells are set in key order, it is
+    evaluated again exactly when that cell is set, and it can turn false
+    only then.  Values are tried in ascending order, so models come out
+    in the order of the whole-table product.  The budget counts nodes:
+    one per whole table chosen and one per cell value tried.  The models
+    share every table that is the same in several of them, so they must
+    be treated as read-only.
     """
     out: list[Model] = []
-
-    def leaf(m: Model) -> None:
-        out.append(Model(theory, dict(m.carriers), dict(m.funcs)))
-
-    _search(theory, bound, budget, leaf)
+    _search(
+        theory, bound, budget, lambda m: out.append(Model(theory, dict(m.carriers), dict(m.funcs)))
+    )
     return out
 
 
 def count_models(theory: Theory, bound: int, budget: int = 2_000_000) -> int:
     """len(enumerate_models(...)), without copying the models."""
-    n = 0
-
-    def leaf(_: Model) -> None:
-        nonlocal n
-        n += 1
-
-    _search(theory, bound, budget, leaf)
-    return n
+    found = itertools.count()
+    _search(theory, bound, budget, lambda _: next(found))
+    return next(found)
 
 
 def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], None]) -> None:
@@ -200,21 +202,16 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceeded(
-                f"model search for {theory.name!r} exceeded {budget} nodes"
-            )
+            raise BudgetExceeded(f"model search for {theory.name!r} exceeded {budget} nodes")
 
     def holds(eqs: list[Declaration]) -> bool:
         # An undefined value means some equation not yet checked fails in
         # every completion of this assignment, so it prunes like a failure.
         try:
-            for d in eqs:
-                for env in context_instances(model, d.ctx):
-                    if evaluate(model, env, d.kind.lhs) != evaluate(model, env, d.kind.rhs):
-                        return False
+            envs = ((d, env) for d in eqs for env in context_instances(model, d.ctx))
+            return all(_true_at(model, env, d.judgment()) for d, env in envs)
         except ModelError:
             return False
-        return True
 
     def fill(s: int, keys: list[Instance], sizes: list[int]) -> None:
         d, watched, eqs = plan[s]
@@ -222,53 +219,77 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         funcs = model.funcs
         table: dict[Instance, int] = {}
         funcs[name] = table
+        get = table.get
         watches: dict[Instance, list] = {key: [] for key in keys}
+        late: Instance = ()  # the latest cell ground has made a key for
 
-        def value(e: App, env: dict[str, int]):
-            """The element e denotes, the unset cell it waits on, or None if undefined."""
+        def ground(e: Expr, env: dict[str, int]):
+            """e at env with the complete tables read: an element, the key
+            of a cell of table, or [table of e's head, grounded arguments]
+            for an application that waits on cells of table."""
+            nonlocal late
+            if e.__class__ is Var:
+                return env[e.name]
             args = []
             for a in e.args:
-                v = env[a.name] if a.__class__ is Var else value(a, env)
-                if v.__class__ is not int:
-                    return v
-                args.append(v)
+                args.append(env[a.name] if a.__class__ is Var else ground(a, env))
+            tbl = funcs[e.head]
+            for a in args:
+                if a.__class__ is not int:
+                    return [tbl, args]
             key = tuple(args)
-            v = funcs[e.head].get(key)
-            if v is None and e.head == name and key in watches:
+            if tbl is table and key in watches:
+                late = key if key > late else late
                 return key
-            return v
+            return tbl[key]
 
-        def check(lhs: Expr, rhs: Expr, env: dict[str, int]):
-            """True, False, None if undefined, or the unset cell to wait on."""
-            a = env[lhs.name] if lhs.__class__ is Var else value(lhs, env)
-            if a.__class__ is not int:
-                return a
-            b = env[rhs.name] if rhs.__class__ is Var else value(rhs, env)
-            if b.__class__ is not int:
-                return b
-            return a == b
+        def value(g):
+            """g's element, or the latest unset cell it waits on; KeyError if undefined."""
+            if g.__class__ is tuple:
+                return get(g, g)
+            tbl, args = g
+            key = []
+            wait = None
+            for a in args:
+                if a.__class__ is not int:
+                    a = get(a, a) if a.__class__ is tuple else value(a)
+                    if a.__class__ is not int:
+                        if wait is None or a > wait:
+                            wait = a
+                        continue
+                key.append(a)
+            if wait is not None:
+                return wait
+            key = tuple(key)
+            return get(key, key) if tbl is table and key in watches else tbl[key]
 
         def propagate(insts: list, moved: list[Instance]) -> bool:
-            """Check instances; watch each undecided one on its unset cell."""
-            for inst in insts:
-                r = check(*inst)
-                if r is True:
-                    continue
-                if r.__class__ is not tuple:
-                    return False
-                watches[r].append(inst)
-                moved.append(r)
+            """Check instances; watch each undecided one on the latest unset cell it reads."""
+            try:
+                for inst in insts:
+                    lhs, rhs = inst
+                    a = lhs if lhs.__class__ is int else value(lhs)
+                    b = rhs if rhs.__class__ is int else value(rhs)
+                    if a.__class__ is int and b.__class__ is int:
+                        if a != b:
+                            return False
+                        continue
+                    r = b if a.__class__ is int or (b.__class__ is not int and b > a) else a
+                    watches[r].append(inst)
+                    moved.append(r)
+            except KeyError:  # an undefined value fails in every completion
+                return False
             return True
 
+        # The table is empty and each watched equation applies name, so an
+        # instance waits on the latest cell that grounding it made a key for.
         try:
-            insts = [
-                (eq.kind.lhs, eq.kind.rhs, env)
-                for eq in watched
-                for env in context_instances(model, eq.ctx)
-            ]
-        except ModelError:
-            return
-        if not propagate(insts, []):
+            for eq in watched:
+                for env in context_instances(model, eq.ctx):
+                    late = ()
+                    inst = (ground(eq.kind.lhs, env), ground(eq.kind.rhs, env))
+                    watches[late].append(inst)
+        except (KeyError, ModelError):
             return
         # Iterative backtracking over the cells: tried[j] is the value of
         # cell j, moved[j] the cells it moved watches to, undone in reverse.
@@ -299,6 +320,7 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
             table[key] = v
             if propagate(watches[key], moved[j]):
                 j += 1
+        del ground, value  # end their self-reference cycles: free the instances now
 
     def rec(s: int) -> None:
         if s == len(plan):
@@ -308,10 +330,8 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         envs = context_instances(model, d.ctx)
         keys = [tuple(env.values()) for env in envs]
         tables = _tables(model, d)
-        if tables is model.carriers:
-            sizes = [bound + 1] * len(keys)
-        else:
-            sizes = [evaluate(model, env, d.kind.ty) for env in envs]
+        carrier = tables is model.carriers
+        sizes = [bound + 1 if carrier else evaluate(model, env, d.kind.ty) for env in envs]
         if watched:
             fill(s, keys, sizes)
         else:

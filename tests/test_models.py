@@ -20,6 +20,7 @@ from gatc.gatcat import (
 from gatc.models import (
     Model,
     check_colimit_duality,
+    context_instances,
     count_models,
     enumerate_models,
     evaluate,
@@ -27,7 +28,15 @@ from gatc.models import (
     reduct,
     validate_model,
 )
-from gatc.theory import check_theory, stdlib, term_eq_ax, term_sym, type_eq_ax, type_sym
+from gatc.theory import (
+    TypeKind,
+    check_theory,
+    stdlib,
+    term_eq_ax,
+    term_sym,
+    type_eq_ax,
+    type_sym,
+)
 
 LIB = stdlib()
 
@@ -182,6 +191,10 @@ CATPT_DEFECTS = {
     "negative carrier": lambda m: m.carriers["Hom"].update({(0, 0): -5}),
     "value out of range": lambda m: m.funcs["b"].update({(): 1}),
     "failing unit law": lambda m: m.funcs["id"].update({(0,): 1}),
+    # tables and cells beyond the theory: each would change the model's key
+    "table for an undeclared name": lambda m: m.funcs.update({"zzz": {(): 0}}),
+    "function cell outside the context": lambda m: m.funcs["comp"].update({(0, 0, 0, 5, 5): 0}),
+    "carrier cell outside the context": lambda m: m.carriers["Hom"].update({(3, 3): 2}),
 }
 
 
@@ -368,13 +381,11 @@ def test_type_equation_placed_after_its_last_symbol(early):
             validate_model(m)
 
 
-def test_equation_whose_context_reads_its_last_symbol():
-    # the axiom's last symbol c is read by its own context, so it is
-    # checked once c is chosen; it is an instance of the right unit law,
-    # so each of the 5 one-object and 340 - 1 - 5 two-object categories
-    # gives |Ob| ** 2 choices of b and c
+def _catpt_c():
+    # CatPt with a second point c and the right unit law at c, an axiom
+    # whose context reads its last symbol c
     c = App("c")
-    t = check_theory(
+    return check_theory(
         LIB["CatPt"].decls
         + (
             term_sym("c", (), App("Ob")),
@@ -387,7 +398,14 @@ def test_equation_whose_context_reads_its_last_symbol():
         ),
         name="CatPtC",
     )
-    ms = enumerate_models(t, 2)
+
+
+def test_equation_whose_context_reads_its_last_symbol():
+    # the axiom's last symbol c is read by its own context, so it is
+    # checked once c is chosen; it is an instance of the right unit law,
+    # so each of the 5 one-object and 340 - 1 - 5 two-object categories
+    # gives |Ob| ** 2 choices of b and c
+    ms = enumerate_models(_catpt_c(), 2)
     assert len(ms) == 5 * 1 + 334 * 4
     for m in ms:
         validate_model(m)
@@ -415,3 +433,92 @@ def test_count_models_counts_what_enumerate_models_returns(name):
     assert n == len(enumerate_models(t, 2))
     if name == "Ty3":
         assert n == 33_673
+
+
+@pytest.mark.parametrize(
+    "make, bound, nodes, digest",
+    [
+        # two tables filled cell by cell, one after the other
+        (
+            lambda: coproduct(LIB["Mon"], LIB["Mon"]).theory,
+            2,
+            174,
+            "8cbf55b6e81ccb997a288d485037e7a886314d1920dd2cc1f3274fb3d9a2e63c",
+        ),
+        # a type equation checked whole after a table filled cell by cell
+        (
+            lambda: _mon_with_family(early=True),
+            3,
+            33_889,
+            "c0906c9f436b585876621542da9634459ad7875d0441726180ca493bfc4e16b0",
+        ),
+        # an equation checked whole after a table its context reads
+        (
+            _catpt_c,
+            2,
+            11_278,
+            "7ad61a92d311d875a1503abaafa225bea358e0f72a7103d9f1a83a32522d71c5",
+        ),
+    ],
+    ids=["Mon+Mon@2", "MonP-early@3", "CatPtC@2"],
+)
+def test_mixed_plans_pin_order_and_nodes(make, bound, nodes, digest):
+    t = make()
+    keys = [m.key() for m in enumerate_models(t, bound)]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+    count_models(t, bound, budget=nodes)
+    with pytest.raises(BudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+        count_models(t, bound, budget=nodes - 1)
+
+
+def whole_table_models(theory, bound: int) -> list[Model]:
+    """Independent oracle for the finder's model order: every choice of
+    whole tables in declaration order, each table's cells varied together
+    in context-instance order with the first cell slowest, kept when
+    validate_model accepts the finished model."""
+    symbols = [d for d in theory.decls if d.is_symbol]
+    out: list[Model] = []
+
+    def extend(i: int, carriers: dict, funcs: dict) -> None:
+        m = Model(theory, carriers, funcs)
+        if i == len(symbols):
+            try:
+                validate_model(m)
+            except ModelError:
+                return
+            out.append(m)
+            return
+        d = symbols[i]
+        is_type = isinstance(d.kind, TypeKind)
+        try:
+            envs = context_instances(m, d.ctx)
+            sizes = [bound + 1 if is_type else evaluate(m, env, d.kind.ty) for env in envs]
+        except ModelError:  # every completion fails validate_model alike
+            return
+        keys = [tuple(env.values()) for env in envs]
+        for values in itertools.product(*map(range, sizes)):
+            table = {d.name: dict(zip(keys, values))}
+            if is_type:
+                extend(i + 1, {**carriers, **table}, funcs)
+            else:
+                extend(i + 1, carriers, {**funcs, **table})
+
+    extend(0, {}, {})
+    return out
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        (lambda: LIB["Mon"], 2),
+        (lambda: LIB["Cat"], 1),
+        (lambda: LIB["CatPt"], 1),
+        (lambda: coproduct(LIB["Mon"], LIB["El0"]).theory, 1),
+    ],
+    ids=["Mon@2", "Cat@1", "CatPt@1", "Mon+El0@1"],
+)
+def test_model_order_is_the_whole_table_product(make, bound):
+    t = make()
+    got = [m.key() for m in enumerate_models(t, bound)]
+    assert got == [m.key() for m in whole_table_models(t, bound)]
+    assert got
