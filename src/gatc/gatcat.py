@@ -10,7 +10,8 @@ materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -60,19 +61,17 @@ class Interpretation:
             raise UnknownSymbol(f"interpretation has no image for {sym!r}")
         return e
 
-    def images(self) -> dict[str, tuple[tuple[str, ...], Expr]]:
-        out = {}
-        for d in self.src.decls:
-            if d.is_symbol:
-                out[d.name] = (d.arity, self.image(d.name))
-        return out
+    @cached_property
+    def images(self) -> Mapping[str, tuple[tuple[str, ...], Expr]]:
+        """Each source symbol's (telescope, image), built once and read-only."""
+        imgs = {d.name: (d.arity, self.image(d.name)) for d in self.src.decls if d.is_symbol}
+        return MappingProxyType(imgs)
 
     def apply(self, e: Expr) -> Expr:
-        return translate(e, self.images())
+        return translate(e, self.images)
 
     def apply_ctx(self, ctx) -> tuple[tuple[str, Expr], ...]:
-        imgs = self.images()
-        return tuple((x, translate(ty, imgs)) for x, ty in ctx)
+        return tuple((x, translate(ty, self.images)) for x, ty in ctx)
 
     def retarget(self, new_dst: Theory) -> Interpretation:
         """Same images into an extension of the target."""
@@ -87,7 +86,7 @@ def identity(theory: Theory, name: str = "") -> Interpretation:
 
 def compose(first: Interpretation, second: Interpretation, name: str = "") -> Interpretation:
     """Kleisli composition: (second . first)(c) = translate(first(c), second)."""
-    imgs = second.images()
+    imgs = second.images
     mapping = {c: translate(e, imgs) for c, e in first.mapping.items() if first.src.has_symbol(c)}
     return Interpretation(first.src, second.dst, mapping, name)
 
@@ -239,9 +238,9 @@ def coequalizer(
             kind = TypeEqKind(i1.image(d.name), i2.image(d.name))
         else:
             kind = TermEqKind(i1.image(d.name), i2.image(d.name), i1.apply(d.kind.ty))
-        label = fresh_name(f"eq_{d.name}", {dd.name for dd in current.decls})
+        label = fresh_name(f"eq_{d.name}", current)
         current = extend(current, Declaration(label, ctx2, kind), rules, fuel)
-    out = Theory(name or safe_name(f"coeq_{i1.dst.name}"), current.decls, current.pi)
+    out = replace(current, name=name or safe_name(f"coeq_{i1.dst.name}"))
     return Coequalizer(out, identity(i1.dst).retarget(out), i1, i2)
 
 
@@ -280,18 +279,16 @@ def pushout(
     rules = rules if rules is not None else _default_rules(sub, total, along.dst)
     current = along.dst
     tilde: dict[str, Expr] = dict(along.mapping)
+    # the images of total's symbols in tilde, which the copies translate by
+    imgs = {d.name: (d.arity, tilde[d.name]) for d in total.decls if d.is_symbol and d.name in tilde}
     for d in total.decls[k:]:
-        imgs = {
-            dd.name: (dd.arity, tilde[dd.name])
-            for dd in total.decls
-            if dd.is_symbol and dd.name in tilde
-        }
-        new_name = fresh_name(d.name, {dd.name for dd in current.decls})
+        new_name = fresh_name(d.name, current)
         copy = d.map(lambda e: translate(e, imgs), new_name)
         current = extend(current, copy, rules, fuel)
         if d.is_symbol:
             tilde[d.name] = App(new_name, tuple(Var(x) for x in d.arity))
-    out = Theory(name or safe_name(f"po_{total.name}_{along.dst.name}"), current.decls, current.pi)
+            imgs[d.name] = (d.arity, tilde[d.name])
+    out = replace(current, name=name or safe_name(f"po_{total.name}_{along.dst.name}"))
     into_prime = identity(along.dst).retarget(out)
     into_total = Interpretation(
         total,
@@ -404,8 +401,7 @@ def reconstruct(
     (equational axioms come back as per-tower-symbol batches, which does
     not affect interpretations).
     """
-    current = terminal_theory()
-    current = Theory(name, current.decls, current.pi)
+    current = Theory(name, ())
     renaming: dict[str, str] = {}
 
     def retarget(i: Interpretation) -> Interpretation:
@@ -414,22 +410,15 @@ def reconstruct(
 
     for cl in clauses:
         if cl.kind == "type-symbol":
-            tower_sub = mk_Ty(cl.n - 1) if cl.n > 0 else terminal_theory()
-            tower_total = mk_Ty(cl.n)
-            po = pushout(tower_sub, tower_total, retarget(cl.arrows[0]), rules, fuel, name=name)
-            added = po.theory.decls[len(current.decls)]
-            renaming[cl.decl_name] = added.name
-            current = Theory(name, po.theory.decls, po.theory.pi)
+            sub, total = (mk_Ty(cl.n - 1) if cl.n > 0 else terminal_theory()), mk_Ty(cl.n)
         elif cl.kind == "term-symbol":
-            po = pushout(mk_Ty(cl.n), mk_El(cl.n), retarget(cl.arrows[0]), rules, fuel, name=name)
-            added = po.theory.decls[len(current.decls)]
-            renaming[cl.decl_name] = added.name
-            current = Theory(name, po.theory.decls, po.theory.pi)
+            sub, total = mk_Ty(cl.n), mk_El(cl.n)
         else:
-            f = retarget(cl.arrows[0])
-            g = retarget(cl.arrows[1])
-            ce = coequalizer(f, g, rules, fuel, name=name)
-            current = Theory(name, ce.theory.decls, ce.theory.pi)
+            current = coequalizer(*map(retarget, cl.arrows), rules, fuel, name=name).theory
+            continue
+        po = pushout(sub, total, retarget(cl.arrows[0]), rules, fuel, name=name)
+        renaming[cl.decl_name] = po.theory.decls[len(current.decls)].name
+        current = po.theory
     return current, renaming
 
 

@@ -41,7 +41,6 @@ from .theory import (
     Theory,
     TypeEqKind,
     TypeKind,
-    anonymous_label,
 )
 
 KEYWORDS = {"theory", "interp", "judgment", "sym", "ax", "over", "Type", "Pi", "lam", "Ctx"}
@@ -297,15 +296,18 @@ class _Parser:
         self.expect("LBRACE")
         decls: list[Declaration] = []
         decl_lines: dict[str, int] = {}
+        k = 1  # _k is the least free label: names only accumulate, so k never falls
         while not self.at("RBRACE"):
             line = self.peek().line
-            d = self.decl(decls)
+            while f"_{k}" in decl_lines:
+                k += 1
+            d = self.decl(f"_{k}")
             decl_lines[d.name] = line
             decls.append(d)
         self.expect("RBRACE")
         return TheoryBlock(name, decls, t.line, decl_lines)
 
-    def decl(self, so_far: list[Declaration]) -> Declaration:
+    def decl(self, unnamed: str) -> Declaration:
         t = self.next()
         if t.kind == "sym":
             name = self.expect("IDENT").value
@@ -316,7 +318,7 @@ class _Parser:
             ty = self.type_or_expr(scope)
             return Declaration(name, ctx, TypeKind() if ty is None else TermKind(ty))
         if t.kind == "ax":
-            label = self.expect("IDENT").value if self.at("IDENT") else anonymous_label(so_far)
+            label = self.expect("IDENT").value if self.at("IDENT") else unnamed
             self.expect("COLON")
             ctx = self.telescope()
             scope = tuple(x for x, _ in ctx)

@@ -281,46 +281,48 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
                 return False
             return True
 
-        # The table is empty and each watched equation applies name, so an
-        # instance waits on the latest cell that grounding it made a key for.
         try:
-            for eq in watched:
-                for env in context_instances(model, eq.ctx):
-                    late = ()
-                    inst = (ground(eq.kind.lhs, env), ground(eq.kind.rhs, env))
-                    watches[late].append(inst)
-        except (KeyError, ModelError):
-            return
-        # Iterative backtracking over the cells: tried[j] is the value of
-        # cell j, moved[j] the cells it moved watches to, undone in reverse.
-        n = len(keys)
-        tried = [-1] * n
-        moved: list[list[Instance]] = [[] for _ in keys]
-        j = 0
-        while j >= 0:
-            if j == n:
-                if not eqs or holds(eqs):
-                    funcs[name] = dict(table)  # the snapshot later levels and models share
-                    rec(s + 1)
-                    funcs[name] = table
-                j -= 1
-                continue
-            key = keys[j]
-            for r in reversed(moved[j]):
-                watches[r].pop()
-            moved[j].clear()
-            v = tried[j] + 1
-            if v == sizes[j]:
-                tried[j] = -1
-                table.pop(key, None)
-                j -= 1
-                continue
-            spend()
-            tried[j] = v
-            table[key] = v
-            if propagate(watches[key], moved[j]):
-                j += 1
-        del ground, value  # end their self-reference cycles: free the instances now
+            # The table is empty and each watched equation applies name, so an
+            # instance waits on the latest cell that grounding it made a key for.
+            try:
+                for eq in watched:
+                    for env in context_instances(model, eq.ctx):
+                        late = ()
+                        inst = (ground(eq.kind.lhs, env), ground(eq.kind.rhs, env))
+                        watches[late].append(inst)
+            except (KeyError, ModelError):
+                return
+            # Iterative backtracking over the cells: tried[j] is the value of
+            # cell j, moved[j] the cells it moved watches to, undone in reverse.
+            n = len(keys)
+            tried = [-1] * n
+            moved: list[list[Instance]] = [[] for _ in keys]
+            j = 0
+            while j >= 0:
+                if j == n:
+                    if not eqs or holds(eqs):
+                        funcs[name] = dict(table)  # the snapshot later levels and models share
+                        rec(s + 1)
+                        funcs[name] = table
+                    j -= 1
+                    continue
+                key = keys[j]
+                for r in reversed(moved[j]):
+                    watches[r].pop()
+                moved[j].clear()
+                v = tried[j] + 1
+                if v == sizes[j]:
+                    tried[j] = -1
+                    table.pop(key, None)
+                    j -= 1
+                    continue
+                spend()
+                tried[j] = v
+                table[key] = v
+                if propagate(watches[key], moved[j]):
+                    j += 1
+        finally:  # end their self-reference cycles on every exit: free the instances now
+            del ground, value
 
     def rec(s: int) -> None:
         if s == len(plan):
@@ -342,7 +344,10 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
                     rec(s + 1)
         tables.pop(d.name, None)
 
-    rec(0)
+    try:
+        rec(0)
+    finally:  # end the cycle through rec's own closure cell on every exit
+        del rec
 
 
 def reduct(model: Model, interp: Interpretation) -> Model:
@@ -351,7 +356,7 @@ def reduct(model: Model, interp: Interpretation) -> Model:
     Each source symbol's table is the evaluation of the symbol's image;
     equivalent interpretations induce identical reducts.
     """
-    imgs = interp.images()
+    imgs = interp.images
     out = Model(interp.src)
     for d in interp.src.decls:
         if d.is_symbol:

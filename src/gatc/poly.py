@@ -77,7 +77,7 @@ def poly_apply(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv
     """
     rules = rules if rules is not None else _default_rules(base)
     syms = set(base.symbol_names())
-    reserved = fresh_name("A0", {d.name for d in base.decls})
+    reserved = fresh_name("A0", base)
     decls: list[Declaration] = [type_sym(reserved)]
     hyp_var: dict[str, str] = {}
     for d in base.decls:

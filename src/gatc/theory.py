@@ -9,8 +9,8 @@ prefix; construct one through check_theory or extend.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
 from .expr import Ap, App, Expr, Var, mk_lam, mk_pi, rename_symbols, walk
@@ -119,27 +119,36 @@ class Declaration:
 Pretheory = Sequence[Declaration]
 
 
+def _name_index(decls: Sequence[Declaration]) -> dict[str, int]:
+    """Each declaration name's position: the one place an index is built."""
+    return {d.name: i for i, d in enumerate(decls)}
+
+
 @dataclass(frozen=True)
 class Theory:
-    """A certified pretheory.  The pi flag records the rule set used."""
+    """A certified pretheory; pi records the rule set used.  Its prefixes, extensions
+    and renamed copies share one name index: a name is visible iff its position < len(decls)."""
 
     name: str
     decls: tuple[Declaration, ...]
     pi: bool = False
+    _index: Optional[dict[str, int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {d.name: i for i, d in enumerate(self.decls)})
+        if self._index is None:
+            object.__setattr__(self, "_index", _name_index(self.decls))
 
     def has(self, name: str) -> bool:
-        return name in self._index
+        return self._index.get(name, len(self.decls)) < len(self.decls)
+
+    __contains__ = has
 
     def has_symbol(self, name: str) -> bool:
-        i = self._index.get(name)
-        return i is not None and self.decls[i].is_symbol
+        return self.has(name) and self.decls[self._index[name]].is_symbol
 
     def index(self, name: str) -> int:
-        i = self._index.get(name)
-        if i is None:
+        i = self._index.get(name, len(self.decls))
+        if i >= len(self.decls):
             raise UnknownSymbol(f"{name!r} is not declared in theory {self.name!r}")
         return i
 
@@ -157,7 +166,7 @@ class Theory:
 
     def prefix(self, n: int, name: Optional[str] = None) -> Theory:
         """The first n declarations; certified by prefix closure."""
-        return Theory(name or f"{self.name}_pfx{n}", self.decls[:n], self.pi)
+        return Theory(name or f"{self.name}_pfx{n}", self.decls[:n], self.pi, self._index)
 
     def rename(self, renaming: Mapping[str, str], name: Optional[str] = None) -> Theory:
         """Rename declarations and every symbol occurrence; shape-preserving."""
@@ -170,33 +179,42 @@ class Theory:
 from . import deriv as _deriv  # noqa: E402
 
 
-def _scan_references(prefix: Theory, d: Declaration, pending: set[str]) -> None:
+def _scan_references(prefix: Theory, d: Declaration, names: Container[str]) -> None:
+    """Reject an application of anything but a symbol of prefix; names are
+    the pretheory's, so one of them outside prefix is declared later."""
     for e in d.exprs():
         for t, _ in walk(e, App):  # preorder, so the first offender in the text is named
             h = t.head
             if prefix.has_symbol(h):
                 continue
-            if h == d.name or h in pending:
+            if prefix.has(h):
+                raise UnknownSymbol(f"{h!r} names an axiom and cannot be applied")
+            if h in names:
                 raise ForwardReference(
                     f"declaration {d.name!r} mentions {h!r} before it is declared"
                 )
-            if prefix.has(h):
-                raise UnknownSymbol(f"{h!r} names an axiom and cannot be applied")
             raise UnknownSymbol(f"{h!r} is not declared")
 
 
-def _check_decl(prefix: Theory, d: Declaration, pending: set[str], rules, fuel) -> Declaration:
-    """Certify one declaration over an already certified prefix: its
-    references, its context and what its judgment presupposes.  Errors
-    name the declaration; an omitted term-equation type comes back filled in."""
+def _extend(theory: Theory, d: Declaration, names: Container[str], rules, fuel) -> Theory:
+    """The one certify step: d's references, its context and what its
+    judgment presupposes, over the certified theory.  Errors name the
+    declaration; an omitted term-equation type comes back filled in."""
+    if theory.has(d.name):
+        raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
     try:
-        _scan_references(prefix, d, pending)
-        _deriv.check_context(prefix, d.ctx, rules, fuel)
+        _scan_references(theory, d, names)
+        _deriv.check_context(theory, d.ctx, rules, fuel)
         stmt = d.judgment()
-        filled = _deriv.presupposed(prefix, d.ctx, stmt, rules, fuel)
+        filled = _deriv.presupposed(theory, d.ctx, stmt, rules, fuel)
     except GatError as exc:
         raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
-    return d if filled is stmt else replace(d, kind=replace(d.kind, ty=filled.ty))
+    d = d if filled is stmt else replace(d, kind=replace(d.kind, ty=filled.ty))
+    n = len(theory.decls)
+    # an index that a longer theory already extends is rebuilt, not overwritten
+    index = theory._index if len(theory._index) == n else _name_index(theory.decls)
+    index[d.name] = n
+    return Theory(theory.name, theory.decls + (d,), theory.pi or rules.pi, index)
 
 
 def check_theory(
@@ -205,39 +223,25 @@ def check_theory(
     fuel=None,
     name: str = "theory",
 ) -> Theory:
-    """Certify a pretheory, checking declarations in order over their prefix."""
+    """Certify a pretheory: extend the empty theory by each declaration in turn."""
     rules = _deriv.BASE if rules is None else rules
     fuel = _deriv.DEFAULT_FUEL if fuel is None else fuel
-    seen: set[str] = set()
+    names: set[str] = set()
     for d in decls:
-        if d.name in seen:
+        if d.name in names:
             raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
-        seen.add(d.name)
-    certified: list[Declaration] = []
-    names = [d.name for d in decls]
-    for i, d in enumerate(decls):
-        prefix = Theory(name, tuple(certified), rules.pi)
-        certified.append(_check_decl(prefix, d, set(names[i:]), rules, fuel))
-    return Theory(name, tuple(certified), rules.pi)
+        names.add(d.name)
+    theory = Theory(name, (), rules.pi)
+    for d in decls:
+        theory = _extend(theory, d, names, rules, fuel)
+    return theory
 
 
 def extend(theory: Theory, d: Declaration, rules=None, fuel=None) -> Theory:
     """Append one declaration, checking only it."""
     rules = _deriv.BASE if rules is None else rules
     fuel = _deriv.DEFAULT_FUEL if fuel is None else fuel
-    if theory.has(d.name):
-        raise DuplicateName(f"declaration name {d.name!r} repeated")
-    d2 = _check_decl(theory, d, {d.name}, rules, fuel)
-    return Theory(theory.name, theory.decls + (d2,), theory.pi or rules.pi)
-
-
-def anonymous_label(decls: Pretheory) -> str:
-    """Next free auto label for an unnamed axiom."""
-    taken = {d.name for d in decls}
-    k = 1
-    while f"_{k}" in taken:
-        k += 1
-    return f"_{k}"
+    return _extend(theory, d, (d.name,), rules, fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +296,7 @@ def mk_El(n: int) -> Theory:
     base = mk_Ty(n)
     ctx = tuple((f"x{j}", _a(f"A{j}", *(_v(f"x{m}") for m in range(j)))) for j in range(n))
     el = term_sym(f"e{n}", ctx, _a(f"A{n}", *(_v(f"x{m}") for m in range(n))))
-    return extend(base, el).rename({}, name=f"El{n}")
+    return replace(extend(base, el), name=f"El{n}")
 
 
 def _theory_of_categories() -> Theory:
@@ -445,8 +449,7 @@ def _mltt_naturals() -> Theory:
 def stdlib() -> dict[str, Theory]:
     """The named example theories; every entry is certified at build time."""
     cat = _theory_of_categories()
-    catpt = extend(cat, term_sym("b", (), _a("Ob")))
-    catpt = Theory("CatPt", catpt.decls, catpt.pi)
+    catpt = replace(extend(cat, term_sym("b", (), _a("Ob"))), name="CatPt")
     out: dict[str, Theory] = {
         "Cat": cat,
         "Mon": _theory_of_monoids(),

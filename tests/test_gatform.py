@@ -144,6 +144,20 @@ def test_anonymous_axiom_labels():
     assert [d.name for d in tb.decls[2:]] == ["_1", "_2"]
 
 
+@pytest.mark.parametrize(
+    "first, labels",
+    [("_2", ["_2", "_1", "_3"]), ("_1", ["_1", "_2", "_3"]), ("_3", ["_3", "_1", "_2"])],
+)
+def test_unnamed_axioms_take_the_least_free_label(first, labels):
+    ax = "ax {}: (y : M) => u = y : M "
+    sf = parse(
+        "theory T { sym M : () => Type sym u : () => M "
+        + ax.format(first + " ") + ax.format("") + ax.format("") + "}"
+    )
+    [tb] = sf.theories()
+    assert [d.name for d in tb.decls[2:]] == labels
+
+
 def test_unicode_printing():
     t = LIB["STLC"]
     text = print_theory(t, unicode=True)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import random
@@ -522,3 +523,31 @@ def test_model_order_is_the_whole_table_product(make, bound):
     got = [m.key() for m in enumerate_models(t, bound)]
     assert got == [m.key() for m in whole_table_models(t, bound)]
     assert got
+
+
+def _cyclic_garbage(search) -> int:
+    """What gc.collect() frees after search runs with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            search()
+        except BudgetExceeded:
+            pass
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: count_models(LIB["Mon"], 2),
+        lambda: enumerate_models(LIB["Mon"], 2),
+        lambda: count_models(LIB["Cat"], 2, budget=500),  # exceeded inside a watched fill
+        lambda: count_models(LIB["Ty1"], 2, budget=3),  # exceeded in a whole-table choice
+    ],
+    ids=["count", "enumerate", "budget-in-fill", "budget-in-product"],
+)
+def test_search_leaves_no_cyclic_garbage(search):
+    assert _cyclic_garbage(search) == 0

@@ -1,7 +1,7 @@
 import pytest
 
 from gatc import deriv
-from gatc.errors import DuplicateName, ForwardReference, UnknownSymbol
+from gatc.errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
 from gatc.expr import App, Var
 from gatc.gatcat import check_interpretation, renaming_interpretation
 from gatc.theory import (
@@ -133,3 +133,69 @@ def test_term_axiom_type_elaborated():
     ]
     t = check_theory(decls)
     assert t.decl("_1").kind.ty == mon
+
+
+_A, _a = App("A"), App("a")
+_BASE = [type_sym("A"), term_sym("a", (), _A)]
+_ILL_TYPED_A = type_sym("A", (("x", App("Nowhere")),))
+
+# (prefix, offending declaration, later declarations, check_theory's error,
+# extend's error); an error is (class, message, exc.decl).  extend sees no
+# later declarations, so a name declared only later is unknown to it.
+CERTIFICATION_ERRORS = {
+    "self-reference": (
+        _BASE,
+        term_sym("c", (), App("c")),
+        [],
+        (ForwardReference, "in declaration 'c': declaration 'c' mentions 'c' before it is declared", "c"),
+        (ForwardReference, "in declaration 'c': declaration 'c' mentions 'c' before it is declared", "c"),
+    ),
+    "later-symbol": (
+        _BASE,
+        term_sym("c", (), App("B")),
+        [type_sym("B")],
+        (ForwardReference, "in declaration 'c': declaration 'c' mentions 'B' before it is declared", "c"),
+        (UnknownSymbol, "in declaration 'c': 'B' is not declared", "c"),
+    ),
+    "later-axiom": (
+        _BASE,
+        term_sym("c", (), App("e")),
+        [term_eq_ax("e", (), _a, _a, _A)],
+        (ForwardReference, "in declaration 'c': declaration 'c' mentions 'e' before it is declared", "c"),
+        (UnknownSymbol, "in declaration 'c': 'e' is not declared", "c"),
+    ),
+    "earlier-axiom-applied": (
+        _BASE + [term_eq_ax("e", (), _a, _a, _A)],
+        term_sym("c", (), App("e")),
+        [],
+        (UnknownSymbol, "in declaration 'c': 'e' names an axiom and cannot be applied", "c"),
+        (UnknownSymbol, "in declaration 'c': 'e' names an axiom and cannot be applied", "c"),
+    ),
+    "undeclared": (
+        _BASE,
+        term_sym("c", (), App("Nowhere")),
+        [],
+        (UnknownSymbol, "in declaration 'c': 'Nowhere' is not declared", "c"),
+        (UnknownSymbol, "in declaration 'c': 'Nowhere' is not declared", "c"),
+    ),
+    "duplicate-after-ill-typed": (
+        _BASE,
+        term_sym("c", (), App("A", (_a,))),
+        [_ILL_TYPED_A],
+        (DuplicateName, "declaration name 'A' repeated", "A"),
+        (DuplicateName, "declaration name 'A' repeated", "A"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFICATION_ERRORS))
+def test_certification_errors_are_pinned(case):
+    prefix, bad, later, in_check, in_extend = CERTIFICATION_ERRORS[case]
+    with pytest.raises(GatError) as got:
+        check_theory(prefix + [bad] + later)
+    assert (type(got.value), str(got.value), got.value.decl) == in_check
+    # extend meets the duplicate itself, ill-typed as it is, and reports it first
+    offending = later[0] if case == "duplicate-after-ill-typed" else bad
+    with pytest.raises(GatError) as got:
+        extend(check_theory(prefix), offending)
+    assert (type(got.value), str(got.value), got.value.decl) == in_extend
