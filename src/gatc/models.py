@@ -3,8 +3,10 @@
 A model assigns a finite carrier {0, ..., s-1} to every semantic
 instance of each dependent type symbol and an element to every instance
 of each term symbol; it is valid when every declaration's judgment holds
-at every instance of its context.  One evaluator reads both kinds of
-table for validate_model, the finder's whole-equation checks and reduct.
+at every instance of its context.  Each Theory object compiles its
+declarations once into one program of readers, which take a model's
+tables and a context instance as a tuple of values; validate_model, the
+finder and reduct read models only through it.
 Models are counted as labeled structures on canonical carriers, which
 makes counts well-defined and the colimit comparison bijections literal.
 The enumerator is the independent oracle for the colimit universal
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple, Optional
 
-from .deriv import HasType, IsType, Statement, TermEq, TypeEq
+from .deriv import HasType, IsType, TermEq, TypeEq
 from .errors import BudgetExceeded, ModelError
 from .expr import App, Expr, Var, walk
 from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout, identity
-from .theory import Declaration, TermEqKind, TermKind, Theory, TypeKind
+from .theory import Declaration, Theory
 
 Instance = tuple[int, ...]
 
@@ -50,87 +52,100 @@ class Model:
         return (cs, fs)
 
 
-def _plan(theory: Theory) -> list[tuple[Declaration, list[Declaration], list[Declaration]]]:
-    """The symbols in declaration order, each with the equations placed at it.
+Tables = dict[str, dict[Instance, int]]  # every symbol's table, by name
+
+
+def _reader(e: Expr, pos: dict[str, int]) -> Callable[[Tables, Instance], int]:
+    """e's value at an instance x of the telescope whose variables pos
+    numbers: an element, or the size of the carrier a type denotes
+    (carriers are initial segments, so a size determines one).  A flat
+    application reads its key straight from x.  KeyError if undefined."""
+    if e.__class__ is Var:
+        return lambda tables, x, i=pos[e.name]: x[i]
+    if all(a.__class__ is Var for a in e.args):
+        idx = [pos[a.name] for a in e.args]
+        if idx == list(range(len(idx))):
+            return lambda tables, x, h=e.head, n=len(idx): tables[h][x[:n]]
+    args = [_reader(a, pos) for a in e.args]
+    return lambda tables, x, h=e.head: tables[h][tuple([a(tables, x) for a in args])]
+
+
+def _instances(ctx) -> Callable[[Tables], list[Instance]]:
+    """A telescope's instances in lexicographic order, each the tuple of
+    its variables' values in telescope order."""
+    sizes = [
+        _reader(ty, {x: i for i, (x, _) in enumerate(ctx[:k])}) for k, (_, ty) in enumerate(ctx)
+    ]
+
+    def instances(tables: Tables) -> list[Instance]:
+        xs: list[Instance] = [()]
+        for size in sizes:
+            xs = [x + (v,) for x in xs for v in range(size(tables, x))]
+        return xs
+
+    return instances
+
+
+# One declaration, compiled: the instances of its context, whether its
+# judgment holds at one of them, and a term symbol's type (None for a
+# type symbol, whose table is a carrier).
+_Compiled = NamedTuple(
+    "_Compiled",
+    [
+        ("decl", Declaration),
+        ("instances", Callable[[Tables], list[Instance]]),
+        ("true_at", Callable[[Tables, Instance], bool]),
+        ("ty", Optional[Callable[[Tables, Instance], int]]),
+    ],
+)
+
+
+def _compiled(d: Declaration) -> _Compiled:
+    pos, instances = {x: i for i, x in enumerate(d.arity)}, _instances(d.ctx)
+    match d.judgment():
+        case IsType(ty):
+            a = _reader(ty, pos)
+            return _Compiled(d, instances, lambda t, x: a(t, x) >= 0, None)
+        case HasType(term, ty):
+            a, b = _reader(term, pos), _reader(ty, pos)
+            return _Compiled(d, instances, lambda t, x: 0 <= a(t, x) < b(t, x), b)
+        case TypeEq(lhs, rhs) | TermEq(lhs, rhs):
+            a, b = _reader(lhs, pos), _reader(rhs, pos)
+            return _Compiled(d, instances, lambda t, x: a(t, x) == b(t, x), None)
+
+
+def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Compiled]]]:
+    """theory's finite-model program, its plan: the symbols in declaration
+    order, compiled, each with the equations placed at it, compiled.
+    Theory._program builds it once per Theory object.
 
     One pass rejects binders and places every equation at the last
     symbol its sides or context types mention.  The equation is watched
     cell by cell when that symbol is a term symbol its context does not
     read; otherwise it is checked whole once the symbol's table is
-    complete.  Each entry is (symbol, watched, checked after).
+    complete.  Each plan entry is (symbol, watched, checked after).
     """
-    plan: list[tuple[Declaration, list[Declaration], list[Declaration]]] = []
+    plan: list[tuple[_Compiled, list[_Compiled], list[_Compiled]]] = []
     position: dict[str, int] = {}
     for d in theory.decls:
-        reads: set[str] = set()
-        mentions: set[str] = set()
-        for j, e in enumerate(d.exprs()):
-            for sub, _ in walk(e):
-                if sub.__class__ is App:
-                    if j < len(d.ctx):
-                        reads.add(sub.head)
-                    if j < len(d.ctx) + 2:  # a TermEqKind.ty is never evaluated
-                        mentions.add(sub.head)
-                elif sub.__class__ is not Var:
-                    raise ModelError(
-                        f"theory {theory.name!r} uses binders; finite models cover "
-                        "only binder-free theories"
-                    )
+        exprs = list(d.exprs())  # the context's types, then the kind's
+        if any(t.__class__ not in (App, Var) for e in exprs for t, _ in walk(e)):
+            raise ModelError(
+                f"theory {theory.name!r} uses binders; finite models cover "
+                "only binder-free theories"
+            )
+        reads = {t.head for e in exprs[: len(d.ctx)] for t, _ in walk(e, App)}
+        # a TermEqKind.ty, the third of its kind's expressions, is never evaluated
+        mentions = {t.head for e in exprs[: len(d.ctx) + 2] for t, _ in walk(e, App)}
+        c = _compiled(d)
         if d.is_symbol:
             position[d.name] = len(plan)
-            plan.append((d, [], []))
+            plan.append((c, [], []))
             continue
         sym, watched, after = plan[max(position[h] for h in mentions)]
-        watch = isinstance(d.kind, TermEqKind) and isinstance(sym.kind, TermKind)
-        (watched if watch and sym.name not in reads else after).append(d)
+        watch = isinstance(d.judgment(), TermEq) and sym.ty is not None
+        (watched if watch and sym.decl.name not in reads else after).append(c)
     return plan
-
-
-def evaluate(model: Model, env: dict[str, int], e: Expr) -> int:
-    """The element a term denotes at env, or the size of the carrier a
-    type denotes: carriers are initial segments, so a size determines one.
-    A head's table is looked up in funcs, then in carriers."""
-    if e.__class__ is Var:
-        return env[e.name]
-    if e.__class__ is not App:
-        raise ModelError("cannot evaluate a binder expression in a finite model")
-    table = model.funcs.get(e.head)
-    if table is None:
-        table = model.carriers.get(e.head)
-        if table is None:
-            raise ModelError(f"no table for {e.head!r}")
-    key = tuple([env[a.name] if a.__class__ is Var else evaluate(model, env, a) for a in e.args])
-    v = table.get(key)
-    if v is None:
-        raise ModelError(f"{e.head!r} undefined at {key}")
-    return v
-
-
-def context_instances(model: Model, ctx) -> list[dict[str, int]]:
-    """Environments for a telescope, in lexicographic element order.
-
-    Each environment binds the telescope's variables in telescope order.
-    """
-    envs: list[dict[str, int]] = [{}]
-    for x, ty in ctx:
-        envs = [{**env, x: v} for env in envs for v in range(evaluate(model, env, ty))]
-    return envs
-
-
-def _tables(model: Model, d: Declaration) -> dict[str, dict[Instance, int]]:
-    """Where symbol d's table lives: carriers for a type, funcs for a term."""
-    return model.carriers if isinstance(d.kind, TypeKind) else model.funcs
-
-
-def _true_at(model: Model, env: dict[str, int], j: Statement) -> bool:
-    """Whether a declaration's judgment holds at one context instance."""
-    match j:
-        case IsType(ty):
-            return evaluate(model, env, ty) >= 0
-        case HasType(term, ty):
-            return 0 <= evaluate(model, env, term) < evaluate(model, env, ty)
-        case TypeEq(lhs, rhs) | TermEq(lhs, rhs):
-            return evaluate(model, env, lhs) == evaluate(model, env, rhs)
 
 
 def validate_model(model: Model) -> None:
@@ -138,24 +153,25 @@ def validate_model(model: Model) -> None:
     its kind only and keyed by exactly its context's instances, and each
     declaration's judgment holds at each instance of its context: a size is
     at least 0, an element below its type's size, an equation's sides equal."""
-    decls = model.theory.decls
-    for d in decls:
-        if d.is_symbol and d.name not in _tables(model, d):
-            raise ModelError(f"missing table for {d.name!r}")
-    both = model.carriers.keys() & model.funcs.keys()
-    if both:
+    plan = model.theory._program
+    if both := model.carriers.keys() & model.funcs.keys():
         raise ModelError(f"{min(both)!r} has both a carrier and a function table")
-    stray = (model.carriers.keys() | model.funcs.keys()) - {d.name for d in decls if d.is_symbol}
-    if stray:
+    if stray := (model.carriers.keys() | model.funcs.keys()) - {c.decl.name for c, _, _ in plan}:
         raise ModelError(f"{min(stray)!r} is not a symbol of {model.theory.name!r}")
-    for d in decls:
-        envs = context_instances(model, d.ctx)
-        if d.is_symbol and _tables(model, d)[d.name].keys() != {tuple(e.values()) for e in envs}:
-            raise ModelError(f"{d.name!r} is not defined at exactly its context's instances")
-        j = d.judgment()
-        for env in envs:
-            if not _true_at(model, env, j):
-                raise ModelError(f"{d.name!r} fails at {env}")
+    tables = {**model.carriers, **model.funcs}
+    try:  # each symbol, then the equations placed at it: a table is checked before it is read
+        for c in itertools.chain.from_iterable((sym, *eqs, *after) for sym, eqs, after in plan):
+            d, xs = c.decl, c.instances(tables)
+            kind = model.carriers if c.ty is None else model.funcs
+            if d.is_symbol and (d.name not in kind or kind[d.name].keys() != set(xs)):
+                raise ModelError(
+                    f"{d.name!r} has no table of its kind keyed by exactly its context's instances"
+                )
+            for x in xs:
+                if not c.true_at(tables, x):
+                    raise ModelError(f"{d.name!r} fails at {dict(zip(d.arity, x))}")
+    except KeyError as exc:
+        raise ModelError(f"{c.decl.name!r} reads an undefined value at {exc}") from None
 
 
 def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> list[Model]:
@@ -194,8 +210,9 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         raise ModelError("carrier bound must be non-negative")
     if budget < 0:
         raise ModelError("node budget must be non-negative")
-    plan = _plan(theory)
+    plan = theory._program
     model = Model(theory)
+    tables: Tables = {}  # the tables of model, read by the compiled program
     nodes = 0
 
     def spend() -> None:
@@ -204,36 +221,35 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         if nodes > budget:
             raise BudgetExceeded(f"model search for {theory.name!r} exceeded {budget} nodes")
 
-    def holds(eqs: list[Declaration]) -> bool:
+    def holds(eqs: list[_Compiled]) -> bool:
         # An undefined value means some equation not yet checked fails in
         # every completion of this assignment, so it prunes like a failure.
         try:
-            envs = ((d, env) for d in eqs for env in context_instances(model, d.ctx))
-            return all(_true_at(model, env, d.judgment()) for d, env in envs)
-        except ModelError:
+            return all(c.true_at(tables, x) for c in eqs for x in c.instances(tables))
+        except KeyError:
             return False
 
     def fill(s: int, keys: list[Instance], sizes: list[int]) -> None:
-        d, watched, eqs = plan[s]
-        name = d.name
+        c, watched, eqs = plan[s]
+        name = c.decl.name
         funcs = model.funcs
         table: dict[Instance, int] = {}
-        funcs[name] = table
+        funcs[name] = tables[name] = table
         get = table.get
         watches: dict[Instance, list] = {key: [] for key in keys}
         late: Instance = ()  # the latest cell ground has made a key for
 
-        def ground(e: Expr, env: dict[str, int]):
-            """e at env with the complete tables read: an element, the key
-            of a cell of table, or [table of e's head, grounded arguments]
+        def ground(e: Expr, x: Instance):
+            """e at instance x with the complete tables read: an element, the
+            key of a cell of table, or [table of e's head, grounded arguments]
             for an application that waits on cells of table."""
             nonlocal late
             if e.__class__ is Var:
-                return env[e.name]
+                return x[pos[e.name]]
             args = []
             for a in e.args:
-                args.append(env[a.name] if a.__class__ is Var else ground(a, env))
-            tbl = funcs[e.head]
+                args.append(x[pos[a.name]] if a.__class__ is Var else ground(a, x))
+            tbl = tables[e.head]
             for a in args:
                 if a.__class__ is not int:
                     return [tbl, args]
@@ -286,11 +302,12 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
             # instance waits on the latest cell that grounding it made a key for.
             try:
                 for eq in watched:
-                    for env in context_instances(model, eq.ctx):
+                    pos = {v: i for i, v in enumerate(eq.decl.arity)}  # read by ground
+                    for x in eq.instances(tables):
                         late = ()
-                        inst = (ground(eq.kind.lhs, env), ground(eq.kind.rhs, env))
+                        inst = (ground(eq.decl.kind.lhs, x), ground(eq.decl.kind.rhs, x))
                         watches[late].append(inst)
-            except (KeyError, ModelError):
+            except KeyError:
                 return
             # Iterative backtracking over the cells: tried[j] is the value of
             # cell j, moved[j] the cells it moved watches to, undone in reverse.
@@ -301,9 +318,10 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
             while j >= 0:
                 if j == n:
                     if not eqs or holds(eqs):
-                        funcs[name] = dict(table)  # the snapshot later levels and models share
+                        # the snapshot later levels and models share
+                        funcs[name] = tables[name] = dict(table)
                         rec(s + 1)
-                        funcs[name] = table
+                        funcs[name] = tables[name] = table
                     j -= 1
                     continue
                 key = keys[j]
@@ -328,26 +346,42 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         if s == len(plan):
             leaf(model)
             return
-        d, watched, eqs = plan[s]
-        envs = context_instances(model, d.ctx)
-        keys = [tuple(env.values()) for env in envs]
-        tables = _tables(model, d)
-        carrier = tables is model.carriers
-        sizes = [bound + 1 if carrier else evaluate(model, env, d.kind.ty) for env in envs]
+        c, watched, eqs = plan[s]
+        # The tables this level sets stay behind when it returns: every
+        # check reads only symbols set before it, so none reads a stale one.
+        name, keys = c.decl.name, c.instances(tables)
         if watched:
-            fill(s, keys, sizes)
+            fill(s, keys, [c.ty(tables, x) for x in keys])
         else:
+            kind = model.carriers if c.ty is None else model.funcs
+            sizes = [bound + 1] * len(keys) if c.ty is None else [c.ty(tables, x) for x in keys]
             for values in itertools.product(*map(range, sizes)):
                 spend()
-                tables[d.name] = dict(zip(keys, values))
+                kind[name] = tables[name] = dict(zip(keys, values))
                 if not eqs or holds(eqs):
                     rec(s + 1)
-        tables.pop(d.name, None)
 
     try:
         rec(0)
     finally:  # end the cycle through rec's own closure cell on every exit
         del rec
+
+
+def _reducer(interp: Interpretation) -> Callable[[Model], Model]:
+    """reduct along interp, with each source symbol's image compiled once."""
+    images = [  # an image is over its symbol's own telescope
+        (c, _reader(interp.image(c.decl.name), {x: i for i, x in enumerate(c.decl.arity)}))
+        for c, _, _ in interp.src._program
+    ]
+
+    def reduce(model: Model) -> Model:
+        tables, out, got = {**model.carriers, **model.funcs}, Model(interp.src), {}
+        for c, image in images:  # got holds out's tables, read by the source telescopes
+            kind = out.carriers if c.ty is None else out.funcs
+            kind[c.decl.name] = got[c.decl.name] = {x: image(tables, x) for x in c.instances(got)}
+        return out
+
+    return reduce
 
 
 def reduct(model: Model, interp: Interpretation) -> Model:
@@ -356,16 +390,7 @@ def reduct(model: Model, interp: Interpretation) -> Model:
     Each source symbol's table is the evaluation of the symbol's image;
     equivalent interpretations induce identical reducts.
     """
-    imgs = interp.images
-    out = Model(interp.src)
-    for d in interp.src.decls:
-        if d.is_symbol:
-            params, body = imgs[d.name]
-            _tables(out, d)[d.name] = {
-                tuple(env.values()): evaluate(model, {p: env[p] for p in params}, body)
-                for env in context_instances(out, d.ctx)
-            }
-    return out
+    return _reducer(interp)(model)
 
 
 @dataclass
@@ -380,13 +405,10 @@ class DualityReport:
 def check_colimit_duality(construction, bound: int, budget: int = 2_000_000) -> DualityReport:
     """Verify the comparison map between colimit models and the limit of
     component model sets is a bijection at the given carrier bound."""
-    if isinstance(construction, Coproduct):
-        return _coproduct_duality(construction, bound, budget)
-    if isinstance(construction, Pushout):
-        return _pushout_duality(construction, bound, budget)
-    if isinstance(construction, Coequalizer):
-        return _coequalizer_duality(construction, bound, budget)
-    raise ModelError(f"unsupported construction: {construction!r}")
+    check = _DUALITY.get(type(construction))
+    if check is None:
+        raise ModelError(f"unsupported construction: {construction!r}")
+    return check(construction, bound, budget)
 
 
 def _bijection(construction: str, got: list, expected: set, components) -> DualityReport:
@@ -400,7 +422,8 @@ def _coproduct_duality(cp: Coproduct, bound: int, budget: int) -> DualityReport:
     ms = enumerate_models(cp.theory, bound, budget)
     m1 = enumerate_models(cp.left.src, bound, budget)
     m2 = enumerate_models(cp.right.src, bound, budget)
-    pairs = [(reduct(m, cp.left).key(), reduct(m, cp.right).key()) for m in ms]
+    left, right = _reducer(cp.left), _reducer(cp.right)
+    pairs = [(left(m).key(), right(m).key()) for m in ms]
     expected = {(a.key(), b.key()) for a in m1 for b in m2}
     return _bijection("coproduct", pairs, expected, (m1, m2))
 
@@ -411,20 +434,28 @@ def _pushout_duality(po: Pushout, bound: int, budget: int) -> DualityReport:
     ms = enumerate_models(po.theory, bound, budget)
     prime = enumerate_models(po.along.dst, bound, budget)
     total = enumerate_models(po.total, bound, budget)
-    incl = identity(po.sub).retarget(po.total)
+    incl, along, into_prime, into_total = map(
+        _reducer, (identity(po.sub).retarget(po.total), po.along, po.into_prime, po.into_total)
+    )
     over: dict = {}  # the total models over each model of the shared part
     for b in total:
-        over.setdefault(reduct(b, incl).key(), []).append(b.key())
-    expected = {(a.key(), b) for a in prime for b in over.get(reduct(a, po.along).key(), ())}
-    pairs = [(reduct(m, po.into_prime).key(), reduct(m, po.into_total).key()) for m in ms]
+        over.setdefault(incl(b).key(), []).append(b.key())
+    expected = {(a.key(), b) for a in prime for b in over.get(along(a).key(), ())}
+    pairs = [(into_prime(m).key(), into_total(m).key()) for m in ms]
     return _bijection("pushout", pairs, expected, (prime, total))
 
 
 def _coequalizer_duality(ce: Coequalizer, bound: int, budget: int) -> DualityReport:
     ms = enumerate_models(ce.theory, bound, budget)
     base = enumerate_models(ce.left.dst, bound, budget)
-    expected = {
-        m.key() for m in base if reduct(m, ce.left).key() == reduct(m, ce.right).key()
-    }
-    got = [reduct(m, ce.quotient).key() for m in ms]
+    left, right, quotient = map(_reducer, (ce.left, ce.right, ce.quotient))
+    expected = {m.key() for m in base if left(m).key() == right(m).key()}
+    got = [quotient(m).key() for m in ms]
     return _bijection("coequalizer", got, expected, (base,))
+
+
+_DUALITY = {
+    Coproduct: _coproduct_duality,
+    Pushout: _pushout_duality,
+    Coequalizer: _coequalizer_duality,
+}

@@ -174,6 +174,18 @@ class Theory:
         decls = tuple(d.map(fn, renaming.get(d.name, d.name)) for d in self.decls)
         return Theory(name or self.name, decls, self.pi)
 
+    @functools.cached_property
+    def _program(self):
+        """This object's finite-model program, compiled on first use.  It is
+        not a field, so equality, hash, repr and replace ignore it, and
+        __getstate__ leaves it, a structure of closures, out of a pickle."""
+        from .models import _compile  # models imports this module
+
+        return _compile(self)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_program"}
+
 
 # Imported after the data definitions: deriv needs them back.
 from . import deriv as _deriv  # noqa: E402

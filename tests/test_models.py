@@ -6,6 +6,8 @@ import random
 import pytest
 
 from conftest import MONOID_SIG, random_expr
+from model_oracle import context_instances, evaluate
+from model_oracle import evaluate as eval_term
 from gatc import deriv
 from gatc.errors import BudgetExceeded, ModelError
 from gatc.expr import App, Var
@@ -21,11 +23,8 @@ from gatc.gatcat import (
 from gatc.models import (
     Model,
     check_colimit_duality,
-    context_instances,
     count_models,
     enumerate_models,
-    evaluate,
-    evaluate as eval_term,
     reduct,
     validate_model,
 )
@@ -209,8 +208,8 @@ def test_validate_model_rejects_each_defect(defect):
 
 
 def test_validate_model_rejects_a_type_symbol_in_funcs():
-    # evaluate reads funcs first, so a well-sized Hom table there would
-    # hide the negative carrier from the judgments
+    # models are read with funcs over carriers, so a well-sized Hom table
+    # there would hide the negative carrier from the judgments
     m = hand_catpt_model()
     m.carriers["Hom"][(0, 0)] = -5
     m.funcs["Hom"] = {(0, 0): 2}
