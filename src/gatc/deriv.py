@@ -18,7 +18,6 @@ types that are provably apart.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -229,14 +228,14 @@ def _height(pat) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=1024)
 def _axiom_pattern(d: Declaration):
     """An equational axiom as (label, lhs, rhs, sides to match).
 
     A side is matched when it is not a bare variable and binds every
     variable of the other side; it comes with its head, its height and
-    the other side's pattern.  Cached: compiling costs more than a small
-    goal's whole search.
+    the other side's pattern.  Theory._axiom_patterns compiles each
+    theory's axioms once: compiling costs more than a small goal's whole
+    search.
     """
     lhs, rhs = _pattern(d.kind.lhs), _pattern(d.kind.rhs)
     sides = tuple(
@@ -528,11 +527,10 @@ def eq_check(
     """
     if lhs == rhs:
         return EqVerdict(True, ())
-    axioms = [_axiom_pattern(d) for d in theory.axioms()]
     g = _EGraph(fuel.max_eq_nodes)
     try:
         g.goal = (g.add(lhs), g.add(rhs))
-        reason = g.saturate(axioms, rules.pi, fuel.max_iterations)
+        reason = g.saturate(theory._axiom_patterns, rules.pi, fuel.max_iterations)
     except _Joined:
         return EqVerdict(True, tuple(g.steps))
     except _OutOfFuel:

@@ -476,7 +476,7 @@ def mon_to_catpt_variant() -> Interpretation:
 
 def corpus_interpretations() -> dict[str, Interpretation]:
     lib = stdlib()
-    out = {
+    return {
         "MonToCatPt": mon_to_catpt(),
         "MonToCatPtVariant": mon_to_catpt_variant(),
         "Ty0ToMon": Interpretation(lib["Ty0"], lib["Mon"], {"A0": App("Mon")}, "Ty0ToMon"),
@@ -485,4 +485,3 @@ def corpus_interpretations() -> dict[str, Interpretation]:
             lib["Cat"], lib["CatPt"], {d.name: d.name for d in lib["Cat"].decls}, "CatToCatPt"
         ),
     }
-    return out

@@ -458,10 +458,6 @@ def print_expr(e: Expr, unicode: bool = False, scope: Sequence[str] = ()) -> str
     return go(e, tuple(scope))
 
 
-def print_telescope(ctx, unicode: bool = False) -> str:
-    return ", ".join(f"{x} : {print_expr(ty, unicode)}" for x, ty in ctx)
-
-
 def _shadow_free(ctx, exprs):
     """Rename telescope variables that shadow symbols applied anywhere in
     the declaration, so lexical resolution reads the print back verbatim.
@@ -488,7 +484,7 @@ def _shadow_free(ctx, exprs):
 def print_decl(d: Declaration, unicode: bool = False) -> str:
     arrow = "⇒" if unicode else "=>"
     ctx, sub = _shadow_free(d.ctx, d.kind.exprs())
-    tele = f"({print_telescope(ctx, unicode)})"
+    tele = "(" + ", ".join(f"{x} : {print_expr(ty, unicode)}" for x, ty in ctx) + ")"
     # the kind with each expression replaced by its printed text
     k = d.kind.map(lambda e: print_expr(substitute(e, sub), unicode))
     if isinstance(k, TypeKind):

@@ -15,11 +15,16 @@ fills a function table one cell at a time when axioms can be checked on
 it cell by cell, and checks each such axiom instance, grounded once,
 when the latest cell it reads is set, after Zhang & Zhang's SEM (IJCAI
 1995) and McCune's Mace4 (2003); it breaks no symmetries, so counts stay
-those of labeled structures.
+those of labeled structures.  A search creates no reference cycles, and
+it relies on that: it runs with the cyclic garbage collector paused, so
+a cycle made during a search lives until the next collection after it.
+The switch is process-wide; a search in another thread at the same time
+only loses the speed-up.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -186,9 +191,10 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     evaluated again exactly when that cell is set, and it can turn false
     only then.  Values are tried in ascending order, so models come out
     in the order of the whole-table product.  The budget counts nodes:
-    one per whole table chosen and one per cell value tried.  The models
-    share every table that is the same in several of them, so they must
-    be treated as read-only.
+    one per whole table chosen and one per cell value tried.  It bounds
+    memory as well: a whole table's values are built only as far as the
+    budget can reach.  The models share every table that is the same in
+    several of them, so they must be treated as read-only.
     """
     out: list[Model] = []
     _search(
@@ -205,12 +211,22 @@ def count_models(theory: Theory, bound: int, budget: int = 2_000_000) -> int:
 
 
 def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], None]) -> None:
-    """The search of enumerate_models; leaf sees each model as it is completed."""
+    """The search of enumerate_models; leaf sees each model as it is completed.
+
+    It runs with the cyclic collector paused and restores the caller's
+    setting on every exit.  That is sound only because the search makes
+    no reference cycles: fill and this function end their closures' own
+    cycles, and tests check that a search leaves no cyclic garbage.
+    """
     if bound < 0:
         raise ModelError("carrier bound must be non-negative")
     if budget < 0:
         raise ModelError("node budget must be non-negative")
     plan = theory._program
+    # Carrier sizes range below top, as itertools.product builds every range
+    # in full first: a carrier reaches size v only after v nodes, so no size
+    # past the budget is reached, and elements range below carrier sizes.
+    top = min(bound, budget) + 1
     model = Model(theory)
     tables: Tables = {}  # the tables of model, read by the compiled program
     nodes = 0
@@ -354,17 +370,23 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
             fill(s, keys, [c.ty(tables, x) for x in keys])
         else:
             kind = model.carriers if c.ty is None else model.funcs
-            sizes = [bound + 1] * len(keys) if c.ty is None else [c.ty(tables, x) for x in keys]
+            sizes = [top] * len(keys) if c.ty is None else [c.ty(tables, x) for x in keys]
             for values in itertools.product(*map(range, sizes)):
                 spend()
                 kind[name] = tables[name] = dict(zip(keys, values))
                 if not eqs or holds(eqs):
                     rec(s + 1)
 
+    # A collection during the search would free nothing, only walk the
+    # growing heap of live models again and again: pause the collector.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         rec(0)
     finally:  # end the cycle through rec's own closure cell on every exit
         del rec
+        if enabled:
+            gc.enable()
 
 
 def _reducer(interp: Interpretation) -> Callable[[Model], Model]:

@@ -76,7 +76,7 @@ def poly_apply(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv
     a stability bug.
     """
     rules = rules if rules is not None else _default_rules(base)
-    syms = set(base.symbol_names())
+    syms = {d.name for d in base.symbols()}
     reserved = fresh_name("A0", base)
     decls: list[Declaration] = [type_sym(reserved)]
     hyp_var: dict[str, str] = {}
@@ -94,7 +94,7 @@ def poly_interp(i: Interpretation, psrc: PolyTheory, pdst: PolyTheory) -> Interp
     hypothesized over the prefixed variable."""
     if psrc.base.decls != i.src.decls or pdst.base.decls != i.dst.decls:
         raise GatError("families action applied to mismatched theories")
-    dst_syms = set(i.dst.symbol_names())
+    dst_syms = {d.name for d in i.dst.symbols()}
     mapping: dict[str, Expr] = {psrc.reserved: App(pdst.reserved)}
     for d in i.src.decls:
         if not d.is_symbol:

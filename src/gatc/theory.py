@@ -161,9 +161,6 @@ class Theory:
     def axioms(self) -> tuple[Declaration, ...]:
         return tuple(d for d in self.decls if d.is_axiom)
 
-    def symbol_names(self) -> tuple[str, ...]:
-        return tuple(d.name for d in self.decls if d.is_symbol)
-
     def prefix(self, n: int, name: Optional[str] = None) -> Theory:
         """The first n declarations; certified by prefix closure."""
         return Theory(name or f"{self.name}_pfx{n}", self.decls[:n], self.pi, self._index)
@@ -183,8 +180,13 @@ class Theory:
 
         return _compile(self)
 
+    @functools.cached_property
+    def _axiom_patterns(self) -> tuple:
+        """eq_check's compiled axioms, built once per object like _program."""
+        return tuple(_deriv._axiom_pattern(d) for d in self.axioms())
+
     def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k != "_program"}
+        return {k: v for k, v in vars(self).items() if k not in ("_program", "_axiom_patterns")}
 
 
 # Imported after the data definitions: deriv needs them back.
@@ -265,10 +267,6 @@ def _a(head: str, *args: Expr) -> App:
     return App(head, tuple(args))
 
 
-def _v(name: str) -> Var:
-    return Var(name)
-
-
 def type_sym(name: str, ctx=()) -> Declaration:
     return Declaration(name, tuple(ctx), TypeKind())
 
@@ -296,7 +294,7 @@ def mk_Ty(n: int) -> Theory:
     decls: list[Declaration] = []
     for i in range(n + 1):
         ctx = tuple(
-            (f"x{j}", _a(f"A{j}", *(_v(f"x{m}") for m in range(j)))) for j in range(i)
+            (f"x{j}", _a(f"A{j}", *(Var(f"x{m}") for m in range(j)))) for j in range(i)
         )
         decls.append(type_sym(f"A{i}", ctx))
     return check_theory(decls, name=f"Ty{n}")
@@ -306,8 +304,8 @@ def mk_Ty(n: int) -> Theory:
 def mk_El(n: int) -> Theory:
     """mk_Ty(n) plus a generic element of the top type."""
     base = mk_Ty(n)
-    ctx = tuple((f"x{j}", _a(f"A{j}", *(_v(f"x{m}") for m in range(j)))) for j in range(n))
-    el = term_sym(f"e{n}", ctx, _a(f"A{n}", *(_v(f"x{m}") for m in range(n))))
+    ctx = tuple((f"x{j}", _a(f"A{j}", *(Var(f"x{m}") for m in range(j)))) for j in range(n))
+    el = term_sym(f"e{n}", ctx, _a(f"A{n}", *(Var(f"x{m}") for m in range(n))))
     return replace(extend(base, el), name=f"El{n}")
 
 
@@ -315,12 +313,12 @@ def _theory_of_categories() -> Theory:
     ob = _a("Ob")
     hom = lambda a, b: _a("Hom", a, b)  # noqa: E731
     comp = lambda *args: _a("comp", *args)  # noqa: E731
-    x1, x2, x3, x4 = _v("x1"), _v("x2"), _v("x3"), _v("x4")
-    y, y1, y2, y3 = _v("y"), _v("y1"), _v("y2"), _v("y3")
+    x1, x2, x3, x4 = Var("x1"), Var("x2"), Var("x3"), Var("x4")
+    y, y1, y2, y3 = Var("y"), Var("y1"), Var("y2"), Var("y3")
     decls = [
         type_sym("Ob"),
         type_sym("Hom", (("x1", ob), ("x2", ob))),
-        term_sym("id", (("x", ob),), hom(_v("x"), _v("x"))),
+        term_sym("id", (("x", ob),), hom(Var("x"), Var("x"))),
         term_sym(
             "comp",
             (
@@ -369,7 +367,7 @@ def _theory_of_monoids() -> Theory:
     mon = _a("Mon")
     u = _a("u")
     mul = lambda a, b: _a("mul", a, b)  # noqa: E731
-    y, y1, y2, y3 = _v("y"), _v("y1"), _v("y2"), _v("y3")
+    y, y1, y2, y3 = Var("y"), Var("y1"), Var("y2"), Var("y3")
     decls = [
         type_sym("Mon"),
         term_sym("u", (), mon),
@@ -390,7 +388,7 @@ def _theory_of_monoids() -> Theory:
 def _simply_typed_lambda() -> Theory:
     ty = _a("Ty")
     el = lambda t: _a("El", t)  # noqa: E731
-    a, b, f, x = _v("a"), _v("b"), _v("f"), _v("x")
+    a, b, f, x = Var("a"), Var("b"), Var("f"), Var("x")
     arrow = mk_pi("x", el(a), el(b))
     decls = [
         type_sym("Ty"),
@@ -423,13 +421,13 @@ def _simply_typed_lambda() -> Theory:
 def _mltt_naturals() -> Theory:
     ty = _a("Ty")
     el = lambda t: _a("El", t)  # noqa: E731
-    n, c, c0, cs = _v("n"), _v("C"), _v("c0"), _v("cs")
+    n, c, c0, cs = Var("n"), Var("C"), Var("c0"), Var("cs")
     nat = _a("N")
     motive = mk_pi("x", el(nat), ty)
     step = mk_pi(
         "x",
         el(nat),
-        mk_pi("y", el(Ap(c, _v("x"))), el(Ap(c, _a("succ", _v("x"))))),
+        mk_pi("y", el(Ap(c, Var("x"))), el(Ap(c, _a("succ", Var("x"))))),
     )
     rec_ctx = (("n", el(nat)), ("C", motive), ("c0", el(Ap(c, _a("zero")))), ("cs", step))
     decls = [

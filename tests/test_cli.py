@@ -292,6 +292,15 @@ def test_models_budget_exceeded_is_inconclusive():
     assert item["detail"].startswith("BudgetExceeded: ")
 
 
+def test_models_budget_bounds_a_bound_too_large_to_build():
+    argv = ["models", "--theory", "Mon", "--max-size", "9" * 20, "--budget", "5", "--json"]
+    code, out = run(argv)  # a traceback would propagate out of main
+    assert code == 2
+    (item,) = json.loads(out)["items"]
+    assert item["verdict"] == "Inconclusive"
+    assert item["detail"] == "BudgetExceeded: model search for 'Mon' exceeded 5 nodes"
+
+
 def test_models_negative_budget_rejected():
     code, out = run(["models", "--theory", "Ty0", "--max-size", "1", "--budget", "-5", "--json"])
     assert code == 1

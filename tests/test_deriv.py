@@ -336,7 +336,7 @@ def test_stability_under_hypothesizing():
     for t, j in corpus_judgments():
         assert check_judgment(t, j).ok
         p = poly.poly_apply(t)
-        syms = set(t.symbol_names())
+        syms = {d.name for d in t.symbols()}
         hv = "h0"
         ctx2 = ((hv, App(p.reserved)),) + tuple((x, hypothesize(ty, hv, syms)) for x, ty in j.ctx)
         stmt = j.stmt

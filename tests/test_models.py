@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +23,7 @@ from gatc.gatcat import (
 )
 from gatc.models import (
     Model,
+    _search,
     check_colimit_duality,
     count_models,
     enumerate_models,
@@ -524,6 +526,21 @@ def test_model_order_is_the_whole_table_product(make, bound):
     assert got
 
 
+class _LeafError(Exception):
+    pass
+
+
+def _raise_at(n: int):
+    """A search leaf that raises _LeafError at the n-th model (from 0)."""
+    seen = itertools.count()
+
+    def leaf(_):
+        if next(seen) == n:
+            raise _LeafError
+
+    return leaf
+
+
 def _cyclic_garbage(search) -> int:
     """What gc.collect() frees after search runs with the collector off."""
     gc.collect()
@@ -531,22 +548,69 @@ def _cyclic_garbage(search) -> int:
     try:
         try:
             search()
-        except BudgetExceeded:
+        except (BudgetExceeded, _LeafError):
             pass
         return gc.collect()
     finally:
         gc.enable()
 
 
-@pytest.mark.parametrize(
-    "search",
-    [
-        lambda: count_models(LIB["Mon"], 2),
-        lambda: enumerate_models(LIB["Mon"], 2),
-        lambda: count_models(LIB["Cat"], 2, budget=500),  # exceeded inside a watched fill
-        lambda: count_models(LIB["Ty1"], 2, budget=3),  # exceeded in a whole-table choice
-    ],
-    ids=["count", "enumerate", "budget-in-fill", "budget-in-product"],
-)
+# Every exit of a search: a complete one, the budget running out in each
+# kind of level, and a leaf that raises inside a watched fill.
+SEARCH_EXITS = {
+    "count": lambda: count_models(LIB["Mon"], 2),
+    "enumerate": lambda: enumerate_models(LIB["Mon"], 2),
+    "enumerate-Ty3": lambda: enumerate_models(LIB["Ty3"], 2),
+    "count-Cat": lambda: count_models(LIB["Cat"], 2),
+    "budget-in-fill": lambda: count_models(LIB["Cat"], 2, budget=500),
+    "budget-in-product": lambda: count_models(LIB["Ty1"], 2, budget=3),
+    "leaf-raises": lambda: _search(LIB["Cat"], 2, 2_000_000, _raise_at(100)),
+}
+
+
+@pytest.mark.parametrize("search", SEARCH_EXITS.values(), ids=SEARCH_EXITS.keys())
 def test_search_leaves_no_cyclic_garbage(search):
+    # the collector is paused during a search, which is sound only while
+    # a search makes no reference cycles
     assert _cyclic_garbage(search) == 0
+
+
+def test_search_runs_with_the_collector_paused():
+    assert gc.isenabled()
+    seen = []
+    _search(LIB["Mon"], 3, 2_000_000, lambda _: seen.append(gc.isenabled()))
+    assert len(seen) == 38 and not any(seen)
+
+
+@pytest.mark.parametrize("search", SEARCH_EXITS.values(), ids=SEARCH_EXITS.keys())
+def test_search_restores_the_collector_on_every_exit(search):
+    assert gc.isenabled()
+    try:
+        search()
+    except (BudgetExceeded, _LeafError):
+        pass
+    assert gc.isenabled()
+
+
+def test_search_leaves_a_paused_collector_paused():
+    gc.disable()
+    try:
+        assert count_models(LIB["Mon"], 2) == 5
+        with pytest.raises(BudgetExceeded):
+            count_models(LIB["Cat"], 2, budget=500)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_budget_bounds_memory_of_a_huge_carrier_bound():
+    mon = LIB["Mon"]
+    mon._program  # compiled outside the measured search
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            count_models(mon, 10**6, budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -2,16 +2,17 @@
 searches, validations and reducts reuse it, every new object (a prefix,
 an extension, a renamed copy) compiles its own, a failed compile leaves
 nothing behind, and the memo changes neither a theory's equality, hash,
-repr nor its pickle."""
+repr nor its pickle.  The equality engine's axiom patterns follow the
+same rules."""
 
 import pickle
 from dataclasses import replace
 
 import pytest
 
-from gatc import models
+from gatc import deriv, models
 from gatc.errors import ModelError
-from gatc.expr import App
+from gatc.expr import App, Var
 from gatc.gatcat import coproduct, identity
 from gatc.models import (
     check_colimit_duality,
@@ -102,9 +103,49 @@ def test_the_memo_is_invisible_to_equality_hash_repr_and_pickle():
     cat = _fresh("CatPt")
     before = (pickle.dumps(cat), hash(cat), repr(cat))
     n = len(enumerate_models(cat, 1))
-    assert "_program" in vars(cat)
+    assert _proves_unit_law(cat)
+    assert {"_program", "_axiom_patterns"} <= vars(cat).keys()
     assert (pickle.dumps(cat), hash(cat), repr(cat)) == before
     back = pickle.loads(pickle.dumps(cat))
     assert back == cat == LIB["CatPt"]
-    assert "_program" not in vars(back)
+    assert not {"_program", "_axiom_patterns"} & vars(back).keys()
     assert len(enumerate_models(back, 1)) == n
+    assert _proves_unit_law(back)
+
+
+def _proves_unit_law(t: Theory) -> bool:
+    """f ; id(y) = f, an axiom of Cat, of CatPt and of their prefixes
+    with the associativity law left out."""
+    x, y, f = Var("x"), Var("y"), Var("f")
+    ctx = (("x", App("Ob")), ("y", App("Ob")), ("f", App("Hom", (x, y))))
+    lhs = App("comp", (x, y, y, f, App("id", (y,))))
+    return deriv.eq_check(t, ctx, lhs, f).proved
+
+
+@pytest.fixture
+def pattern_builds(monkeypatch):
+    """The axioms compiled to patterns so far, in order."""
+    built = []
+    original = deriv._axiom_pattern
+
+    def counting(d):
+        built.append(d.name)
+        return original(d)
+
+    monkeypatch.setattr(deriv, "_axiom_pattern", counting)
+    return built
+
+
+def test_axiom_patterns_are_compiled_once_per_object(pattern_builds):
+    cat = _fresh("Cat")
+    axioms = [d.name for d in cat.axioms()]
+    for _ in range(20):
+        assert _proves_unit_law(cat)
+    assert pattern_builds == axioms
+    pre = cat.prefix(len(cat.decls) - 1)
+    ext = extend(cat, term_sym("o", (), App("Ob")))
+    renamed = replace(cat, name="Cat2")
+    for t in (pre, ext, renamed):
+        for _ in range(3):
+            assert _proves_unit_law(t)
+    assert pattern_builds == axioms + axioms[:-1] + axioms + axioms
