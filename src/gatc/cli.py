@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import deriv, gatcat, gatform, models, poly, theory
 from .deriv import AxiomStep, BetaStep, CongStep, EqVerdict, EtaStep, Fuel
-from .errors import BudgetExceeded, GatError, GatSyntaxError, InconclusiveEquality, NotATerm
+from .errors import BudgetExceeded, GatError, GatSyntaxError, InconclusiveEquality, NotAType, NotATerm
 from .gatcat import Interpretation
 from .theory import Theory
 
@@ -212,11 +212,16 @@ def cmd_eq(args, env, report, rules, fuel) -> None:
     lhs = gatform.parse_expr(args.lhs, scope)
     rhs = gatform.parse_expr(args.rhs, scope)
     deriv.check_context(t, ctx, rules, fuel)
-    for side in (lhs, rhs):
+    # A goal is a term equation unless its left side is not a term; then
+    # it is a type equation, and the term equation's error stands when it
+    # is not one either.
+    try:
+        deriv.presupposed(t, ctx, deriv.TermEq(lhs, rhs), rules, fuel)
+    except NotATerm as not_a_term:
         try:
-            deriv.infer_type(t, ctx, side, rules, fuel)
-        except NotATerm:
-            deriv.check_is_type(t, ctx, side, rules, fuel)
+            deriv.presupposed(t, ctx, deriv.TypeEq(lhs, rhs), rules, fuel)
+        except NotAType:
+            raise not_a_term from None
     v = deriv.eq_check(t, ctx, lhs, rhs, rules, fuel)
     item = Item(
         "eq",
@@ -274,33 +279,31 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     lib = theory.stdlib()
     ty0, el0, mon = lib["Ty0"], lib["El0"], lib["Mon"]
     prod = poly.product_with_ty0(mon, fuel)
-    pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")}, "pr2")
     el0_leg = Interpretation(ty0, el0, {"A0": gatform.parse_expr("A0")}, "element-of")
-    instances = [
-        ("Ty0-id", ty0, gatcat.identity(ty0)),
-        ("MonxTy0-pr2", prod.theory, pr2),
-        ("El0-leg", el0, el0_leg),
-    ]
-    for label, base, leg in instances:
-        try:
-            unit = poly.derive_unit(base, leg, rules, fuel)
-            for r in poly.check_unit_laws(unit, rules, fuel):
-                report.items.append(_law_item(replace(r, name=f"{r.name}[{label}]")))
-        except GatError as exc:
-            report.items.append(_error_item(f"unit[{label}]", exc))
+    # Each unit is derived once and read by its laws, the round trips and
+    # the triangles; a unit that cannot be built fails the command.  The
+    # laws and triangles report a GatError as a Failed item themselves.
+    units = {
+        label: poly.derive_unit(leg.dst, leg, rules, fuel)
+        for label, leg in (
+            ("Ty0-id", gatcat.identity(ty0)),
+            ("MonxTy0-pr2", poly.product_leg(prod)),
+            ("El0-leg", el0_leg),
+        )
+    }
+    for label, unit in units.items():
+        for r in poly.check_unit_laws(unit, rules, fuel):
+            report.items.append(_law_item(replace(r, name=f"{r.name}[{label}]")))
     try:
-        rw = poly.recover_weakening(mon, rules, fuel)
+        rw = poly.recover_weakening(prod, units["MonxTy0-pr2"], rules, fuel)
         report.items.append(Item("recover-wk[Mon]", "Proved" if rw.proved else "Inconclusive"))
-        rp = poly.recover_projection(rules, fuel)
+        rp = poly.recover_projection(units["Ty0-id"], rules, fuel)
         report.items.append(Item("recover-proj", "Proved" if rp.proved else "Inconclusive"))
     except GatError as exc:
         report.items.append(_error_item("recover", exc))
-    for label, base, leg in instances:
-        try:
-            for r in poly.check_triangles(base, base, leg, rules, fuel):
-                report.items.append(_law_item(r))
-        except GatError as exc:
-            report.items.append(_error_item(f"triangles[{label}]", exc))
+    for unit in units.values():
+        for r in poly.check_triangles(unit.base, unit, rules, fuel):
+            report.items.append(_law_item(r))
 
 
 def cmd_pi_square(args, env, report, rules, fuel) -> None:

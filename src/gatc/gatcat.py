@@ -16,17 +16,15 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import deriv
-from .deriv import EqVerdict, Fuel, Judgment, RuleSet
+from .deriv import EqVerdict, Fuel, HasType, IsType, Judgment, RuleSet, TermEq, TypeEq
 from .errors import GatError, UnknownSymbol
 from .gatform_names import safe_name
 from .expr import App, Expr, Var, fresh_name, rename_symbols, substitute, translate
 from .theory import (
     Declaration,
     TermEqKind,
-    TermKind,
     Theory,
     TypeEqKind,
-    TypeKind,
     check_theory,
     extend,
     mk_El,
@@ -234,10 +232,11 @@ def coequalizer(
         if not d.is_symbol:
             continue
         ctx2 = i1.apply_ctx(d.ctx)
-        if isinstance(d.kind, TypeKind):
-            kind = TypeEqKind(i1.image(d.name), i2.image(d.name))
-        else:
-            kind = TermEqKind(i1.image(d.name), i2.image(d.name), i1.apply(d.kind.ty))
+        match d.judgment():
+            case IsType():
+                kind = TypeEqKind(i1.image(d.name), i2.image(d.name))
+            case HasType(_, ty):
+                kind = TermEqKind(i1.image(d.name), i2.image(d.name), i1.apply(ty))
         label = fresh_name(f"eq_{d.name}", current)
         current = extend(current, Declaration(label, ctx2, kind), rules, fuel)
     out = replace(current, name=name or safe_name(f"coeq_{i1.dst.name}"))
@@ -370,21 +369,21 @@ def limit_presentation(theory: Theory) -> list[LimitClause]:
     for i, d in enumerate(theory.decls):
         prefix = theory.prefix(i)
         n = len(d.ctx)
-        k = d.kind
-        if isinstance(k, TypeKind):
-            tower = mk_Ty(n - 1) if n > 0 else terminal_theory()
-            out.append(LimitClause("type-symbol", n, d.name, (_classifier(prefix, d, None, tower),)))
-        elif isinstance(k, TermKind):
-            f = _classifier(prefix, d, k.ty, mk_Ty(n))
-            out.append(LimitClause("term-symbol", n, d.name, (f,)))
-        elif isinstance(k, TypeEqKind):
-            f = _classifier(prefix, d, k.lhs, mk_Ty(n))
-            g = _classifier(prefix, d, k.rhs, mk_Ty(n))
-            out.append(LimitClause("type-eq", n, d.name, (f, g)))
-        else:
-            f = _classifier(prefix, d, k.ty, mk_El(n), k.lhs)
-            g = _classifier(prefix, d, k.ty, mk_El(n), k.rhs)
-            out.append(LimitClause("term-eq", n, d.name, (f, g)))
+        match d.judgment():
+            case IsType():
+                tower = mk_Ty(n - 1) if n > 0 else terminal_theory()
+                out.append(LimitClause("type-symbol", n, d.name, (_classifier(prefix, d, None, tower),)))
+            case HasType(_, ty):
+                f = _classifier(prefix, d, ty, mk_Ty(n))
+                out.append(LimitClause("term-symbol", n, d.name, (f,)))
+            case TypeEq(lhs, rhs):
+                f = _classifier(prefix, d, lhs, mk_Ty(n))
+                g = _classifier(prefix, d, rhs, mk_Ty(n))
+                out.append(LimitClause("type-eq", n, d.name, (f, g)))
+            case TermEq(lhs, rhs, ty):
+                f = _classifier(prefix, d, ty, mk_El(n), lhs)
+                g = _classifier(prefix, d, ty, mk_El(n), rhs)
+                out.append(LimitClause("term-eq", n, d.name, (f, g)))
     return out
 
 

@@ -110,10 +110,10 @@ def test_criterion_5_unit_and_triangles():
         unit = poly.derive_unit(base, leg)
         for law in poly.check_unit_laws(unit):
             ok = ok and law.verdict == "Proved"
-    ok = ok and poly.recover_weakening(mon).proved
-    ok = ok and poly.recover_projection().proved
+    ok = ok and poly.recover_weakening(prod, poly.derive_unit(prod.theory, pr2)).proved
+    ok = ok and poly.recover_projection(poly.derive_unit(ty0, identity(ty0))).proved
     for base, leg in instances:
-        for law in poly.check_triangles(base, base, leg):
+        for law in poly.check_triangles(base, poly.derive_unit(base, leg)):
             ok = ok and law.verdict == "Proved"
     report(5, "unit laws and triangle identities", ok)
 

@@ -217,6 +217,21 @@ def test_eq_command_inconclusive_exit_two():
     assert "Inconclusive" in out
 
 
+def test_eq_term_equated_with_type_is_an_error_as_in_check(tmp_path):
+    # a term equated with a type is ill-formed, not an undecided goal
+    src = tmp_path / "goal.gat"
+    src.write_text("judgment bad over Mon { () |- u = Mon : Mon }\n", encoding="utf-8")
+    code, out = run(["check", str(src)])
+    assert code == 1
+    assert "NotATerm" in out
+    for lhs, rhs in (("u", "Mon"), ("Mon", "u")):
+        code, out = run(["eq", "--theory", "Mon", "--lhs", lhs, "--rhs", rhs])
+        assert code == 1, out
+        assert "eq: error  (NotATerm: 'Mon' is a type symbol, not a term symbol)" in out
+    code, out = run(["eq", "--theory", "Mon", "--lhs", "Mon", "--rhs", "Mon"])
+    assert code == 0, out
+
+
 MON_WITH_FAMILY = """
 theory MonP {
   sym Mon : () => Type

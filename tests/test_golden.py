@@ -5,7 +5,9 @@ three colimit constructions are printed from declarations alone; no
 proof search shapes them, so a change to the equality engine must leave
 these bytes unchanged.  Proof traces are deliberately not pinned here.
 The model lists of a few finite-model searches are pinned in order, so a
-change to the search strategy must leave them unchanged too.
+change to the search strategy must leave them unchanged too.  The
+verdict reports of the polynomial verifiers (verify-poly, unit-triangles
+and pi-square) are pinned without their traces.
 
 After a deliberate change to one of these outputs, rewrite the data with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -56,6 +58,12 @@ CASES = {
         for n, k in MODELS
     },
     "models_MonP_2": ["models", MODELS_GAT, "--theory", "MonP", "--max-size", "2", "--json"],
+    "verify_poly": ["verify-poly", "--json"],
+    "verify_poly_samples": [
+        "verify-poly", "--samples", "terminal,Ty0,El0,Mon,Cat,CatPt,Ty1,El1", "--json",
+    ],
+    "unit_triangles": ["unit-triangles", "--json"],
+    "pi_square": ["pi-square", "--rules", "pi", "--json"],
 }
 
 

@@ -41,4 +41,4 @@ def kind_dispatch() -> list[tuple[str, str]]:
 
 def test_kind_dispatch_does_not_grow():
     calls = kind_dispatch()
-    assert (len(calls), len(set(calls))) == (16, 9), sorted(set(calls))
+    assert (len(calls), len(set(calls))) == (12, 7), sorted(set(calls))

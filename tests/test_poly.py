@@ -21,6 +21,7 @@ from gatc.poly import (
     point_symbol,
     poly_apply,
     poly_interp,
+    product_leg,
     product_with_ty0,
     projection_interp,
     recover_projection,
@@ -270,21 +271,23 @@ def test_unit_laws_on_three_legs():
 
 
 def test_unit_recovery_round_trips():
-    assert recover_weakening(LIB["Mon"]).proved
-    assert recover_projection().proved
+    prod = product_with_ty0(LIB["Mon"])
+    assert recover_weakening(prod, derive_unit(prod.theory, product_leg(prod))).proved
+    ty0 = LIB["Ty0"]
+    assert recover_projection(derive_unit(ty0, identity(ty0))).proved
 
 
 def test_triangle_identities():
     ty0, mon = LIB["Ty0"], LIB["Mon"]
-    for r in check_triangles(ty0, ty0, identity(ty0)):
+    for r in check_triangles(ty0, derive_unit(ty0, identity(ty0))):
         assert r.verdict == "Proved", r.name
         assert r.axiom_instances == 0
     prod = product_with_ty0(mon)
     pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")})
-    for r in check_triangles(mon, prod.theory, pr2):
+    for r in check_triangles(mon, derive_unit(prod.theory, pr2)):
         assert r.verdict == "Proved", r.name
     el0_leg = Interpretation(ty0, LIB["El0"], {"A0": App("A0")})
-    for r in check_triangles(LIB["El0"], LIB["El0"], el0_leg):
+    for r in check_triangles(LIB["El0"], derive_unit(LIB["El0"], el0_leg)):
         assert r.verdict == "Proved", r.name
 
 
