@@ -234,7 +234,7 @@ def cmd_eq(args, env, report, rules, fuel) -> None:
 
 
 def cmd_coprod(args, env, report, rules, fuel) -> None:
-    cp = gatcat.coproduct(env.theory(args.left), env.theory(args.right), fuel=fuel)
+    cp = gatcat.coproduct(env.theory(args.left), env.theory(args.right))
     report.items.append(Item(f"coproduct {args.left}+{args.right}", "ok"))
     report.payload["theory"] = gatform.print_theory(cp.theory, args.unicode)
 
@@ -278,13 +278,14 @@ def cmd_verify_poly(args, env, report, rules, fuel) -> None:
 def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     lib = theory.stdlib()
     ty0, el0, mon = lib["Ty0"], lib["El0"], lib["Mon"]
-    prod = poly.product_with_ty0(mon, fuel)
+    prod = poly.product_with_ty0(mon)
     el0_leg = Interpretation(ty0, el0, {"A0": gatform.parse_expr("A0")}, "element-of")
+    pel0 = poly.poly_apply(el0, rules, fuel)
     # Each unit is derived once and read by its laws, the round trips and
     # the triangles; a unit that cannot be built fails the command.  The
     # laws and triangles report a GatError as a Failed item themselves.
     units = {
-        label: poly.derive_unit(leg.dst, leg, rules, fuel)
+        label: poly.derive_unit(leg.dst, leg, pel0, rules, fuel)
         for label, leg in (
             ("Ty0-id", gatcat.identity(ty0)),
             ("MonxTy0-pr2", poly.product_leg(prod)),
@@ -302,7 +303,7 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     except GatError as exc:
         report.items.append(_error_item("recover", exc))
     for unit in units.values():
-        for r in poly.check_triangles(unit.base, unit, rules, fuel):
+        for r in poly.check_triangles(unit.poly_base, unit, rules, fuel):
             report.items.append(_law_item(r))
 
 

@@ -232,7 +232,8 @@ def _axiom_pattern(d: Declaration):
     """An equational axiom as (label, lhs, rhs, sides to match).
 
     A side is matched when it is not a bare variable and binds every
-    variable of the other side; it comes with its head, its height and
+    variable of the axiom's context, so each instance substitutes a term
+    for every context variable; it comes with its head, its height and
     the other side's pattern.  Theory._axiom_patterns compiles each
     theory's axioms once: compiling costs more than a small goal's whole
     search.
@@ -240,8 +241,8 @@ def _axiom_pattern(d: Declaration):
     lhs, rhs = _pattern(d.kind.lhs), _pattern(d.kind.rhs)
     sides = tuple(
         (p, p[0] if type(p) is tuple else type(p), _height(p), q)
-        for side, other, p, q in ((d.kind.lhs, d.kind.rhs, lhs, rhs), (d.kind.rhs, d.kind.lhs, rhs, lhs))
-        if not isinstance(side, Var) and set(free_vars(other)) <= set(free_vars(side))
+        for side, p, q in ((d.kind.lhs, lhs, rhs), (d.kind.rhs, rhs, lhs))
+        if not isinstance(side, Var) and set(d.arity) <= set(free_vars(side))
     )
     return d.name, lhs, rhs, sides
 
@@ -544,7 +545,8 @@ def replay_eq_trace(
     """Independently validate a Proved trace step by step.
 
     Re-derives each step from scratch: axiom steps are re-instantiated
-    from the named axiom, congruence steps need equal heads and
+    from the named axiom under a substitution of every one of its context
+    variables, congruence steps need equal heads and
     pairwise-merged children, beta/eta steps are recomputed.  Returns
     True when every step validates and the goal ends up merged.
     """
@@ -564,38 +566,30 @@ def replay_eq_trace(
         return a == b or find(a) == find(b)
 
     for st in steps:
-        if isinstance(st, AxiomStep):
-            try:
-                d = theory.decl(st.label)
-            except UnknownSymbol:
+        match st:
+            case AxiomStep(label, subst, a, b):
+                try:
+                    d = theory.decl(label)
+                except UnknownSymbol:
+                    return False
+                sub = dict(subst)
+                if not d.is_axiom or set(sub) != set(d.arity):
+                    return False
+                if substitute(d.kind.lhs, sub) != a or substitute(d.kind.rhs, sub) != b:
+                    return False
+            case CongStep(a, b):
+                ka, kb = children(a), children(b)
+                if _head(a) is None or _head(a) != _head(b) or len(ka) != len(kb):
+                    return False
+                if not all(merged(x, y) for x, y in zip(ka, kb)):
+                    return False
+            case BetaStep(a, b) | EtaStep(a, b):
+                contract = _beta if isinstance(st, BetaStep) else _eta
+                if not rules.pi or contract(a) != b:
+                    return False
+            case _:
                 return False
-            if not d.is_axiom:
-                return False
-            al, ar = d.kind.lhs, d.kind.rhs
-            sub = dict(st.subst)
-            if not set(sub) <= set(d.arity):
-                return False
-            if substitute(al, sub) != st.lhs or substitute(ar, sub) != st.rhs:
-                return False
-            union(st.lhs, st.rhs)
-        elif isinstance(st, CongStep):
-            a, b = st.lhs, st.rhs
-            ka, kb = children(a), children(b)
-            if _head(a) is None or _head(a) != _head(b) or len(ka) != len(kb):
-                return False
-            if not all(merged(x, y) for x, y in zip(ka, kb)):
-                return False
-            union(a, b)
-        elif isinstance(st, BetaStep):
-            if not rules.pi or _beta(st.redex) != st.contractum:
-                return False
-            union(st.redex, st.contractum)
-        elif isinstance(st, EtaStep):
-            if not rules.pi or _eta(st.expanded) != st.reduced:
-                return False
-            union(st.expanded, st.reduced)
-        else:
-            return False
+        union(a, b)
     return merged(lhs, rhs)
 
 
@@ -806,21 +800,50 @@ def presupposed(
     statement comes back with it filled in; any other statement comes
     back as the same object.
     """
-    if isinstance(stmt, HasType):
-        check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
-    elif isinstance(stmt, TypeEq):
-        check_is_type(theory, ctx, stmt.lhs, rules, fuel, sink)
-        check_is_type(theory, ctx, stmt.rhs, rules, fuel, sink)
-    elif isinstance(stmt, TermEq):
-        terms = (stmt.lhs, stmt.rhs)
-        if stmt.ty is None:
-            stmt = TermEq(stmt.lhs, stmt.rhs, infer_type(theory, ctx, stmt.lhs, rules, fuel, sink))
-            terms = (stmt.rhs,)
-        else:
-            check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
-        for term in terms:
-            _check_term(theory, ctx, term, stmt.ty, rules, fuel, sink)
+    match stmt:
+        case HasType(_, ty):
+            check_is_type(theory, ctx, ty, rules, fuel, sink)
+        case TypeEq(lhs, rhs):
+            check_is_type(theory, ctx, lhs, rules, fuel, sink)
+            check_is_type(theory, ctx, rhs, rules, fuel, sink)
+        case TermEq(lhs, rhs, None):
+            stmt = TermEq(lhs, rhs, infer_type(theory, ctx, lhs, rules, fuel, sink))
+            _check_term(theory, ctx, rhs, stmt.ty, rules, fuel, sink)
+        case TermEq(lhs, rhs, ty):
+            check_is_type(theory, ctx, ty, rules, fuel, sink)
+            _check_term(theory, ctx, lhs, ty, rules, fuel, sink)
+            _check_term(theory, ctx, rhs, ty, rules, fuel, sink)
     return stmt
+
+
+def check_claim(
+    theory: Theory,
+    ctx: Context,
+    stmt: Statement,
+    rules: RuleSet,
+    fuel: Fuel,
+    sink: list,
+) -> JudgmentResult:
+    """Check what stmt claims over ctx, taking its context and its
+    presuppositions as given: A type, t : A, or an equation, which goes
+    to eq_check.  The traces of the equations it proves are appended to
+    sink, which the result's eq_traces then reports.
+
+    An unproved equation yields an inconclusive result rather than an
+    error, since the engine never refutes.
+    """
+    match stmt:
+        case IsType(ty):
+            check_is_type(theory, ctx, ty, rules, fuel, sink)
+        case HasType(term, ty):
+            _check_term(theory, ctx, term, ty, rules, fuel, sink)
+        case TypeEq(lhs, rhs) | TermEq(lhs, rhs):
+            v = eq_check(theory, ctx, lhs, rhs, rules, fuel)
+            if not v.proved:
+                what = "type" if isinstance(stmt, TypeEq) else "term"
+                return JudgmentResult("inconclusive", f"{what} equality not proved ({v.reason})")
+            sink.append(v)
+    return JudgmentResult("ok", eq_traces=tuple(sink))
 
 
 def check_judgment(
@@ -831,11 +854,7 @@ def check_judgment(
 ) -> JudgmentResult:
     """Check one of the five judgment forms over the theory, in three
     steps: the context; the statement's scope and presuppositions
-    (presupposed); then the claim: A type, t : A, or an equation, which
-    goes to eq_check.
-
-    An unproved equation yields an inconclusive result rather than an
-    error, since the engine never refutes.
+    (presupposed); then the claim (check_claim).
     """
     sink: list = []
     ctx = judgment.ctx
@@ -844,17 +863,7 @@ def check_judgment(
     for e in judgment.stmt.exprs():
         _scope_check(names, e)
     stmt = presupposed(theory, ctx, judgment.stmt, rules, fuel, sink)
-    if isinstance(stmt, IsType):
-        check_is_type(theory, ctx, stmt.ty, rules, fuel, sink)
-    elif isinstance(stmt, HasType):
-        _check_term(theory, ctx, stmt.term, stmt.ty, rules, fuel, sink)
-    elif isinstance(stmt, (TypeEq, TermEq)):
-        v = eq_check(theory, ctx, stmt.lhs, stmt.rhs, rules, fuel)
-        if not v.proved:
-            what = "type" if isinstance(stmt, TypeEq) else "term"
-            return JudgmentResult("inconclusive", f"{what} equality not proved ({v.reason})")
-        sink.append(v)
-    return JudgmentResult("ok", eq_traces=tuple(sink))
+    return check_claim(theory, ctx, stmt, rules, fuel, sink)
 
 
 from .gatform import print_expr  # noqa: E402  (gatform imports this module)

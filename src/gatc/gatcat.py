@@ -2,7 +2,7 @@
 
 An interpretation maps each source symbol to an expression over the
 target whose free variables come from the symbol's own telescope; it is
-valid when every translated declaration judgment checks over the target.
+valid when every translated declaration claim checks over the target.
 Interpretations are the arrows and compose by translation; arrow
 equality is the (semi-decidable) equivalence check, so no quotient is
 materialized.
@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import deriv
-from .deriv import EqVerdict, Fuel, HasType, IsType, Judgment, RuleSet, TermEq, TypeEq
+from .deriv import EqVerdict, Fuel, HasType, IsType, RuleSet, TermEq, TypeEq
 from .errors import GatError, UnknownSymbol
 from .gatform_names import safe_name
 from .expr import App, Expr, Var, fresh_name, rename_symbols, substitute, translate
@@ -25,7 +25,7 @@ from .theory import (
     TermEqKind,
     Theory,
     TypeEqKind,
-    check_theory,
+    disjoint_union,
     extend,
     mk_El,
     mk_Ty,
@@ -110,17 +110,26 @@ def check_interpretation(
 ) -> ValidityResult:
     """Check validity declaration by declaration in source order.
 
-    Every source declaration's judgment must check over the target after
-    translation.  The translated context keeps the telescope's names, so
-    an image that mentions any other variable is a scope error.  An
-    equality obligation that exhausts fuel makes the whole result
-    inconclusive.
+    Each source declaration's claim must check over the target after
+    translation: a type symbol's image is a type, a term symbol's image
+    has the translated type, an axiom's translated equation is proved
+    (Cartmell, APAL 1986).  The translated context and presuppositions
+    are not re-checked; they hold by induction over the certified
+    source.  Each of a declaration's context types and presupposed
+    typings was derived over the earlier declarations, and the images
+    of those declarations have already passed their own claims here, so
+    translating a derivation of one yields a derivation over the target.
+    The translated context keeps the telescope's names, so an image that
+    mentions any other variable is a scope error.  An equality obligation
+    that exhausts fuel makes the whole result inconclusive.
     """
     rules = rules if rules is not None else _default_rules(interp.src, interp.dst)
     for d in interp.src.decls:
-        j = Judgment(interp.apply_ctx(d.ctx), d.judgment().map(interp.apply))
+        stmt = d.judgment().map(interp.apply)
         try:
-            r = deriv.check_judgment(interp.dst, j, rules, fuel)
+            for e in stmt.exprs():
+                deriv._scope_check(d.arity, e)
+            r = deriv.check_claim(interp.dst, interp.apply_ctx(d.ctx), stmt, rules, fuel, [])
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
@@ -189,16 +198,16 @@ class Coproduct:
     right: Interpretation
 
 
-def coproduct(t1: Theory, t2: Theory, name: str = "", fuel: Fuel = deriv.DEFAULT_FUEL) -> Coproduct:
-    """Disjoint union; declarations are made disjoint by #1/#2 suffixes."""
+def coproduct(t1: Theory, t2: Theory, name: str = "") -> Coproduct:
+    """Disjoint union; declarations are made disjoint by #1/#2 suffixes.
+
+    Nothing is re-checked: each half is a certified theory renamed
+    injectively (Theory.rename), and the union of certified theories
+    with disjoint names is certified (disjoint_union).
+    """
     r1 = {d.name: f"{d.name}#1" for d in t1.decls}
     r2 = {d.name: f"{d.name}#2" for d in t2.decls}
-    a = t1.rename(r1)
-    b = t2.rename(r2)
-    rules = _default_rules(t1, t2)
-    out = check_theory(
-        a.decls + b.decls, rules, fuel, name or safe_name(f"{t1.name}_x_{t2.name}")
-    )
+    out = disjoint_union(t1.rename(r1), t2.rename(r2), name or safe_name(f"{t1.name}_x_{t2.name}"))
     inc1 = renaming_interpretation(t1, out, r1, f"inl[{t1.name}]")
     inc2 = renaming_interpretation(t2, out, r2, f"inr[{t2.name}]")
     return Coproduct(out, inc1, inc2)
@@ -317,7 +326,7 @@ def pushout_general(
     prefix-closed inclusion, which gives the small presentation."""
     if f.src.decls != g.src.decls:
         raise GatError("a span needs a common source")
-    cp = coproduct(f.dst, g.dst, fuel=fuel)
+    cp = coproduct(f.dst, g.dst)
     ce = coequalizer(compose(f, cp.left), compose(g, cp.right), rules, fuel, name=name)
     return SpanPushout(
         ce.theory, cp.left.retarget(ce.theory), cp.right.retarget(ce.theory)

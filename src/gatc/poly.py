@@ -74,7 +74,9 @@ def poly_apply(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv
 
     Certification is a genuine re-check of every hypothesized
     declaration, not an appeal to stability; a failure here would expose
-    a stability bug.
+    a stability bug.  This re-check is the runtime evidence that the
+    families construction is stable, which is why it is kept where
+    coproduct transports certification by a lemma.
     """
     rules = rules if rules is not None else _default_rules(base)
     syms = {d.name for d in base.symbols()}
@@ -110,8 +112,8 @@ def poly_interp(i: Interpretation, psrc: PolyTheory, pdst: PolyTheory) -> Interp
 # ---------------------------------------------------------------------------
 
 
-def product_with_ty0(base: Theory, fuel: Fuel = deriv.DEFAULT_FUEL) -> Coproduct:
-    return coproduct(base, mk_Ty(0), fuel=fuel)
+def product_with_ty0(base: Theory) -> Coproduct:
+    return coproduct(base, mk_Ty(0))
 
 
 def product_leg(prod: Coproduct) -> Interpretation:
@@ -224,21 +226,28 @@ class UnitResult:
     prod: Coproduct  # base x Ty0
 
 
-def derive_unit(base: Theory, leg: Interpretation, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> UnitResult:
+def derive_unit(
+    base: Theory,
+    leg: Interpretation,
+    pel0: PolyTheory,
+    rules: Optional[RuleSet] = None,
+    fuel: Fuel = deriv.DEFAULT_FUEL,
+) -> UnitResult:
     """Build the adjunction unit at a leg from weakening and projection.
 
     The families theory of the fibred product splits into the families
     of the base and the pointed part, so the unit is glued from
     wk . (id, leg) on the first and proj . leg on the second; the
-    defining equations are checked post hoc by check_unit_laws.
+    defining equations are checked post hoc by check_unit_laws.  pel0 is
+    P(El0), which belongs to the element-of arrow rather than to the
+    leg, so a command builds it once for all of its units.
     """
     rules = rules if rules is not None else _default_rules(base)
     fib = fib_product_el0(base, leg, fuel)
     poly_fib = poly_apply(fib.theory, rules, fuel)
     poly_base = poly_apply(base, rules, fuel)
-    prod = product_with_ty0(base, fuel)
+    prod = product_with_ty0(base)
     u = compose(weakening_interp(poly_base, prod), pairing_interp(leg, prod))
-    pel0 = poly_apply(mk_El(0), rules, fuel)
     v = compose(projection_interp(pel0), leg)
 
     # The images need no renaming.  A hypothesized variable's name depends
@@ -326,16 +335,17 @@ def recover_projection(unit: UnitResult, rules: Optional[RuleSet] = None, fuel: 
     return equivalent(recovered, projection_interp(pel0), rules, fuel)
 
 
-def check_triangles(base: Theory, unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> list[LawReport]:
+def check_triangles(poly_base: PolyTheory, unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> list[LawReport]:
     """The adjunction triangle identities.
 
-    The first (at base) coincides with the fourth polynomial axiom; the
-    second (at the unit's leg) reduces to the second or third axiom
-    depending on the leg.
+    The first (at the base of poly_base) coincides with the fourth
+    polynomial axiom; the second (at the unit's leg) reduces to the
+    second or third axiom depending on the leg.
     """
+    base = poly_base.base
     rules = rules if rules is not None else _default_rules(base)
     return [
-        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_apply(base, rules, fuel), rules, fuel)),
+        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_base, unit.pel0, rules, fuel)),
         _law(f"triangle-unit[{unit.base.name}]", lambda: _triangle_unit(unit, rules, fuel)),
     ]
 
@@ -367,9 +377,10 @@ def verify_polynomial_axioms(
     mutation check.
     """
     rules = rules if rules is not None else deriv.BASE
+    pel0 = poly_apply(mk_El(0), rules, fuel)
     out: list[LawReport] = [
-        _law("P1[Ty0]", lambda: _check_p1(rules, fuel)),
-        _law("P2[El0]", lambda: _check_p2(rules, fuel, corrupt_subst)),
+        _law("P1[Ty0]", lambda: _check_p1(pel0, rules, fuel)),
+        _law("P2[El0]", lambda: _check_p2(pel0, rules, fuel, corrupt_subst)),
     ]
     for t in samples:
         try:
@@ -378,25 +389,22 @@ def verify_polynomial_axioms(
             out += [LawReport(f"{law}[{t.name}]", "Failed", 0, str(exc)) for law in ("P3", "P4")]
             continue
         out.append(_law(f"P3[{t.name}]", lambda: _check_p3(poly_t, rules, fuel)))
-        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly_t, rules, fuel)))
+        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly_t, pel0, rules, fuel)))
     return out
 
 
-def _check_p1(rules, fuel) -> EquivalenceResult:
-    ty0, el0 = mk_Ty(0), mk_El(0)
+def _check_p1(pel0: PolyTheory, rules, fuel) -> EquivalenceResult:
+    ty0 = mk_Ty(0)
     pty0 = poly_apply(ty0, rules, fuel)
-    pel0 = poly_apply(el0, rules, fuel)
-    incl = Interpretation(ty0, el0, {"A0": App("A0")}, "element-of")
+    incl = Interpretation(ty0, pel0.base, {"A0": App("A0")}, "element-of")
     p_incl = poly_interp(incl, pty0, pel0)
     lhs = compose(p_incl, projection_interp(pel0))
-    prod = product_with_ty0(ty0, fuel)
+    prod = product_with_ty0(ty0)
     rhs = compose(weakening_interp(pty0, prod), diagonal_interp(prod))
     return equivalent(lhs, rhs, rules, fuel)
 
 
-def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | ValidityResult:
-    el0 = mk_El(0)
-    pel0 = poly_apply(el0, rules, fuel)
+def _check_p2(pel0: PolyTheory, rules, fuel, corrupt: bool = False) -> EquivalenceResult | ValidityResult:
     fib = fib_product_el0(pel0.theory, pel0.leg, fuel)
     subst = substitution_interp(pel0, fib)
     if corrupt:
@@ -411,13 +419,13 @@ def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | Validit
     proj_x_el0 = fib_arrow(projection_interp(pel0), fib_ty0, fib)
     composite = compose(subst, proj_x_el0)
     canonical = Interpretation(
-        el0, fib_ty0.theory, identity(el0).mapping, "iso"
+        pel0.base, fib_ty0.theory, identity(pel0.base).mapping, "iso"
     )
     return equivalent(composite, canonical, rules, fuel)
 
 
 def _check_p3(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
-    prod = product_with_ty0(poly_base.base, fuel)
+    prod = product_with_ty0(poly_base.base)
     fib_prod = fib_product_el0(prod.theory, product_leg(prod), fuel)
     fib_poly = fib_product_el0(poly_base.theory, poly_base.leg, fuel)
     wk_x_el0 = fib_arrow(weakening_interp(poly_base, prod), fib_prod, fib_poly)
@@ -427,8 +435,8 @@ def _check_p3(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
     return equivalent(composite, projection, rules, fuel)
 
 
-def _check_p4(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
-    unit = derive_unit(poly_base.theory, poly_base.leg, rules, fuel)
+def _check_p4(poly_base: PolyTheory, pel0: PolyTheory, rules, fuel) -> EquivalenceResult:
+    unit = derive_unit(poly_base.theory, poly_base.leg, pel0, rules, fuel)
     subst = substitution_interp(poly_base, unit.fib)
     p_subst = poly_interp(subst, poly_base, unit.poly_fib)
     composite = compose(p_subst, unit.eta)

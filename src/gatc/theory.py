@@ -3,7 +3,9 @@
 A pretheory is an ordered list of declarations, each over a context; the
 list order realizes the dependency (well-founded) relation.  A Theory is
 a pretheory every declaration of which checks over the strictly earlier
-prefix; construct one through check_theory or extend.
+prefix; construct one through check_theory or extend, or from certified
+theories by the lemmas of Theory.prefix, Theory.rename and
+disjoint_union.
 """
 
 from __future__ import annotations
@@ -166,10 +168,23 @@ class Theory:
         return Theory(name or f"{self.name}_pfx{n}", self.decls[:n], self.pi, self._index)
 
     def rename(self, renaming: Mapping[str, str], name: Optional[str] = None) -> Theory:
-        """Rename declarations and every symbol occurrence; shape-preserving."""
+        """Rename declarations and every symbol occurrence; shape-preserving.
+
+        Lemma: a renaming that is injective on the declaration names,
+        counting the names it leaves unchanged, takes a certified theory
+        to a certified one.  The certify step compares names only with
+        each other, so each renamed declaration checks over its renamed
+        prefix as the original did over the original prefix.  A renaming
+        that sends two declarations to one name raises DuplicateName.
+        """
         fn = lambda e: rename_symbols(e, renaming)  # noqa: E731
         decls = tuple(d.map(fn, renaming.get(d.name, d.name)) for d in self.decls)
-        return Theory(name or self.name, decls, self.pi)
+        index = _name_index(decls)  # a repeated name keeps its last position
+        for i, d in enumerate(decls):
+            if index[d.name] != i:
+                a, b = self.decls[i].name, self.decls[index[d.name]].name
+                raise DuplicateName(f"renaming sends {a!r} and {b!r} to {d.name!r}", decl=d.name)
+        return Theory(name or self.name, decls, self.pi, index)
 
     @functools.cached_property
     def _program(self):
@@ -249,6 +264,23 @@ def check_theory(
     for d in decls:
         theory = _extend(theory, d, names, rules, fuel)
     return theory
+
+
+def disjoint_union(t1: Theory, t2: Theory, name: str) -> Theory:
+    """t1's declarations followed by t2's, certified without a re-check.
+
+    Lemma: the union of two certified theories whose names are disjoint
+    is certified.  t1 is a certified prefix.  Each declaration of t2
+    mentions only earlier names of t2, and t1's axioms equate only
+    expressions built from t1's symbols, so every check that certified
+    it over its prefix of t2 goes through over t1 followed by that
+    prefix (weakening by the declarations of t1).  A name that both
+    declare raises DuplicateName, as check_theory would on the union.
+    """
+    for d in t2.decls:
+        if t1.has(d.name):
+            raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
+    return Theory(name, t1.decls + t2.decls, t1.pi or t2.pi)
 
 
 def extend(theory: Theory, d: Declaration, rules=None, fuel=None) -> Theory:

@@ -232,6 +232,44 @@ def test_eq_term_equated_with_type_is_an_error_as_in_check(tmp_path):
     assert code == 0, out
 
 
+UNUSED_CONTEXT_VARIABLE = """
+theory T {
+  sym E : () => Type
+  sym A : () => Type
+  sym a : () => A
+  sym b : () => A
+  ax ab : (x : E) => a = b : A
+}
+
+theory S {
+  sym A : () => Type
+  sym a : () => A
+  sym b : () => A
+  ax ab : () => a = b : A
+}
+
+interp I : S -> T {
+  A |-> A;
+  a |-> a;
+  b |-> b;
+}
+"""
+
+
+def test_axiom_over_an_unused_context_variable_proves_nothing_closed(tmp_path):
+    # ab holds only where E has an element: a finite model of T with E
+    # empty and a, b distinct separates a and b, so neither a = b in the
+    # empty context nor the interpretation I follows
+    src = tmp_path / "unused.gat"
+    src.write_text(UNUSED_CONTEXT_VARIABLE, encoding="utf-8")
+    code, out = run(["eq", str(src), "--theory", "T", "--lhs", "a", "--rhs", "b", "--trace"])
+    assert code == 2, out
+    assert "eq: Inconclusive  [axiom instances: 0]  (saturation closed)" in out
+    code, out = run(["check", str(src)])
+    assert code == 2, out
+    assert "interp I: Inconclusive  (obligation for 'ab': term equality not proved (closed))" in out
+
+
 MON_WITH_FAMILY = """
 theory MonP {
   sym Mon : () => Type

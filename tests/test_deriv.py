@@ -33,7 +33,7 @@ from gatc.errors import (
 )
 from gatc.expr import App, Var, hypothesize, substitute
 from gatc.gatcat import corpus_interpretations, mon_to_catpt, mon_to_catpt_variant
-from gatc.theory import stdlib
+from gatc.theory import check_theory, stdlib, term_eq_ax, term_sym, type_sym
 
 OB = App("Ob")
 MON = App("Mon")
@@ -276,6 +276,42 @@ def test_beta_eta_need_pi_rules():
     lhs = App("mul", (App("u"), Var("y")))
     v = eq_check(mon, (("y", MON),), lhs, Var("y"))
     assert replay_eq_trace(mon, lhs, Var("y"), v.steps, BASE)
+
+
+def test_replay_rejects_a_partial_axiom_substitution():
+    mon = stdlib()["Mon"]
+    a, b, y3 = Var("a"), Var("b"), Var("y3")
+    lhs = App("mul", (App("mul", (a, b)), y3))
+    rhs = App("mul", (a, App("mul", (b, y3))))
+    full = (("y1", a), ("y2", b), ("y3", y3))
+    assert replay_eq_trace(mon, lhs, rhs, (AxiomStep("_3", full, lhs, rhs),))
+    # leaving y3 unsubstituted gives the same sides, but is no instance
+    assert not replay_eq_trace(mon, lhs, rhs, (AxiomStep("_3", full[:2], lhs, rhs),))
+    extra = full + (("z", a),)
+    assert not replay_eq_trace(mon, lhs, rhs, (AxiomStep("_3", extra, lhs, rhs),))
+
+
+def test_axiom_with_an_unbound_context_variable_is_not_instantiated():
+    # ab's context variable x : E occurs in neither side; with no term of
+    # E to substitute, a = b does not follow in the empty context
+    t = check_theory(
+        [
+            type_sym("E"),
+            type_sym("A"),
+            term_sym("a", (), App("A")),
+            term_sym("b", (), App("A")),
+            term_eq_ax("ab", (("x", App("E")),), App("a"), App("b"), App("A")),
+        ],
+        name="T",
+    )
+    v = eq_check(t, (), App("a"), App("b"))
+    assert not v.proved and v.reason == "closed"
+    assert not replay_eq_trace(t, App("a"), App("b"), (AxiomStep("ab", (), App("a"), App("b")),))
+    # with a variable of E in the goal context it still does not follow
+    # from matching: the engine has no side that binds x
+    assert not eq_check(t, (("e", App("E")),), App("a"), App("b")).proved
+    step = AxiomStep("ab", (("x", Var("e")),), App("a"), App("b"))
+    assert replay_eq_trace(t, App("a"), App("b"), (step,))
 
 
 def test_replay_rechecks_congruence_beta_and_eta_steps():

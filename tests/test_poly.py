@@ -263,8 +263,9 @@ def test_unit_laws_on_three_legs():
     prod = product_with_ty0(mon)
     pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")})
     el0_leg = Interpretation(ty0, el0, {"A0": App("A0")})
+    pel0 = poly_apply(el0)
     for base, leg in ((ty0, identity(ty0)), (prod.theory, pr2), (el0, el0_leg)):
-        unit = derive_unit(base, leg)
+        unit = derive_unit(base, leg, pel0)
         assert check_interpretation(unit.eta).ok
         for law in check_unit_laws(unit):
             assert law.verdict == "Proved", (base.name, law.name)
@@ -272,22 +273,24 @@ def test_unit_laws_on_three_legs():
 
 def test_unit_recovery_round_trips():
     prod = product_with_ty0(LIB["Mon"])
-    assert recover_weakening(prod, derive_unit(prod.theory, product_leg(prod))).proved
+    pel0 = poly_apply(mk_El(0))
+    assert recover_weakening(prod, derive_unit(prod.theory, product_leg(prod), pel0)).proved
     ty0 = LIB["Ty0"]
-    assert recover_projection(derive_unit(ty0, identity(ty0))).proved
+    assert recover_projection(derive_unit(ty0, identity(ty0), pel0)).proved
 
 
 def test_triangle_identities():
     ty0, mon = LIB["Ty0"], LIB["Mon"]
-    for r in check_triangles(ty0, derive_unit(ty0, identity(ty0))):
+    pel0 = poly_apply(mk_El(0))
+    for r in check_triangles(poly_apply(ty0), derive_unit(ty0, identity(ty0), pel0)):
         assert r.verdict == "Proved", r.name
         assert r.axiom_instances == 0
     prod = product_with_ty0(mon)
     pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")})
-    for r in check_triangles(mon, derive_unit(prod.theory, pr2)):
+    for r in check_triangles(poly_apply(mon), derive_unit(prod.theory, pr2, pel0)):
         assert r.verdict == "Proved", r.name
     el0_leg = Interpretation(ty0, LIB["El0"], {"A0": App("A0")})
-    for r in check_triangles(LIB["El0"], derive_unit(LIB["El0"], el0_leg)):
+    for r in check_triangles(pel0, derive_unit(LIB["El0"], el0_leg, pel0)):
         assert r.verdict == "Proved", r.name
 
 

@@ -74,15 +74,15 @@ def random_flat_theory(rng: random.Random, tag: int) -> Theory:
         decls.append(term_sym(name, ctx, App(result)))
         ops[result].append((name, arg_types))
 
-    def groundable(lhs: Expr, rhs: Expr) -> bool:
+    def groundable(ctx, lhs: Expr, rhs: Expr) -> bool:
         # the engine only instantiates an axiom side that is not a bare
-        # variable and whose variables cover the other side's, so the
-        # generator sticks to axioms with at least one such orientation
+        # variable and binds every variable of the axiom's context, so the
+        # generator sticks to axioms with at least one such side
         from gatc.expr import free_vars
 
         return any(
-            not isinstance(side, Var) and set(free_vars(other)) <= set(free_vars(side))
-            for side, other in ((lhs, rhs), (rhs, lhs))
+            not isinstance(side, Var) and {x for x, _ in ctx} <= set(free_vars(side))
+            for side in (lhs, rhs)
         )
 
     for i in range(rng.randint(0, 2)):
@@ -96,7 +96,7 @@ def random_flat_theory(rng: random.Random, tag: int) -> Theory:
             pool.setdefault(ct, []).append(f"w{j}")
         lhs = gen_term(target, pool, 2)
         rhs = gen_term(target, pool, 2)
-        if lhs is None or rhs is None or lhs == rhs or not groundable(lhs, rhs):
+        if lhs is None or rhs is None or lhs == rhs or not groundable(ctx, lhs, rhs):
             continue
         decls.append(term_eq_ax(f"ax{tag}_{i}", tuple(ctx), lhs, rhs, App(target)))
     return check_theory(decls, name=f"R{tag}")

@@ -110,6 +110,32 @@ def test_prefix_closure():
             check_theory(t.decls[:i], rules)  # must not raise
 
 
+def test_rename_rejects_a_renaming_that_is_not_injective():
+    mon = stdlib()["Mon"]
+    with pytest.raises(DuplicateName) as info:
+        mon.rename({"u": "e", "mul": "e"})
+    assert str(info.value) == "renaming sends 'u' and 'mul' to 'e'"
+    assert info.value.decl == "e"
+
+
+def test_rename_rejects_a_collision_with_an_unchanged_name():
+    mon = stdlib()["Mon"]
+    with pytest.raises(DuplicateName) as info:
+        mon.rename({"mul": "u"})
+    assert str(info.value) == "renaming sends 'u' and 'mul' to 'u'"
+
+
+def test_rename_is_certified_by_its_lemma():
+    # the renamed theory is what certifying the renamed declarations gives
+    for name, t in stdlib().items():
+        renaming = {d.name: f"{d.name}'" for d in t.decls[::2]}
+        renamed = t.rename(renaming, name="R")
+        rules = deriv.WITH_PI if t.pi else deriv.BASE
+        assert renamed == check_theory(renamed.decls, rules, name="R"), name
+    swap = stdlib()["Mon"].rename({"u": "mul", "mul": "u"})
+    assert [d.name for d in swap.decls[:3]] == ["Mon", "mul", "u"]
+
+
 def test_reordering_invariance_monoid():
     # pulling the right-unit axiom before the left-unit one preserves the
     # dependency order; both orders certify and the identity maps are
