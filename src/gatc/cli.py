@@ -256,7 +256,7 @@ def cmd_pushout(args, env, report, rules, fuel) -> None:
 
 
 def cmd_poly(args, env, report, rules, fuel) -> None:
-    p = poly.poly_apply(env.theory(args.theory), rules, fuel)
+    p = poly.poly_apply(env.theory(args.theory))
     report.items.append(Item(f"families of {args.theory}", "ok"))
     report.payload["theory"] = gatform.print_theory(p.theory, args.unicode)
 
@@ -280,12 +280,11 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     ty0, el0, mon = lib["Ty0"], lib["El0"], lib["Mon"]
     prod = poly.product_with_ty0(mon)
     el0_leg = Interpretation(ty0, el0, {"A0": gatform.parse_expr("A0")}, "element-of")
-    pel0 = poly.poly_apply(el0, rules, fuel)
     # Each unit is derived once and read by its laws, the round trips and
     # the triangles; a unit that cannot be built fails the command.  The
     # laws and triangles report a GatError as a Failed item themselves.
     units = {
-        label: poly.derive_unit(leg.dst, leg, pel0, rules, fuel)
+        label: poly.derive_unit(leg.dst, leg, fuel)
         for label, leg in (
             ("Ty0-id", gatcat.identity(ty0)),
             ("MonxTy0-pr2", poly.product_leg(prod)),
@@ -303,7 +302,7 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     except GatError as exc:
         report.items.append(_error_item("recover", exc))
     for unit in units.values():
-        for r in poly.check_triangles(unit.poly_base, unit, rules, fuel):
+        for r in poly.check_triangles(poly.poly_apply(unit.base), unit, rules, fuel):
             report.items.append(_law_item(r))
 
 
@@ -491,13 +490,14 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         return 3 if exc.code not in (0, None) else 0
 
     nodes = args.fuel_nodes
-    if nodes is None:
-        nodes = int(os.environ.get("GATC_FUEL_NODES", deriv.DEFAULT_FUEL.max_eq_nodes))
     iters = args.fuel_iters if args.fuel_iters is not None else deriv.DEFAULT_FUEL.max_iterations
     try:
+        if nodes is None:
+            nodes = int(os.environ.get("GATC_FUEL_NODES", deriv.DEFAULT_FUEL.max_eq_nodes))
         fuel = Fuel(nodes, iters)
     except ValueError as exc:
-        print(f"gatc: {exc}", file=sys.stderr)
+        where = "GATC_FUEL_NODES: " if nodes is None else ""  # int() failed on it
+        print(f"gatc: {where}{exc}", file=sys.stderr)
         return 3
     rules = deriv.WITH_PI if args.rules == "pi" else deriv.BASE
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -227,6 +228,8 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
     # in full first: a carrier reaches size v only after v nodes, so no size
     # past the budget is reached, and elements range below carrier sizes.
     top = min(bound, budget) + 1
+    if top > sys.maxsize:
+        raise ModelError(f"a carrier range of {top} sizes exceeds {sys.maxsize}")
     model = Model(theory)
     tables: Tables = {}  # the tables of model, read by the compiled program
     nodes = 0

@@ -12,13 +12,12 @@ adjunction triangle identities as interpretation equivalences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from . import deriv
 from .deriv import Fuel, RuleSet
 from .errors import GatError
-from .gatform_names import safe_name
-from .expr import Ap, App, Expr, Var, fresh_name, hypothesize, mk_lam, mk_pi
+from .expr import Ap, App, Expr, Var, hypothesize, mk_lam, mk_pi
 from .gatcat import (
     Coproduct,
     EquivalenceResult,
@@ -35,31 +34,23 @@ from .gatcat import (
     positional_renaming,
     pushout,
 )
-from .theory import (
-    Declaration,
-    Theory,
-    check_theory,
-    mk_El,
-    mk_Ty,
-    stdlib,
-    terminal_theory,
-    type_sym,
-)
+from .theory import Theory, mk_El, mk_Ty, stdlib, terminal_theory
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolyTheory:
     """The families theory of a base theory, with bookkeeping.
 
     reserved is the adjoined closed type symbol; hyp_var records, per
     original declaration, the name of the indexing variable prefixed to
-    its context.
+    its context.  The theory, reserved and the read-only hyp_var are
+    shared by every PolyTheory of one base object.
     """
 
-    theory: Theory
     base: Theory
+    theory: Theory
     reserved: str
-    hyp_var: dict[str, str]
+    hyp_var: Mapping[str, str]
 
     @property
     def leg(self) -> Interpretation:
@@ -69,27 +60,14 @@ class PolyTheory:
         )
 
 
-def poly_apply(base: Theory, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> PolyTheory:
-    """Build the families theory and re-certify it.
+def poly_apply(base: Theory) -> PolyTheory:
+    """P(base): the families theory of theory.families, certified by its
+    lemma rather than re-checked, and built once per Theory object.
 
-    Certification is a genuine re-check of every hypothesized
-    declaration, not an appeal to stability; a failure here would expose
-    a stability bug.  This re-check is the runtime evidence that the
-    families construction is stable, which is why it is kept where
-    coproduct transports certification by a lemma.
+    P(T).pi is T.pi: the families theory of a certified theory is
+    certified under the rules that certified it.
     """
-    rules = rules if rules is not None else _default_rules(base)
-    syms = {d.name for d in base.symbols()}
-    reserved = fresh_name("A0", base)
-    decls: list[Declaration] = [type_sym(reserved)]
-    hyp_var: dict[str, str] = {}
-    for d in base.decls:
-        hv = fresh_name("x0", {x for x, _ in d.ctx})
-        hyp_var[d.name] = hv
-        h = d.map(lambda e: hypothesize(e, hv, syms))
-        decls.append(Declaration(d.name, ((hv, App(reserved)),) + h.ctx, h.kind))
-    out = check_theory(decls, rules, fuel, name=safe_name(f"P_{base.name}"))
-    return PolyTheory(out, base, reserved, hyp_var)
+    return PolyTheory(base, *base._families)
 
 
 def poly_interp(i: Interpretation, psrc: PolyTheory, pdst: PolyTheory) -> Interpretation:
@@ -212,43 +190,31 @@ def fib_arrow(g: Interpretation, fib_of_dst: Pushout, fib_of_src: Pushout) -> In
 @dataclass
 class UnitResult:
     """The unit arrow at a leg, with the theories it runs between and the
-    constructions the unit laws read."""
+    product the unit laws read; the families theories are poly_apply's."""
 
     base: Theory
     leg: Interpretation
     fib: Pushout  # base x_{Ty0} El0
-    poly_fib: PolyTheory  # P(base x_{Ty0} El0)
     eta: Interpretation  # from P(base x_{Ty0} El0) into base
     pi1: Interpretation  # base -> fib (inclusion)
     pi2: Interpretation  # El0 -> fib
-    poly_base: PolyTheory  # P(base)
-    pel0: PolyTheory  # P(El0)
     prod: Coproduct  # base x Ty0
 
 
-def derive_unit(
-    base: Theory,
-    leg: Interpretation,
-    pel0: PolyTheory,
-    rules: Optional[RuleSet] = None,
-    fuel: Fuel = deriv.DEFAULT_FUEL,
-) -> UnitResult:
+def derive_unit(base: Theory, leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL) -> UnitResult:
     """Build the adjunction unit at a leg from weakening and projection.
 
     The families theory of the fibred product splits into the families
     of the base and the pointed part, so the unit is glued from
     wk . (id, leg) on the first and proj . leg on the second; the
-    defining equations are checked post hoc by check_unit_laws.  pel0 is
-    P(El0), which belongs to the element-of arrow rather than to the
-    leg, so a command builds it once for all of its units.
+    defining equations are checked post hoc by check_unit_laws.
     """
-    rules = rules if rules is not None else _default_rules(base)
     fib = fib_product_el0(base, leg, fuel)
-    poly_fib = poly_apply(fib.theory, rules, fuel)
-    poly_base = poly_apply(base, rules, fuel)
+    poly_fib = poly_apply(fib.theory)
+    poly_base = poly_apply(base)
     prod = product_with_ty0(base)
     u = compose(weakening_interp(poly_base, prod), pairing_interp(leg, prod))
-    v = compose(projection_interp(pel0), leg)
+    v = compose(projection_interp(poly_apply(mk_El(0))), leg)
 
     # The images need no renaming.  A hypothesized variable's name depends
     # only on its declaration's context; the base's declarations are a
@@ -260,7 +226,7 @@ def derive_unit(
         if d.is_symbol:
             mapping[d.name] = u.image(d.name)
     eta = Interpretation(poly_fib.theory, base, mapping, f"unit[{base.name}]")
-    return UnitResult(base, leg, fib, poly_fib, eta, fib.into_prime, fib.into_total, poly_base, pel0, prod)
+    return UnitResult(base, leg, fib, eta, fib.into_prime, fib.into_total, prod)
 
 
 @dataclass
@@ -296,15 +262,16 @@ def check_unit_laws(unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fue
     first-projection law (weakening side) and second-projection law
     (projection side)."""
     rules = rules if rules is not None else _default_rules(unit.base)
+    poly_base, poly_fib, pel0 = poly_apply(unit.base), poly_apply(unit.fib.theory), poly_apply(mk_El(0))
 
     def wk() -> EquivalenceResult:
-        lhs = compose(poly_interp(unit.pi1, unit.poly_base, unit.poly_fib), unit.eta)
-        rhs = compose(weakening_interp(unit.poly_base, unit.prod), pairing_interp(unit.leg, unit.prod))
+        lhs = compose(poly_interp(unit.pi1, poly_base, poly_fib), unit.eta)
+        rhs = compose(weakening_interp(poly_base, unit.prod), pairing_interp(unit.leg, unit.prod))
         return equivalent(lhs, rhs, rules, fuel)
 
     def proj() -> EquivalenceResult:
-        lhs = compose(poly_interp(unit.pi2, unit.pel0, unit.poly_fib), unit.eta)
-        return equivalent(lhs, compose(projection_interp(unit.pel0), unit.leg), rules, fuel)
+        lhs = compose(poly_interp(unit.pi2, pel0, poly_fib), unit.eta)
+        return equivalent(lhs, compose(projection_interp(pel0), unit.leg), rules, fuel)
 
     return [_law("unit-wk", wk), _law("unit-proj", proj)]
 
@@ -314,13 +281,13 @@ def recover_weakening(prod: Coproduct, unit: UnitResult, rules: Optional[RuleSet
     recovers weakening."""
     base = prod.left.src
     rules = rules if rules is not None else _default_rules(base)
-    poly_base = poly_apply(base, rules, fuel)
+    poly_base = poly_apply(base)
     # first projection of (base x Ty0) x_{Ty0} El0 onto base
     pi1_mapping = {
         d.name: prod.left.image(d.name) for d in base.decls if d.is_symbol
     }
     pi1 = Interpretation(base, unit.fib.theory, pi1_mapping, "pr1")
-    p_pi1 = poly_interp(pi1, poly_base, unit.poly_fib)
+    p_pi1 = poly_interp(pi1, poly_base, poly_apply(unit.fib.theory))
     recovered = compose(p_pi1, unit.eta)
     return equivalent(recovered, weakening_interp(poly_base, prod), rules, fuel)
 
@@ -328,8 +295,8 @@ def recover_weakening(prod: Coproduct, unit: UnitResult, rules: Optional[RuleSet
 def recover_projection(unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
     """Round trip: the unit at the identity leg of Ty0 recovers projection."""
     rules = rules if rules is not None else deriv.BASE
-    pel0 = unit.pel0
-    if unit.poly_fib.theory.decls != pel0.theory.decls:
+    pel0 = poly_apply(mk_El(0))
+    if unit.fib.theory.decls != pel0.base.decls:
         raise GatError("pointed fibre of the one-type theory should present El0")
     recovered = Interpretation(pel0.theory, unit.base, dict(unit.eta.mapping), unit.eta.name)
     return equivalent(recovered, projection_interp(pel0), rules, fuel)
@@ -345,14 +312,15 @@ def check_triangles(poly_base: PolyTheory, unit: UnitResult, rules: Optional[Rul
     base = poly_base.base
     rules = rules if rules is not None else _default_rules(base)
     return [
-        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_base, unit.pel0, rules, fuel)),
+        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_base, rules, fuel)),
         _law(f"triangle-unit[{unit.base.name}]", lambda: _triangle_unit(unit, rules, fuel)),
     ]
 
 
 def _triangle_unit(unit: UnitResult, rules, fuel) -> EquivalenceResult:
-    fib2 = fib_product_el0(unit.poly_fib.theory, unit.poly_fib.leg, fuel)
-    subst_fib = substitution_interp(unit.poly_fib, fib2)
+    poly_fib = poly_apply(unit.fib.theory)
+    fib2 = fib_product_el0(poly_fib.theory, poly_fib.leg, fuel)
+    subst_fib = substitution_interp(poly_fib, fib2)
     eta_x_el0 = fib_arrow(unit.eta, unit.fib, fib2)
     composite = compose(subst_fib, eta_x_el0)
     return equivalent(composite, identity(unit.fib.theory), rules, fuel)
@@ -377,25 +345,19 @@ def verify_polynomial_axioms(
     mutation check.
     """
     rules = rules if rules is not None else deriv.BASE
-    pel0 = poly_apply(mk_El(0), rules, fuel)
     out: list[LawReport] = [
-        _law("P1[Ty0]", lambda: _check_p1(pel0, rules, fuel)),
-        _law("P2[El0]", lambda: _check_p2(pel0, rules, fuel, corrupt_subst)),
+        _law("P1[Ty0]", lambda: _check_p1(rules, fuel)),
+        _law("P2[El0]", lambda: _check_p2(rules, fuel, corrupt_subst)),
     ]
     for t in samples:
-        try:
-            poly_t = poly_apply(t, rules, fuel)
-        except GatError as exc:
-            out += [LawReport(f"{law}[{t.name}]", "Failed", 0, str(exc)) for law in ("P3", "P4")]
-            continue
-        out.append(_law(f"P3[{t.name}]", lambda: _check_p3(poly_t, rules, fuel)))
-        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly_t, pel0, rules, fuel)))
+        out.append(_law(f"P3[{t.name}]", lambda: _check_p3(poly_apply(t), rules, fuel)))
+        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly_apply(t), rules, fuel)))
     return out
 
 
-def _check_p1(pel0: PolyTheory, rules, fuel) -> EquivalenceResult:
+def _check_p1(rules, fuel) -> EquivalenceResult:
     ty0 = mk_Ty(0)
-    pty0 = poly_apply(ty0, rules, fuel)
+    pty0, pel0 = poly_apply(ty0), poly_apply(mk_El(0))
     incl = Interpretation(ty0, pel0.base, {"A0": App("A0")}, "element-of")
     p_incl = poly_interp(incl, pty0, pel0)
     lhs = compose(p_incl, projection_interp(pel0))
@@ -404,7 +366,8 @@ def _check_p1(pel0: PolyTheory, rules, fuel) -> EquivalenceResult:
     return equivalent(lhs, rhs, rules, fuel)
 
 
-def _check_p2(pel0: PolyTheory, rules, fuel, corrupt: bool = False) -> EquivalenceResult | ValidityResult:
+def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | ValidityResult:
+    pel0 = poly_apply(mk_El(0))
     fib = fib_product_el0(pel0.theory, pel0.leg, fuel)
     subst = substitution_interp(pel0, fib)
     if corrupt:
@@ -435,10 +398,10 @@ def _check_p3(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
     return equivalent(composite, projection, rules, fuel)
 
 
-def _check_p4(poly_base: PolyTheory, pel0: PolyTheory, rules, fuel) -> EquivalenceResult:
-    unit = derive_unit(poly_base.theory, poly_base.leg, pel0, rules, fuel)
+def _check_p4(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
+    unit = derive_unit(poly_base.theory, poly_base.leg, fuel)
     subst = substitution_interp(poly_base, unit.fib)
-    p_subst = poly_interp(subst, poly_base, unit.poly_fib)
+    p_subst = poly_interp(subst, poly_base, poly_apply(unit.fib.theory))
     composite = compose(p_subst, unit.eta)
     return equivalent(composite, identity(poly_base.theory), rules, fuel)
 
@@ -453,7 +416,7 @@ def tower_iso(n: int, element: bool, rules: Optional[RuleSet] = None, fuel: Fuel
     rules = rules if rules is not None else deriv.BASE
     base = mk_El(n) if element else mk_Ty(n)
     target = mk_El(n + 1) if element else mk_Ty(n + 1)
-    p = poly_apply(base, rules, fuel)
+    p = poly_apply(base)
     fwd = positional_renaming(p.theory, target)
     back = positional_renaming(target, p.theory)
     for i in (fwd, back):

@@ -4,18 +4,20 @@ A pretheory is an ordered list of declarations, each over a context; the
 list order realizes the dependency (well-founded) relation.  A Theory is
 a pretheory every declaration of which checks over the strictly earlier
 prefix; construct one through check_theory or extend, or from certified
-theories by the lemmas of Theory.prefix, Theory.rename and
-disjoint_union.
+theories by the lemmas of Theory.prefix, Theory.rename, disjoint_union
+and families.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
-from .expr import Ap, App, Expr, Var, mk_lam, mk_pi, rename_symbols, walk
+from .expr import Ap, App, Expr, Var, fresh_name, hypothesize, mk_lam, mk_pi, rename_symbols, walk
+from .gatform_names import safe_name
 
 
 class ExprFields:
@@ -200,8 +202,14 @@ class Theory:
         """eq_check's compiled axioms, built once per object like _program."""
         return tuple(_deriv._axiom_pattern(d) for d in self.axioms())
 
+    @functools.cached_property
+    def _families(self) -> tuple:
+        """families(self), built once per object like _program; it does
+        not hold self, so the memo makes no reference cycle."""
+        return families(self)
+
     def __getstate__(self) -> dict:
-        return {k: v for k, v in vars(self).items() if k not in ("_program", "_axiom_patterns")}
+        return {k: v for k, v in vars(self).items() if k not in ("_program", "_axiom_patterns", "_families")}
 
 
 # Imported after the data definitions: deriv needs them back.
@@ -281,6 +289,30 @@ def disjoint_union(t1: Theory, t2: Theory, name: str) -> Theory:
         if t1.has(d.name):
             raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
     return Theory(name, t1.decls + t2.decls, t1.pi or t2.pi)
+
+
+def families(base: Theory) -> tuple[Theory, str, Mapping[str, str]]:
+    """base's families theory, certified without a re-check, with its
+    reserved type symbol and, per declaration of base, the name of the
+    index variable prefixed to its context.
+
+    The families theory declares a fresh closed type symbol H, then each
+    declaration of base with a fresh variable h : H prefixed to its
+    context and h passed first to every symbol of base it applies.
+    Lemma: the families theory of a certified theory is certified, under
+    the same rules.  It is base over the context extended by h : H, and
+    derivations survive context extension (Cartmell 1986): every check
+    that certified a declaration over its prefix of base goes through
+    with h prefixed to each context and to each application of a symbol.
+    """
+    syms = {d.name for d in base.symbols()}
+    reserved = fresh_name("A0", base)
+    hyp_var = {d.name: fresh_name("x0", d.arity) for d in base.decls}
+    decls = [type_sym(reserved)]
+    for d in base.decls:
+        h = d.map(lambda e: hypothesize(e, hyp_var[d.name], syms))
+        decls.append(Declaration(d.name, ((hyp_var[d.name], App(reserved)),) + h.ctx, h.kind))
+    return Theory(safe_name(f"P_{base.name}"), tuple(decls), base.pi), reserved, MappingProxyType(hyp_var)
 
 
 def extend(theory: Theory, d: Declaration, rules=None, fuel=None) -> Theory:

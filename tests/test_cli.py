@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from gatc import cli, gatform
 from gatc.theory import stdlib
 
@@ -354,6 +356,17 @@ def test_models_budget_bounds_a_bound_too_large_to_build():
     assert item["detail"] == "BudgetExceeded: model search for 'Mon' exceeded 5 nodes"
 
 
+@pytest.mark.parametrize("bound", [2**63, int("9" * 20)])
+def test_models_carrier_range_past_maxsize_rejected(bound):
+    # a range of more than sys.maxsize sizes cannot be built; a budget this large does not cap it
+    argv = ["models", "--theory", "Mon", "--max-size", str(bound), "--budget", "9" * 20, "--json"]
+    code, out = run(argv)  # a traceback would propagate out of main
+    assert code == 1
+    (item,) = json.loads(out)["items"]
+    assert item["verdict"] == "error"
+    assert item["detail"] == f"ModelError: a carrier range of {bound + 1} sizes exceeds {sys.maxsize}"
+
+
 def test_models_negative_budget_rejected():
     code, out = run(["models", "--theory", "Ty0", "--max-size", "1", "--budget", "-5", "--json"])
     assert code == 1
@@ -472,12 +485,20 @@ def test_eq_beta_eta_through_cli():
     assert "Proved" in out
 
 
-def test_fuel_flags_and_env(monkeypatch):
+def test_fuel_flags_and_env(monkeypatch, capsys):
     code, _ = run(["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "mul(u, u)", "--fuel-nodes", "1"])
     assert code == 2
     monkeypatch.setenv("GATC_FUEL_NODES", "1")
     code, _ = run(["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "mul(u, u)"])
     assert code == 2
+    monkeypatch.setenv("GATC_FUEL_NODES", "abc")
+    capsys.readouterr()
+    code, out = run(["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "u"])  # a traceback would propagate
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err.startswith("gatc: GATC_FUEL_NODES: invalid literal for int()")
+    code, _ = run(["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "u", "--fuel-nodes", "0"])
+    assert code == 3
+    assert capsys.readouterr().err == "gatc: fuel components must be positive\n"
     monkeypatch.delenv("GATC_FUEL_NODES")
     code, _ = run(["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "mul(u, u)"])
     assert code == 0

@@ -46,7 +46,7 @@ def test_poly_of_terminal_is_one_type():
 def test_poly_preserves_count_plus_one_and_certifies():
     for name in ("Cat", "Mon", "CatPt", "Ty2", "El2", "STLC"):
         t = LIB[name]
-        p = poly_apply(t)  # raises if any hypothesized declaration fails
+        p = poly_apply(t)  # certified by the families lemma; tests/test_transport.py re-checks it
         assert len(p.theory.decls) == len(t.decls) + 1
 
 
@@ -263,9 +263,8 @@ def test_unit_laws_on_three_legs():
     prod = product_with_ty0(mon)
     pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")})
     el0_leg = Interpretation(ty0, el0, {"A0": App("A0")})
-    pel0 = poly_apply(el0)
     for base, leg in ((ty0, identity(ty0)), (prod.theory, pr2), (el0, el0_leg)):
-        unit = derive_unit(base, leg, pel0)
+        unit = derive_unit(base, leg)
         assert check_interpretation(unit.eta).ok
         for law in check_unit_laws(unit):
             assert law.verdict == "Proved", (base.name, law.name)
@@ -273,24 +272,22 @@ def test_unit_laws_on_three_legs():
 
 def test_unit_recovery_round_trips():
     prod = product_with_ty0(LIB["Mon"])
-    pel0 = poly_apply(mk_El(0))
-    assert recover_weakening(prod, derive_unit(prod.theory, product_leg(prod), pel0)).proved
+    assert recover_weakening(prod, derive_unit(prod.theory, product_leg(prod))).proved
     ty0 = LIB["Ty0"]
-    assert recover_projection(derive_unit(ty0, identity(ty0), pel0)).proved
+    assert recover_projection(derive_unit(ty0, identity(ty0))).proved
 
 
 def test_triangle_identities():
     ty0, mon = LIB["Ty0"], LIB["Mon"]
-    pel0 = poly_apply(mk_El(0))
-    for r in check_triangles(poly_apply(ty0), derive_unit(ty0, identity(ty0), pel0)):
+    for r in check_triangles(poly_apply(ty0), derive_unit(ty0, identity(ty0))):
         assert r.verdict == "Proved", r.name
         assert r.axiom_instances == 0
     prod = product_with_ty0(mon)
     pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")})
-    for r in check_triangles(poly_apply(mon), derive_unit(prod.theory, pr2, pel0)):
+    for r in check_triangles(poly_apply(mon), derive_unit(prod.theory, pr2)):
         assert r.verdict == "Proved", r.name
     el0_leg = Interpretation(ty0, LIB["El0"], {"A0": App("A0")})
-    for r in check_triangles(pel0, derive_unit(LIB["El0"], el0_leg, pel0)):
+    for r in check_triangles(poly_apply(mk_El(0)), derive_unit(LIB["El0"], el0_leg)):
         assert r.verdict == "Proved", r.name
 
 

@@ -1,9 +1,9 @@
 """The polynomial verifiers build each construction once.
 
-The families theories (poly_apply) and units (derive_unit) that one
-verifier command builds are counted, so a law that rebuilds what
-another law of the same command has built shows up here.  When a count
-falls, lower its bound below.
+The families theories that one verifier command builds (memo misses of
+poly_apply) and the units it derives (derive_unit) are counted, so a
+law that rebuilds what another law of the same command has built shows
+up here.  When a count falls, lower its bound below.
 """
 
 import io
@@ -11,24 +11,27 @@ from collections import Counter
 
 import pytest
 
-from gatc import cli, poly
-from gatc.theory import mk_El
+from gatc import cli, poly, theory
+from gatc.theory import mk_El, stdlib, terminal_theory
 
 
 @pytest.fixture
 def builds(monkeypatch):
     """How often each construction has been built so far; "P(El0)"
-    counts the families theories of El0 among the poly_apply calls."""
+    counts the families theories of El0 among the families builds.  The
+    library theories start with no families theory memoized."""
+    for t in (terminal_theory(), *stdlib().values()):
+        vars(t).pop("_families", None)
     counts = Counter()
-    for name in ("poly_apply", "derive_unit"):
-        original = getattr(poly, name)
+    originals = {"families": (theory, theory.families), "derive_unit": (poly, poly.derive_unit)}
+    for name, (module, original) in originals.items():
 
         def counting(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
-            counts["P(El0)"] += _name == "poly_apply" and args[0] == mk_El(0)
+            counts["P(El0)"] += _name == "families" and args[0] == mk_El(0)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(poly, name, counting)
+        monkeypatch.setattr(module, name, counting)
     return counts
 
 
@@ -41,13 +44,13 @@ def test_unit_triangles_derives_each_unit_once(builds):
     _run(["unit-triangles"])
     # three legs, plus the fourth axiom behind each counit triangle
     assert builds["derive_unit"] <= 6
-    assert builds["poly_apply"] <= 14
-    # once for the element-of arrow, once as the El0 leg's base
-    assert builds["P(El0)"] <= 2
+    assert builds["families"] <= 13
+    # once, for the element-of arrow and as the El0 leg's base alike
+    assert builds["P(El0)"] <= 1
 
 
 def test_verify_poly_builds_each_sample_once(builds):
     _run(["verify-poly"])
-    assert builds["poly_apply"] <= 17
-    # once for the element-of arrow, once as the El0 sample
-    assert builds["P(El0)"] <= 2
+    assert builds["families"] <= 15
+    # once, for the element-of arrow and as the El0 sample alike
+    assert builds["P(El0)"] <= 1

@@ -2,10 +2,11 @@
 
 check_interpretation checks each source declaration's claim and takes
 the translated contexts and presuppositions from the certified source;
-coproduct joins two renamed certified theories without re-certifying
-them.  Each is compared here with the full re-check it replaces:
-validity with tests/validity_oracle.py, the coproduct with check_theory
-of the renamed union.
+coproduct joins two renamed certified theories, poly_apply builds a
+families theory and Theory.prefix cuts a certified theory, all without
+re-certifying.  Each is compared here with the full re-check it
+replaces: validity with tests/validity_oracle.py, the rest with
+check_theory of the same declarations.
 """
 
 import random
@@ -100,11 +101,12 @@ def test_verifier_arrows():
     prod = product_with_ty0(mon)
     legs = [identity(ty0), product_leg(prod), Interpretation(ty0, LIB["El0"], {"A0": App("A0")})]
     for leg in legs:
-        unit = derive_unit(leg.dst, leg, pel0)
+        unit = derive_unit(leg.dst, leg)
+        poly_fib = poly_apply(unit.fib.theory)
         arrows += [
             unit.eta,
-            poly_interp(unit.pi1, unit.poly_base, unit.poly_fib),
-            poly_interp(unit.pi2, unit.pel0, unit.poly_fib),
+            poly_interp(unit.pi1, poly_apply(unit.base), poly_fib),
+            poly_interp(unit.pi2, pel0, poly_fib),
         ]
     for t in (ty0, mon, LIB["Cat"]):
         p = poly_apply(t)
@@ -212,3 +214,34 @@ def test_disjoint_union_rejects_a_shared_name_as_check_theory_does():
         "declaration name '_1' repeated",
         "_1",
     )
+
+
+def assert_recertifies(t, rules=None) -> None:
+    """check_theory of t's declarations gives t's name, declarations and pi."""
+    rules = rules if rules is not None else _default_rules(t)
+    expected = check_theory(t.decls, rules, name=t.name)
+    assert (t.name, t.decls, t.pi) == (expected.name, expected.decls, expected.pi), t.name
+
+
+def test_families_of_every_corpus_theory_is_certified():
+    for t in [terminal_theory(), *LIB.values()]:
+        p = poly_apply(t)
+        assert p.theory.pi == t.pi
+        assert_recertifies(p.theory)
+        assert_recertifies(poly_apply(p.theory).theory)
+
+
+def test_families_of_random_flat_theories_is_certified():
+    rng = random.Random(4343)
+    for tag in range(12):
+        p = poly_apply(random_flat_theory(rng, 700 + tag))
+        assert_recertifies(p.theory)
+        assert_recertifies(poly_apply(p.theory).theory)
+
+
+def test_every_prefix_of_every_corpus_theory_is_certified():
+    for t in LIB.values():
+        for n in range(len(t.decls) + 1):
+            pre = t.prefix(n)
+            expected = check_theory(t.decls[:n], _default_rules(t), name=pre.name)
+            assert pre.decls == expected.decls, pre.name
