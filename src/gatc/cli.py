@@ -284,7 +284,7 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
     # the triangles; a unit that cannot be built fails the command.  The
     # laws and triangles report a GatError as a Failed item themselves.
     units = {
-        label: poly.derive_unit(leg.dst, leg, fuel)
+        label: poly.derive_unit(leg, fuel)
         for label, leg in (
             ("Ty0-id", gatcat.identity(ty0)),
             ("MonxTy0-pr2", poly.product_leg(prod)),
@@ -357,16 +357,15 @@ def cmd_models(args, env, report, rules, fuel) -> None:
 
 
 def _model_json(m: models.Model) -> dict:
-    return {
-        "carriers": {
-            c: [{"args": list(k), "size": s} for k, s in sorted(t.items())]
-            for c, t in sorted(m.carriers.items())
-        },
-        "functions": {
-            c: [{"args": list(k), "value": v} for k, v in sorted(t.items())]
-            for c, t in sorted(m.funcs.items())
-        },
-    }
+    out: dict = {"carriers": {}, "functions": {}}
+    for c, t in sorted(m.tables.items()):
+        match m.theory.decl(c).judgment():
+            case deriv.IsType():
+                part, cell = out["carriers"], "size"
+            case _:
+                part, cell = out["functions"], "value"
+        part[c] = [{"args": list(k), cell: v} for k, v in sorted(t.items())]
+    return out
 
 
 def cmd_stdlib(args, env, report, rules, fuel) -> None:

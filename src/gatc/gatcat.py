@@ -93,21 +93,11 @@ def _default_rules(*theories: Theory) -> RuleSet:
     return deriv.WITH_PI if any(t.pi for t in theories) else deriv.BASE
 
 
-@dataclass
-class ValidityResult:
-    status: str  # "ok" or "inconclusive"
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-
 def check_interpretation(
     interp: Interpretation,
     rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
-) -> ValidityResult:
+) -> deriv.JudgmentResult:
     """Check validity declaration by declaration in source order.
 
     Each source declaration's claim must check over the target after
@@ -133,8 +123,8 @@ def check_interpretation(
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
-            return ValidityResult("inconclusive", f"obligation for {d.name!r}: {r.detail}")
-    return ValidityResult("ok")
+            return deriv.JudgmentResult("inconclusive", f"obligation for {d.name!r}: {r.detail}")
+    return deriv.JudgmentResult("ok")
 
 
 @dataclass
@@ -217,8 +207,8 @@ def coproduct(t1: Theory, t2: Theory, name: str = "") -> Coproduct:
 class Coequalizer:
     theory: Theory
     quotient: Interpretation  # from the shared target into the coequalizer
-    left: Interpretation = None
-    right: Interpretation = None
+    left: Interpretation
+    right: Interpretation
 
 
 def coequalizer(
@@ -257,9 +247,9 @@ class Pushout:
     theory: Theory
     into_prime: Interpretation  # from the interpretation's target (inclusion)
     into_total: Interpretation  # from the total theory (translated copies)
-    sub: Theory = None
-    total: Theory = None
-    along: Interpretation = None
+    sub: Theory
+    total: Theory
+    along: Interpretation
 
 
 def pushout(

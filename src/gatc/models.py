@@ -27,7 +27,7 @@ from __future__ import annotations
 import gc
 import itertools
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .deriv import HasType, IsType, TermEq, TypeEq
@@ -37,28 +37,23 @@ from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout, identity
 from .theory import Declaration, Theory
 
 Instance = tuple[int, ...]
+Tables = dict[str, dict[Instance, int]]  # every symbol's table, by name
 
 
 @dataclass
 class Model:
-    """Carrier sizes and function values, one table per symbol keyed by
-    the symbol's arguments.  Models from one enumeration share tables, so
-    treat every table as read-only."""
+    """One table per symbol, keyed by the symbol's context instances; the
+    symbol's judgment decides what a cell holds: a type symbol's is the
+    size of a carrier, a term symbol's an element of its type's carrier.
+    Models from one enumeration share tables, so treat every table as
+    read-only."""
 
     theory: Theory
-    carriers: dict[str, dict[Instance, int]] = field(default_factory=dict)
-    funcs: dict[str, dict[Instance, int]] = field(default_factory=dict)
+    tables: Tables
 
     def key(self):
         """Canonical hashable form, independent of declaration names' order."""
-        cs = tuple(
-            (c, tuple(sorted(t.items()))) for c, t in sorted(self.carriers.items())
-        )
-        fs = tuple((c, tuple(sorted(t.items()))) for c, t in sorted(self.funcs.items()))
-        return (cs, fs)
-
-
-Tables = dict[str, dict[Instance, int]]  # every symbol's table, by name
+        return tuple((c, tuple(sorted(t.items()))) for c, t in sorted(self.tables.items()))
 
 
 def _reader(e: Expr, pos: dict[str, int]) -> Callable[[Tables, Instance], int]:
@@ -155,24 +150,18 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
 
 
 def validate_model(model: Model) -> None:
-    """Raise ModelError unless there is one table per symbol, in the dict of
-    its kind only and keyed by exactly its context's instances, and each
-    declaration's judgment holds at each instance of its context: a size is
-    at least 0, an element below its type's size, an equation's sides equal."""
-    plan = model.theory._program
-    if both := model.carriers.keys() & model.funcs.keys():
-        raise ModelError(f"{min(both)!r} has both a carrier and a function table")
-    if stray := (model.carriers.keys() | model.funcs.keys()) - {c.decl.name for c, _, _ in plan}:
+    """Raise ModelError unless there is one table per symbol, keyed by
+    exactly its context's instances, and each declaration's judgment holds
+    at each instance of its context: a size is at least 0, an element
+    below its type's size, an equation's sides equal."""
+    plan, tables = model.theory._program, model.tables
+    if stray := tables.keys() - {c.decl.name for c, _, _ in plan}:
         raise ModelError(f"{min(stray)!r} is not a symbol of {model.theory.name!r}")
-    tables = {**model.carriers, **model.funcs}
     try:  # each symbol, then the equations placed at it: a table is checked before it is read
         for c in itertools.chain.from_iterable((sym, *eqs, *after) for sym, eqs, after in plan):
             d, xs = c.decl, c.instances(tables)
-            kind = model.carriers if c.ty is None else model.funcs
-            if d.is_symbol and (d.name not in kind or kind[d.name].keys() != set(xs)):
-                raise ModelError(
-                    f"{d.name!r} has no table of its kind keyed by exactly its context's instances"
-                )
+            if d.is_symbol and (d.name not in tables or tables[d.name].keys() != set(xs)):
+                raise ModelError(f"{d.name!r} has no table keyed by exactly its context's instances")
             for x in xs:
                 if not c.true_at(tables, x):
                     raise ModelError(f"{d.name!r} fails at {dict(zip(d.arity, x))}")
@@ -198,9 +187,7 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     several of them, so they must be treated as read-only.
     """
     out: list[Model] = []
-    _search(
-        theory, bound, budget, lambda m: out.append(Model(theory, dict(m.carriers), dict(m.funcs)))
-    )
+    _search(theory, bound, budget, lambda tables: out.append(Model(theory, dict(tables))))
     return out
 
 
@@ -211,8 +198,9 @@ def count_models(theory: Theory, bound: int, budget: int = 2_000_000) -> int:
     return next(found)
 
 
-def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], None]) -> None:
-    """The search of enumerate_models; leaf sees each model as it is completed.
+def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], None]) -> None:
+    """The search of enumerate_models; leaf sees each model's tables as
+    they are completed, in a dict the search goes on to change.
 
     It runs with the cyclic collector paused and restores the caller's
     setting on every exit.  That is sound only because the search makes
@@ -230,8 +218,7 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
     top = min(bound, budget) + 1
     if top > sys.maxsize:
         raise ModelError(f"a carrier range of {top} sizes exceeds {sys.maxsize}")
-    model = Model(theory)
-    tables: Tables = {}  # the tables of model, read by the compiled program
+    tables: Tables = {}  # the tables set so far, read by the compiled program
     nodes = 0
 
     def spend() -> None:
@@ -251,9 +238,8 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
     def fill(s: int, keys: list[Instance], sizes: list[int]) -> None:
         c, watched, eqs = plan[s]
         name = c.decl.name
-        funcs = model.funcs
         table: dict[Instance, int] = {}
-        funcs[name] = tables[name] = table
+        tables[name] = table
         get = table.get
         watches: dict[Instance, list] = {key: [] for key in keys}
         late: Instance = ()  # the latest cell ground has made a key for
@@ -338,9 +324,9 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
                 if j == n:
                     if not eqs or holds(eqs):
                         # the snapshot later levels and models share
-                        funcs[name] = tables[name] = dict(table)
+                        tables[name] = dict(table)
                         rec(s + 1)
-                        funcs[name] = tables[name] = table
+                        tables[name] = table
                     j -= 1
                     continue
                 key = keys[j]
@@ -363,7 +349,7 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
 
     def rec(s: int) -> None:
         if s == len(plan):
-            leaf(model)
+            leaf(tables)
             return
         c, watched, eqs = plan[s]
         # The tables this level sets stay behind when it returns: every
@@ -372,11 +358,10 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Model], Non
         if watched:
             fill(s, keys, [c.ty(tables, x) for x in keys])
         else:
-            kind = model.carriers if c.ty is None else model.funcs
             sizes = [top] * len(keys) if c.ty is None else [c.ty(tables, x) for x in keys]
             for values in itertools.product(*map(range, sizes)):
                 spend()
-                kind[name] = tables[name] = dict(zip(keys, values))
+                tables[name] = dict(zip(keys, values))
                 if not eqs or holds(eqs):
                     rec(s + 1)
 
@@ -400,11 +385,10 @@ def _reducer(interp: Interpretation) -> Callable[[Model], Model]:
     ]
 
     def reduce(model: Model) -> Model:
-        tables, out, got = {**model.carriers, **model.funcs}, Model(interp.src), {}
-        for c, image in images:  # got holds out's tables, read by the source telescopes
-            kind = out.carriers if c.ty is None else out.funcs
-            kind[c.decl.name] = got[c.decl.name] = {x: image(tables, x) for x in c.instances(got)}
-        return out
+        tables, got = model.tables, {}
+        for c, image in images:  # got is read by the source telescopes as it grows
+            got[c.decl.name] = {x: image(tables, x) for x in c.instances(got)}
+        return Model(interp.src, got)
 
     return reduce
 
@@ -454,8 +438,6 @@ def _coproduct_duality(cp: Coproduct, bound: int, budget: int) -> DualityReport:
 
 
 def _pushout_duality(po: Pushout, bound: int, budget: int) -> DualityReport:
-    if po.sub is None:
-        raise ModelError("pushout lacks construction data")
     ms = enumerate_models(po.theory, bound, budget)
     prime = enumerate_models(po.along.dst, bound, budget)
     total = enumerate_models(po.total, bound, budget)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from . import deriv
-from .deriv import Fuel, RuleSet
+from .deriv import Fuel, JudgmentResult, RuleSet
 from .errors import GatError
 from .expr import Ap, App, Expr, Var, hypothesize, mk_lam, mk_pi
 from .gatcat import (
@@ -23,7 +23,6 @@ from .gatcat import (
     EquivalenceResult,
     Interpretation,
     Pushout,
-    ValidityResult,
     _default_rules,
     check_interpretation,
     check_mutually_inverse,
@@ -127,10 +126,10 @@ def projection_interp(pel0: PolyTheory) -> Interpretation:
     return Interpretation(pel0.theory, ty0, mapping, "proj")
 
 
-def fib_product_el0(base: Theory, leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL) -> Pushout:
-    """base x_{Ty0} El0 as the pushout presentation: base plus a point
-    of the leg type."""
-    return pushout(mk_Ty(0), mk_El(0), leg.retarget(base) if leg.dst is not base else leg, fuel=fuel)
+def fib_product_el0(leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL) -> Pushout:
+    """leg.dst x_{Ty0} El0 as the pushout presentation: the leg's target
+    plus a point of the leg type."""
+    return pushout(mk_Ty(0), mk_El(0), leg, fuel=fuel)
 
 
 def point_symbol(fib: Pushout) -> str:
@@ -201,15 +200,17 @@ class UnitResult:
     prod: Coproduct  # base x Ty0
 
 
-def derive_unit(base: Theory, leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL) -> UnitResult:
-    """Build the adjunction unit at a leg from weakening and projection.
+def derive_unit(leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL) -> UnitResult:
+    """Build the adjunction unit at a leg, over its target base, from
+    weakening and projection.
 
     The families theory of the fibred product splits into the families
     of the base and the pointed part, so the unit is glued from
     wk . (id, leg) on the first and proj . leg on the second; the
     defining equations are checked post hoc by check_unit_laws.
     """
-    fib = fib_product_el0(base, leg, fuel)
+    base = leg.dst
+    fib = fib_product_el0(leg, fuel)
     poly_fib = poly_apply(fib.theory)
     poly_base = poly_apply(base)
     prod = product_with_ty0(base)
@@ -238,7 +239,7 @@ class LawReport:
     steps: tuple = ()
 
 
-def _law(name: str, prove: Callable[[], EquivalenceResult | ValidityResult]) -> LawReport:
+def _law(name: str, prove: Callable[[], EquivalenceResult | JudgmentResult]) -> LawReport:
     """Run one law's proof and report it: a GatError while building its
     arrows is Failed; an unproved equivalence, or an arrow the proof
     needs whose validity is not proved, is Inconclusive."""
@@ -246,7 +247,7 @@ def _law(name: str, prove: Callable[[], EquivalenceResult | ValidityResult]) -> 
         result = prove()
     except GatError as exc:
         return LawReport(name, "Failed", 0, str(exc))
-    if isinstance(result, ValidityResult):
+    if isinstance(result, JudgmentResult):
         return LawReport(name, "Inconclusive", 0, result.detail)
     steps = tuple(s for _, v in result.per_symbol for s in v.steps)
     if result.proved:
@@ -319,7 +320,7 @@ def check_triangles(poly_base: PolyTheory, unit: UnitResult, rules: Optional[Rul
 
 def _triangle_unit(unit: UnitResult, rules, fuel) -> EquivalenceResult:
     poly_fib = poly_apply(unit.fib.theory)
-    fib2 = fib_product_el0(poly_fib.theory, poly_fib.leg, fuel)
+    fib2 = fib_product_el0(poly_fib.leg, fuel)
     subst_fib = substitution_interp(poly_fib, fib2)
     eta_x_el0 = fib_arrow(unit.eta, unit.fib, fib2)
     composite = compose(subst_fib, eta_x_el0)
@@ -366,9 +367,9 @@ def _check_p1(rules, fuel) -> EquivalenceResult:
     return equivalent(lhs, rhs, rules, fuel)
 
 
-def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | ValidityResult:
+def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | JudgmentResult:
     pel0 = poly_apply(mk_El(0))
-    fib = fib_product_el0(pel0.theory, pel0.leg, fuel)
+    fib = fib_product_el0(pel0.leg, fuel)
     subst = substitution_interp(pel0, fib)
     if corrupt:
         bad = dict(subst.mapping)
@@ -378,7 +379,7 @@ def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | Validit
     if not v.ok:
         return v
     ty0 = mk_Ty(0)
-    fib_ty0 = fib_product_el0(ty0, identity(ty0), fuel)
+    fib_ty0 = fib_product_el0(identity(ty0), fuel)
     proj_x_el0 = fib_arrow(projection_interp(pel0), fib_ty0, fib)
     composite = compose(subst, proj_x_el0)
     canonical = Interpretation(
@@ -389,8 +390,8 @@ def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | Validit
 
 def _check_p3(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
     prod = product_with_ty0(poly_base.base)
-    fib_prod = fib_product_el0(prod.theory, product_leg(prod), fuel)
-    fib_poly = fib_product_el0(poly_base.theory, poly_base.leg, fuel)
+    fib_prod = fib_product_el0(product_leg(prod), fuel)
+    fib_poly = fib_product_el0(poly_base.leg, fuel)
     wk_x_el0 = fib_arrow(weakening_interp(poly_base, prod), fib_prod, fib_poly)
     subst = substitution_interp(poly_base, fib_poly)
     composite = compose(subst, wk_x_el0)
@@ -399,7 +400,7 @@ def _check_p3(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
 
 
 def _check_p4(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
-    unit = derive_unit(poly_base.theory, poly_base.leg, fuel)
+    unit = derive_unit(poly_base.leg, fuel)
     subst = substitution_interp(poly_base, unit.fib)
     p_subst = poly_interp(subst, poly_base, poly_apply(unit.fib.theory))
     composite = compose(p_subst, unit.eta)

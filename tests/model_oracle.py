@@ -2,9 +2,8 @@
 compiled program in gatc.models is checked against.
 
 It reads a Model the direct way: a variable from a dict environment, an
-application from its head's table, funcs before carriers, and it builds
-one environment per context instance by extending the previous one
-variable by variable.  An undefined value raises ModelError.
+application from its head's table, and it builds one environment per
+context instance by extending the previous one variable by variable.  An undefined value raises ModelError.
 """
 
 from gatc.deriv import HasType, IsType, Statement, TermEq, TypeEq
@@ -16,16 +15,14 @@ from gatc.models import Model
 def evaluate(model: Model, env: dict[str, int], e: Expr) -> int:
     """The element a term denotes at env, or the size of the carrier a
     type denotes: carriers are initial segments, so a size determines one.
-    A head's table is looked up in funcs, then in carriers."""
+    A head's table is looked up once, in the model's tables."""
     if e.__class__ is Var:
         return env[e.name]
     if e.__class__ is not App:
         raise ModelError("cannot evaluate a binder expression in a finite model")
-    table = model.funcs.get(e.head)
+    table = model.tables.get(e.head)
     if table is None:
-        table = model.carriers.get(e.head)
-        if table is None:
-            raise ModelError(f"no table for {e.head!r}")
+        raise ModelError(f"no table for {e.head!r}")
     key = tuple([env[a.name] if a.__class__ is Var else evaluate(model, env, a) for a in e.args])
     v = table.get(key)
     if v is None:

@@ -63,7 +63,7 @@ def _readers(theory) -> list:
 def assert_agrees(model: Model, readers=None) -> bool:
     """Check the program against the oracle on model; whether the oracle
     found every read defined and every judgment true."""
-    tables = {**model.carriers, **model.funcs}
+    tables = model.tables
     valid = True
     for c, prefixes, exprs in readers or _readers(model.theory):
         d, j = c.decl, c.decl.judgment()
@@ -117,19 +117,20 @@ def test_program_agrees_with_the_oracle_on_random_flat_models():
         if time.monotonic() > deadline:
             break
         t = random_flat_theory(rng, 1300 + tag)
-        cells = sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, TermKind))
-        if cells > 12:
+        terms = [d for d in t.decls if isinstance(d.kind, TermKind)]
+        if sum(2 ** len(d.ctx) for d in terms) > 12:
             continue
+        names = sorted(d.name for d in terms)
         for m in enumerate_models(t, 2, budget=100_000)[:50]:
             assert assert_agrees(m)
             validate_model(m)
             checked += 1
-            name = rng.choice(sorted(m.funcs))
-            if not m.funcs[name]:
+            name = rng.choice(names)
+            if not m.tables[name]:
                 continue
-            cell = rng.choice(sorted(m.funcs[name]))
-            table = {k: v for k, v in m.funcs[name].items() if k != cell}
-            broken = Model(t, dict(m.carriers), {**m.funcs, name: table})
+            cell = rng.choice(sorted(m.tables[name]))
+            table = {k: v for k, v in m.tables[name].items() if k != cell}
+            broken = Model(t, {**m.tables, name: table})
             assert not assert_agrees(broken)
             with pytest.raises(ModelError):
                 validate_model(broken)
@@ -177,8 +178,15 @@ def test_validate_model_reports_an_undefined_read_as_model_error():
     t = _detour()
     m = Model(
         t,
-        carriers={"A": {(): 2}, "P": {(0,): 2, (1,): 1}},
-        funcs={"c": {(): 0}, "d": {(): 1}, "p": {(): 1}, "q": {(0,): 0}, "z": {(): 0}},
+        {
+            "A": {(): 2},
+            "P": {(0,): 2, (1,): 1},
+            "c": {(): 0},
+            "d": {(): 1},
+            "p": {(): 1},
+            "q": {(0,): 0},
+            "z": {(): 0},
+        },
     )
     assert not assert_agrees(m)
     with pytest.raises(ModelError, match="'_3' reads an undefined value"):

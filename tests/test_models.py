@@ -79,12 +79,12 @@ def test_monoid_count_matches_independent_oracle():
 
 def test_ty0_models_are_the_three_initial_segments():
     ms = enumerate_models(LIB["Ty0"], 2)
-    assert [m.carriers["A0"][()] for m in ms] == [0, 1, 2]
+    assert [m.tables["A0"][()] for m in ms] == [0, 1, 2]
 
 
 def test_el0_models_are_pointed_sets():
     ms = enumerate_models(LIB["El0"], 2)
-    got = [(m.carriers["A0"][()], m.funcs["e0"][()]) for m in ms]
+    got = [(m.tables["A0"][()], m.tables["e0"][()]) for m in ms]
     assert got == [(1, 0), (2, 0), (2, 1)]
 
 
@@ -115,7 +115,7 @@ def test_eval_variable_is_environment_lookup():
 
 def test_type_symbol_evaluates_to_its_carrier_size():
     for m in enumerate_models(LIB["Mon"], 2):
-        assert evaluate(m, {}, App("Mon")) == m.carriers["Mon"][()]
+        assert evaluate(m, {}, App("Mon")) == m.tables["Mon"][()]
 
 
 def test_unit_law_forces_square_of_unit():
@@ -139,8 +139,8 @@ def test_proved_equalities_hold_in_every_model():
             continue
         checked += 1
         for m in ms:
-            for env_a in range(m.carriers["Mon"][()]):
-                for env_b in range(m.carriers["Mon"][()]):
+            for env_a in range(m.tables["Mon"][()]):
+                for env_b in range(m.tables["Mon"][()]):
                     env = {"a": env_a, "b": env_b}
                     assert eval_term(m, env, lhs) == eval_term(m, env, rhs)
 
@@ -148,7 +148,7 @@ def test_proved_equalities_hold_in_every_model():
 def test_substitution_lemma():
     rng = random.Random(43)
     m = enumerate_models(LIB["Mon"], 2)[-1]
-    size = m.carriers["Mon"][()]
+    size = m.tables["Mon"][()]
     for _ in range(200):
         e = random_expr(rng, MONOID_SIG, ["a", "b"], 3)
         sub = {
@@ -175,8 +175,9 @@ def hand_catpt_model() -> Model:
     # one object; the hom-set at it is the two-element group
     return Model(
         LIB["CatPt"],
-        carriers={"Ob": {(): 1}, "Hom": {(0, 0): 2}},
-        funcs={
+        {
+            "Ob": {(): 1},
+            "Hom": {(0, 0): 2},
             "id": {(0,): 0},
             "comp": {(0, 0, 0, a, b): (a + b) % 2 for a in range(2) for b in range(2)},
             "b": {(): 0},
@@ -186,17 +187,18 @@ def hand_catpt_model() -> Model:
 
 # each breaks one judgment of the valid hand-made model, or its tables
 CATPT_DEFECTS = {
-    "missing carrier table": lambda m: m.carriers.pop("Hom"),
-    "missing function table": lambda m: m.funcs.pop("comp"),
-    "undefined carrier cell": lambda m: m.carriers["Hom"].clear(),
-    "undefined function cell": lambda m: m.funcs["comp"].pop((0, 0, 0, 1, 1)),
-    "negative carrier": lambda m: m.carriers["Hom"].update({(0, 0): -5}),
-    "value out of range": lambda m: m.funcs["b"].update({(): 1}),
-    "failing unit law": lambda m: m.funcs["id"].update({(0,): 1}),
+    "missing carrier table": lambda m: m.tables.pop("Hom"),
+    "missing function table": lambda m: m.tables.pop("comp"),
+    "undefined carrier cell": lambda m: m.tables["Hom"].clear(),
+    "undefined function cell": lambda m: m.tables["comp"].pop((0, 0, 0, 1, 1)),
+    "negative carrier": lambda m: m.tables["Hom"].update({(0, 0): -5}),
+    "value out of range": lambda m: m.tables["b"].update({(): 1}),
+    "failing unit law": lambda m: m.tables["id"].update({(0,): 1}),
     # tables and cells beyond the theory: each would change the model's key
-    "table for an undeclared name": lambda m: m.funcs.update({"zzz": {(): 0}}),
-    "function cell outside the context": lambda m: m.funcs["comp"].update({(0, 0, 0, 5, 5): 0}),
-    "carrier cell outside the context": lambda m: m.carriers["Hom"].update({(3, 3): 2}),
+    "table for an undeclared name": lambda m: m.tables.update({"zzz": {(): 0}}),
+    "table for an axiom name": lambda m: m.tables.update({"_1": {(0, 0, 0): 0, (0, 0, 1): 1}}),
+    "function cell outside the context": lambda m: m.tables["comp"].update({(0, 0, 0, 5, 5): 0}),
+    "carrier cell outside the context": lambda m: m.tables["Hom"].update({(3, 3): 2}),
 }
 
 
@@ -209,24 +211,14 @@ def test_validate_model_rejects_each_defect(defect):
         validate_model(m)
 
 
-def test_validate_model_rejects_a_type_symbol_in_funcs():
-    # models are read with funcs over carriers, so a well-sized Hom table
-    # there would hide the negative carrier from the judgments
-    m = hand_catpt_model()
-    m.carriers["Hom"][(0, 0)] = -5
-    m.funcs["Hom"] = {(0, 0): 2}
-    with pytest.raises(ModelError, match="'Hom' has both a carrier and a function table"):
-        validate_model(m)
-
-
 def test_reduct_endomorphism_monoid():
     m = hand_catpt_model()
     validate_model(m)
     r = reduct(m, mon_to_catpt())
     validate_model(r)
-    assert r.carriers["Mon"][()] == 2
-    assert r.funcs["u"][()] == 0
-    assert r.funcs["mul"][(1, 1)] == 0
+    assert r.tables["Mon"][()] == 2
+    assert r.tables["u"][()] == 0
+    assert r.tables["mul"][(1, 1)] == 0
 
 
 def test_equivalent_interpretations_same_reduct():
@@ -332,6 +324,18 @@ def test_budget_boundary_is_the_search_node_count(name, bound, nodes):
         count_models(LIB[name], bound, budget=nodes - 1)
 
 
+def pinned_digest(theory, ms: list[Model]) -> str:
+    """sha256 of the models' keys in order, each split into the layout the
+    pins were first taken in: (type symbols' tables, term symbols' tables),
+    each part sorted by name as in Model.key."""
+    types = {d.name for d in theory.decls if isinstance(d.kind, TypeKind)}
+    keys = [
+        (tuple(e for e in k if e[0] in types), tuple(e for e in k if e[0] not in types))
+        for k in (m.key() for m in ms)
+    ]
+    return hashlib.sha256(repr(keys).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "name, bound, digest",
     [
@@ -343,15 +347,16 @@ def test_budget_boundary_is_the_search_node_count(name, bound, nodes):
     ],
 )
 def test_enumerated_models_in_order_are_pinned(name, bound, digest):
-    keys = [m.key() for m in enumerate_models(LIB[name], bound)]
-    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+    assert pinned_digest(LIB[name], enumerate_models(LIB[name], bound)) == digest
 
 
 def test_models_share_their_tables():
-    # Ty3 at bound 2: 33,673 models with four carrier tables each, found
-    # in 33,872 search nodes, each of which builds at most one table
-    ms = enumerate_models(LIB["Ty3"], 2)
-    assert len({id(t) for m in ms for t in m.carriers.values()}) <= 33_872
+    # Ty3 at bound 2: 33,673 models with four type symbols' tables each,
+    # found in 33,872 search nodes, each of which builds at most one table
+    ty3 = LIB["Ty3"]
+    types = {d.name for d in ty3.decls if isinstance(d.kind, TypeKind)}
+    ms = enumerate_models(ty3, 2)
+    assert len({id(m.tables[c]) for m in ms for c in types}) <= 33_872
 
 
 def _mon_with_family(early: bool):
@@ -466,8 +471,7 @@ def test_count_models_counts_what_enumerate_models_returns(name):
 )
 def test_mixed_plans_pin_order_and_nodes(make, bound, nodes, digest):
     t = make()
-    keys = [m.key() for m in enumerate_models(t, bound)]
-    assert hashlib.sha256(repr(keys).encode()).hexdigest() == digest
+    assert pinned_digest(t, enumerate_models(t, bound)) == digest
     count_models(t, bound, budget=nodes)
     with pytest.raises(BudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
         count_models(t, bound, budget=nodes - 1)
@@ -481,8 +485,8 @@ def whole_table_models(theory, bound: int) -> list[Model]:
     symbols = [d for d in theory.decls if d.is_symbol]
     out: list[Model] = []
 
-    def extend(i: int, carriers: dict, funcs: dict) -> None:
-        m = Model(theory, carriers, funcs)
+    def extend(i: int, tables: dict) -> None:
+        m = Model(theory, tables)
         if i == len(symbols):
             try:
                 validate_model(m)
@@ -499,13 +503,9 @@ def whole_table_models(theory, bound: int) -> list[Model]:
             return
         keys = [tuple(env.values()) for env in envs]
         for values in itertools.product(*map(range, sizes)):
-            table = {d.name: dict(zip(keys, values))}
-            if is_type:
-                extend(i + 1, {**carriers, **table}, funcs)
-            else:
-                extend(i + 1, carriers, {**funcs, **table})
+            extend(i + 1, {**tables, d.name: dict(zip(keys, values))})
 
-    extend(0, {}, {})
+    extend(0, {})
     return out
 
 

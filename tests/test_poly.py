@@ -94,7 +94,7 @@ def test_structure_maps_validate():
         p = poly_apply(t)
         prod = product_with_ty0(t)
         assert check_interpretation(weakening_interp(p, prod)).ok
-        fib = fib_product_el0(p.theory, p.leg)
+        fib = fib_product_el0(p.leg)
         assert check_interpretation(substitution_interp(p, fib)).ok
     assert check_interpretation(projection_interp(poly_apply(mk_El(0)))).ok
 
@@ -110,7 +110,7 @@ def test_projection_display():
 def test_substitution_display_on_el0():
     # the generic element goes to the family member at the chosen point
     pel0 = poly_apply(mk_El(0))
-    fib = fib_product_el0(pel0.theory, pel0.leg)
+    fib = fib_product_el0(pel0.leg)
     subst = substitution_interp(pel0, fib)
     pt = point_symbol(fib)
     assert subst.mapping["e0"] == App("e0", (App(pt),))
@@ -145,8 +145,8 @@ def test_substitution_naturality():
     src, dst = f.src, f.dst
     p_src, p_dst = poly_apply(src), poly_apply(dst)
     pf = poly_interp(f, p_src, p_dst)
-    fib_src = fib_product_el0(p_src.theory, p_src.leg)
-    fib_dst = fib_product_el0(p_dst.theory, p_dst.leg)
+    fib_src = fib_product_el0(p_src.leg)
+    fib_dst = fib_product_el0(p_dst.leg)
     pf_x_el0 = fib_arrow(pf, fib_dst, fib_src)
     left = compose(substitution_interp(p_src, fib_src), pf_x_el0)
     right = compose(f, substitution_interp(p_dst, fib_dst))
@@ -218,7 +218,7 @@ def test_arrow_wrappers_are_valid_and_directed():
     pr = projection_interp(poly_apply(mk_El(0)))
     assert pr.dst.decls == mk_Ty(0).decls
     assert check_interpretation(pr).ok
-    sb = substitution_interp(p, fib_product_el0(p.theory, p.leg))
+    sb = substitution_interp(p, fib_product_el0(p.leg))
     assert sb.src.decls == mon.decls
     assert check_interpretation(sb).ok
 
@@ -264,7 +264,7 @@ def test_unit_laws_on_three_legs():
     pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")})
     el0_leg = Interpretation(ty0, el0, {"A0": App("A0")})
     for base, leg in ((ty0, identity(ty0)), (prod.theory, pr2), (el0, el0_leg)):
-        unit = derive_unit(base, leg)
+        unit = derive_unit(leg)
         assert check_interpretation(unit.eta).ok
         for law in check_unit_laws(unit):
             assert law.verdict == "Proved", (base.name, law.name)
@@ -272,22 +272,22 @@ def test_unit_laws_on_three_legs():
 
 def test_unit_recovery_round_trips():
     prod = product_with_ty0(LIB["Mon"])
-    assert recover_weakening(prod, derive_unit(prod.theory, product_leg(prod))).proved
+    assert recover_weakening(prod, derive_unit(product_leg(prod))).proved
     ty0 = LIB["Ty0"]
-    assert recover_projection(derive_unit(ty0, identity(ty0))).proved
+    assert recover_projection(derive_unit(identity(ty0))).proved
 
 
 def test_triangle_identities():
     ty0, mon = LIB["Ty0"], LIB["Mon"]
-    for r in check_triangles(poly_apply(ty0), derive_unit(ty0, identity(ty0))):
+    for r in check_triangles(poly_apply(ty0), derive_unit(identity(ty0))):
         assert r.verdict == "Proved", r.name
         assert r.axiom_instances == 0
     prod = product_with_ty0(mon)
     pr2 = Interpretation(ty0, prod.theory, {"A0": prod.right.image("A0")})
-    for r in check_triangles(poly_apply(mon), derive_unit(prod.theory, pr2)):
+    for r in check_triangles(poly_apply(mon), derive_unit(pr2)):
         assert r.verdict == "Proved", r.name
     el0_leg = Interpretation(ty0, LIB["El0"], {"A0": App("A0")})
-    for r in check_triangles(poly_apply(mk_El(0)), derive_unit(LIB["El0"], el0_leg)):
+    for r in check_triangles(poly_apply(mk_El(0)), derive_unit(el0_leg)):
         assert r.verdict == "Proved", r.name
 
 

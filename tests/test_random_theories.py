@@ -111,24 +111,24 @@ def independent_model_count(theory: Theory, bound: int) -> int:
     count = 0
     for sizes in itertools.product(range(bound + 1), repeat=len(type_names)):
         size_of = dict(zip(type_names, sizes))
-        tables: list[list[dict]] = []
+        choices: list[list[dict]] = []  # each term symbol's candidate tables
         for d in terms:
             arg_sizes = [size_of[ty.head] for _, ty in d.ctx]
             out_size = size_of[d.kind.ty.head]
             keys = list(itertools.product(*[range(s) for s in arg_sizes]))
             if out_size == 0 and keys:
-                tables.append([])
+                choices.append([])
                 continue
-            tables.append(
+            choices.append(
                 [dict(zip(keys, vals)) for vals in itertools.product(range(out_size), repeat=len(keys))]
             )
-        for combo in itertools.product(*tables):
-            funcs = {d.name: t for d, t in zip(terms, combo)}
+        for combo in itertools.product(*choices):
+            tables = {d.name: t for d, t in zip(terms, combo)}
 
             def ev(e: Expr, env) -> int:
                 if isinstance(e, Var):
                     return env[e.name]
-                return funcs[e.head][tuple(ev(a, env) for a in e.args)]
+                return tables[e.head][tuple(ev(a, env) for a in e.args)]
 
             ok = True
             for ax in axioms:

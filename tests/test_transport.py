@@ -101,7 +101,7 @@ def test_verifier_arrows():
     prod = product_with_ty0(mon)
     legs = [identity(ty0), product_leg(prod), Interpretation(ty0, LIB["El0"], {"A0": App("A0")})]
     for leg in legs:
-        unit = derive_unit(leg.dst, leg)
+        unit = derive_unit(leg)
         poly_fib = poly_apply(unit.fib.theory)
         arrows += [
             unit.eta,
@@ -112,7 +112,7 @@ def test_verifier_arrows():
         p = poly_apply(t)
         arrows += [
             weakening_interp(p, product_with_ty0(t)),
-            substitution_interp(p, fib_product_el0(p.theory, p.leg)),
+            substitution_interp(p, fib_product_el0(p.leg)),
         ]
     assert same_as_full_check(arrows) == [("ok", "")] * len(arrows)
 
@@ -143,7 +143,7 @@ def unused_context_variable() -> Interpretation:
 def corrupted_substitution() -> Interpretation:
     """P2's substitution with the index variable's image replaced by the point."""
     pel0 = poly_apply(mk_El(0))
-    fib = fib_product_el0(pel0.theory, pel0.leg)
+    fib = fib_product_el0(pel0.leg)
     subst = substitution_interp(pel0, fib)
     return Interpretation(subst.src, subst.dst, {**subst.mapping, "e0": App(point_symbol(fib))})
 

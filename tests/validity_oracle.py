@@ -10,12 +10,12 @@ the same fuel the two must agree, error messages included.
 
 from gatc import deriv
 from gatc.errors import GatError
-from gatc.gatcat import Interpretation, ValidityResult, _default_rules
+from gatc.gatcat import Interpretation, _default_rules
 
 
 def check_interpretation(
     interp: Interpretation, rules=None, fuel: deriv.Fuel = deriv.DEFAULT_FUEL
-) -> ValidityResult:
+) -> deriv.JudgmentResult:
     rules = rules if rules is not None else _default_rules(interp.src, interp.dst)
     for d in interp.src.decls:
         j = deriv.Judgment(interp.apply_ctx(d.ctx), d.judgment().map(interp.apply))
@@ -24,5 +24,5 @@ def check_interpretation(
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
-            return ValidityResult("inconclusive", f"obligation for {d.name!r}: {r.detail}")
-    return ValidityResult("ok")
+            return deriv.JudgmentResult("inconclusive", f"obligation for {d.name!r}: {r.detail}")
+    return deriv.JudgmentResult("ok")
