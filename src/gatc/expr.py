@@ -15,13 +15,14 @@ iterative preorder walk with binder depths, so they take terms of any
 depth.  The maps (substitute, abstract_var, open_bound, translate,
 hypothesize, rename_symbols) are one recursive bottom-up rebuild,
 _rebuild(), told what to do at variables, at bound variables and at
-applications.
+applications; a subterm that the map leaves unchanged is kept, not
+copied.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import attrgetter, is_
 from typing import Callable, Container, Iterable, Mapping
 
 from .errors import ArityMismatch, UnknownSymbol, VariableClash
@@ -141,7 +142,7 @@ def _same(t: Expr, depth: int) -> Expr:
 
 
 def _app(t: App, args: tuple[Expr, ...]) -> Expr:
-    return App(t.head, args)
+    return t if args is t.args else App(t.head, args)
 
 
 def _rebuild(
@@ -156,12 +157,15 @@ def _rebuild(
     Variables become var(node, depth) and bound variables bvar(node,
     depth), where depth counts the binders above them inside e (plus the
     starting depth); an application becomes app(node, rebuilt arguments),
-    its arguments rebuilt first.  Pi, Lam and Ap nodes are rebuilt
-    structurally, keeping binder hints.
+    its arguments rebuilt first, and gets the node's own argument tuple
+    when no argument changed.  Pi, Lam and Ap nodes are rebuilt
+    structurally, keeping binder hints, and a node none of whose
+    children changed is returned itself.
     """
     c = e.__class__
     if c is App:
-        return app(e, tuple([_rebuild(a, app, var, bvar, depth) for a in e.args]))
+        new = tuple([_rebuild(a, app, var, bvar, depth) for a in e.args])
+        return app(e, e.args if all(map(is_, new, e.args)) else new)
     if c is Var:
         return var(e, depth)
     if c is BVar:
@@ -170,9 +174,10 @@ def _rebuild(
     if not kids:
         raise TypeError(f"unexpected expression node: {e!r}")
     first = _rebuild(kids[0], app, var, bvar, depth)
-    if c is Ap:
-        return Ap(first, _rebuild(kids[1], app, var, bvar, depth))
-    return c(first, _rebuild(kids[1], app, var, bvar, depth + 1), e.hint)
+    second = _rebuild(kids[1], app, var, bvar, depth if c is Ap else depth + 1)
+    if first is kids[0] and second is kids[1]:
+        return e
+    return Ap(first, second) if c is Ap else c(first, second, e.hint)
 
 
 def substitute(e: Expr, sub: Mapping[str, Expr]) -> Expr:
@@ -242,7 +247,7 @@ def translate(e: Expr, images: Mapping[str, SymbolImage]) -> Expr:
     the image has its dangling indices shifted past them, so the binders
     around the application keep their occurrences.  The extension is the
     unique one that is identity on variables and commutes with
-    substitution.
+    substitution; c applied to its own telescope gives c's image itself.
     """
 
     def app(t: App, targs: tuple[Expr, ...]) -> Expr:
@@ -253,7 +258,7 @@ def translate(e: Expr, images: Mapping[str, SymbolImage]) -> Expr:
             raise ArityMismatch(
                 f"symbol {t.head!r} expects {len(params)} arguments, got {len(targs)}"
             )
-        if not params:
+        if all(a.__class__ is Var and a.name == x for a, x in zip(targs, params)):
             return body
         sub = dict(zip(params, targs))
 

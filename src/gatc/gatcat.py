@@ -110,15 +110,18 @@ def check_interpretation(
     of those declarations have already passed their own claims here, so
     translating a derivation of one yields a derivation over the target.
     The translated context keeps the telescope's names, so an image that
-    mentions any other variable is a scope error.  An equality obligation
-    that exhausts fuel makes the whole result inconclusive.
+    mentions any other variable is a scope error.  Each symbol's image is
+    scope-checked once, against its own telescope: a certified source
+    translated by well-scoped images is well-scoped, so no translated
+    statement is walked for scope.  An equality obligation that exhausts
+    fuel makes the whole result inconclusive.
     """
     rules = rules if rules is not None else _default_rules(interp.src, interp.dst)
     for d in interp.src.decls:
         stmt = d.judgment().map(interp.apply)
         try:
-            for e in stmt.exprs():
-                deriv._scope_check(d.arity, e)
+            if d.is_symbol:
+                deriv._scope_check(d.arity, interp.image(d.name))
             r = deriv.check_claim(interp.dst, interp.apply_ctx(d.ctx), stmt, rules, fuel, [])
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None

@@ -1,6 +1,9 @@
 """The .gat surface syntax: lexer, parser and printer.
 
 A source file is a sequence of theory, interp and judgment blocks.  The
+lexer makes each token as the parser pulls it, so reading stops at the
+first error in reading order: a parse error that comes before a bad
+character is the one reported, and the text after it is not lexed.  The
 parser reads text straight into expressions: each expression is read
 against the variables in scope (a telescope plus the binders around it),
 so a name in scope is a variable and any other name a symbol.  An interp
@@ -8,14 +11,16 @@ image is checked for syntax alone when the file is parsed and read again,
 from its tokens, once the source symbol's telescope is known.  Printing
 then parsing is the identity up to whitespace and anonymous axiom labels,
 in ASCII and in unicode (the printer's '⇒' and 'Π' read as '=>' and
-'Pi'); the printer is canonical, so repeated runs are byte-stable.
+'Pi'); the printer is canonical, so repeated runs are byte-stable.  It
+prints each expression in one walk that also collects the symbols it
+applies, which tell whether a telescope variable must be renamed.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import deriv
 from .errors import GatSyntaxError, UnknownSymbol
@@ -26,6 +31,7 @@ from .expr import (
     Lam,
     Pi,
     Var,
+    children,
     free_vars,
     fresh_name,
     head_symbols,
@@ -67,45 +73,47 @@ _PUNCT = {
 _SPELLING = {kind: lit for lit, kind in reversed(_PUNCT.items())}
 _WORDS = {**{k: k for k in KEYWORDS}, "Π": "Pi"}
 
-# One token per match.  A word is a run of word characters, "'", '#' and
-# '-' (except where '-' starts '--' or '->'); its first character must
-# also pass isalpha() or be '_', which _lex checks.
+# One token per match, with the blanks and comments before it.  A word is
+# a run of word characters, "'", '#' and '-' (except where '-' starts '--'
+# or '->'); its first character must also pass isalpha() or be '_', which
+# _lex checks.  At the end of input only the blanks match.
 _TOKEN = re.compile(
-    r"(?P<NL>\n)|(?P<WS>[ \t\r]+)|(?P<COMMENT>--[^\n]*)"
-    rf"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT))})"
-    r"|(?P<WORD>\w(?:[\w'#]|-(?![->]))*)|(?P<BAD>.)",
+    r"((?:[ \t\r\n]+|--[^\n]*)*)"
+    rf"(?:({'|'.join(map(re.escape, _PUNCT))})|(\w(?:[\w'#]|-(?![->]))*)|(.)|\Z)",
     re.S,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # punctuation kind, "IDENT", keyword, or "EOF"
     value: str
     line: int
     col: int
 
 
-def _lex(text: str) -> list[Token]:
-    """Tokens with 1-based line and column; a comment's characters do not
-    count towards the column of the end of input that follows it."""
-    toks: list[Token] = []
-    line, line_start, end = 1, 0, 0
+def _lex(text: str) -> Iterator[Token]:
+    """Tokens with 1-based line and column, ending in EOF, made as the
+    parser pulls them, so a parse error stops the lexing.  A comment's
+    characters do not count towards the column of the end of input that
+    follows it."""
+    token = tuple.__new__  # Token's fields in order, without its Python-level __new__
+    line, line_start = 1, 0
     for m in _TOKEN.finditer(text):
-        group, value, end = m.lastgroup, m.group(), m.end()
-        col = m.start() - line_start + 1
-        if group == "NL":
-            line, line_start = line + 1, end
-        elif group == "COMMENT":
-            end = m.start()
-        elif group == "PUNCT":
-            toks.append(Token(_PUNCT[value], value, line, col))
-        elif group == "WORD" and (value[0].isalpha() or value[0] == "_"):
-            toks.append(Token(_WORDS.get(value, "IDENT"), value, line, col))
-        elif group != "WS":
-            raise GatSyntaxError(f"unexpected character {value[0]!r}", line, col)
-    toks.append(Token("EOF", "", line, end - line_start + 1))
-    return toks
+        blank, punct, word, bad = m.groups()
+        if "\n" in blank:
+            line += blank.count("\n")
+            line_start = text.rfind("\n", 0, m.end(1)) + 1
+        col = m.end(1) - line_start + 1
+        if punct:
+            yield token(Token, (_PUNCT[punct], punct, line, col))
+        elif word and (word[0].isalpha() or word[0] == "_"):
+            yield token(Token, (_WORDS.get(word, "IDENT"), word, line, col))
+        elif word or bad:
+            raise GatSyntaxError(f"unexpected character {(word or bad)[0]!r}", line, col)
+        else:
+            comment = blank.find("--", blank.rfind("\n") + 1)
+            yield token(Token, ("EOF", "", line, col if comment < 0 else col - len(blank) + comment))
+            return
 
 
 # Deepest nesting the parser accepts; parentheses, argument lists, binder
@@ -162,29 +170,26 @@ Scope = Optional[tuple[str, ...]]
 
 
 class _Parser:
-    def __init__(self, toks: list[Token]):
+    """Reads the tokens it pulls one at a time; tok is the next one."""
+
+    def __init__(self, toks: Iterator[Token]):
         self.toks = toks
-        self.pos = 0
+        self.tok = next(toks)
         self.depth = 0  # nesting level of the expression being parsed
         self.height = 0  # height of the expression parsed last (a name's is 0)
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
     def next(self) -> Token:
-        t = self.toks[self.pos]
-        self.pos += 1
+        """Take tok; past the last token, tok stays the last one."""
+        t = self.tok
+        self.tok = next(self.toks, t)
         return t
 
     def expect(self, kind: str) -> Token:
-        t = self.peek()
+        t = self.tok
         if t.kind != kind:
             want = _SPELLING.get(kind, kind)
             raise GatSyntaxError(f"expected {want!r}, found {t.value or 'end of input'!r}", t.line, t.col)
         return self.next()
-
-    def at(self, kind: str) -> bool:
-        return self.peek().kind == kind
 
     # -- expressions -------------------------------------------------------
 
@@ -198,12 +203,12 @@ class _Parser:
         pushes its first operand down one level per '@', which only the
         chain's height shows."""
         if self.depth > MAX_NESTING:
-            raise self._too_deep(self.peek())
+            raise self._too_deep(self.tok)
         level = self.depth
         self.depth += 1
         e = self.atom(scope)
         height = self.height
-        while self.at("AT"):
+        while self.tok.kind == "AT":
             t = self.next()
             e = Ap(e, self.atom(scope))
             height = 1 + max(height, self.height)
@@ -214,7 +219,10 @@ class _Parser:
         return e
 
     def atom(self, scope: Scope) -> Expr:
-        t = self.next()
+        t = self.tok  # tested before it is taken, which pulls the token after it
+        if t.kind not in ("Pi", "lam", "LPAREN", "IDENT"):
+            raise GatSyntaxError(f"expected an expression, found {t.value or 'end of input'!r}", t.line, t.col)
+        self.next()
         if t.kind in ("Pi", "lam"):
             self.expect("LPAREN")
             var = self.expect("IDENT").value
@@ -229,28 +237,26 @@ class _Parser:
             e = self.expr(scope)
             self.expect("RPAREN")
             return e
-        if t.kind == "IDENT":
-            is_var = bool(scope) and t.value in scope
-            if not self.at("LPAREN"):
-                self.height = 0
-                return Var(t.value) if is_var else App(t.value)
-            if is_var:
-                raise GatSyntaxError(f"variable {t.value!r} cannot take arguments", t.line, t.col)
+        is_var = bool(scope) and t.value in scope
+        if self.tok.kind != "LPAREN":
+            self.height = 0
+            return Var(t.value) if is_var else App(t.value)
+        if is_var:
+            raise GatSyntaxError(f"variable {t.value!r} cannot take arguments", t.line, t.col)
+        self.next()
+        args = [self.expr(scope)]
+        height = self.height
+        while self.tok.kind == "COMMA":
             self.next()
-            args = [self.expr(scope)]
-            height = self.height
-            while self.at("COMMA"):
-                self.next()
-                args.append(self.expr(scope))
-                height = max(height, self.height)
-            self.expect("RPAREN")
-            self.height = 1 + height
-            return App(t.value, tuple(args))
-        raise GatSyntaxError(f"expected an expression, found {t.value or 'end of input'!r}", t.line, t.col)
+            args.append(self.expr(scope))
+            height = max(height, self.height)
+        self.expect("RPAREN")
+        self.height = 1 + height
+        return App(t.value, tuple(args))
 
     def type_or_expr(self, scope: Scope) -> Optional[Expr]:
         """The keyword 'Type' (None) or an expression."""
-        if self.at("Type"):
+        if self.tok.kind == "Type":
             self.next()
             return None
         return self.expr(scope)
@@ -259,12 +265,12 @@ class _Parser:
         """A parenthesized telescope, each type read over the names before it."""
         self.expect("LPAREN")
         out: list[tuple[str, Expr]] = []
-        if not self.at("RPAREN"):
+        if self.tok.kind != "RPAREN":
             while True:
                 name = self.expect("IDENT").value
                 self.expect("COLON")
                 out.append((name, self.expr(tuple(x for x, _ in out))))
-                if not self.at("COMMA"):
+                if self.tok.kind != "COMMA":
                     break
                 self.next()
         self.expect("RPAREN")
@@ -274,8 +280,8 @@ class _Parser:
 
     def file(self) -> SourceFile:
         items = []
-        while not self.at("EOF"):
-            t = self.peek()
+        while self.tok.kind != "EOF":
+            t = self.tok
             if t.kind == "theory":
                 items.append(self.theory_block())
             elif t.kind == "interp":
@@ -297,8 +303,8 @@ class _Parser:
         decls: list[Declaration] = []
         decl_lines: dict[str, int] = {}
         k = 1  # _k is the least free label: names only accumulate, so k never falls
-        while not self.at("RBRACE"):
-            line = self.peek().line
+        while self.tok.kind != "RBRACE":
+            line = self.tok.line
             while f"_{k}" in decl_lines:
                 k += 1
             d = self.decl(f"_{k}")
@@ -308,30 +314,27 @@ class _Parser:
         return TheoryBlock(name, decls, t.line, decl_lines)
 
     def decl(self, unnamed: str) -> Declaration:
-        t = self.next()
+        t = self.tok  # tested before it is taken, as in atom
+        if t.kind not in ("sym", "ax"):
+            raise GatSyntaxError(f"expected 'sym' or 'ax', found {t.value!r}", t.line, t.col)
+        self.next()
+        # a symbol's name is required, an axiom's label optional
+        name = self.expect("IDENT").value if t.kind == "sym" or self.tok.kind == "IDENT" else unnamed
+        self.expect("COLON")
+        ctx = self.telescope()
+        scope = tuple(x for x, _ in ctx)
+        self.expect("DARROW")
         if t.kind == "sym":
-            name = self.expect("IDENT").value
-            self.expect("COLON")
-            ctx = self.telescope()
-            scope = tuple(x for x, _ in ctx)
-            self.expect("DARROW")
             ty = self.type_or_expr(scope)
             return Declaration(name, ctx, TypeKind() if ty is None else TermKind(ty))
-        if t.kind == "ax":
-            label = self.expect("IDENT").value if self.at("IDENT") else unnamed
-            self.expect("COLON")
-            ctx = self.telescope()
-            scope = tuple(x for x, _ in ctx)
-            self.expect("DARROW")
-            lhs = self.expr(scope)
-            self.expect("EQUALS")
-            rhs = self.expr(scope)
-            if not self.at("COLON"):
-                return Declaration(label, ctx, TermEqKind(lhs, rhs, None))
-            self.next()
-            ty = self.type_or_expr(scope)
-            return Declaration(label, ctx, TypeEqKind(lhs, rhs) if ty is None else TermEqKind(lhs, rhs, ty))
-        raise GatSyntaxError(f"expected 'sym' or 'ax', found {t.value!r}", t.line, t.col)
+        lhs = self.expr(scope)
+        self.expect("EQUALS")
+        rhs = self.expr(scope)
+        if self.tok.kind != "COLON":
+            return Declaration(name, ctx, TermEqKind(lhs, rhs, None))
+        self.next()
+        ty = self.type_or_expr(scope)
+        return Declaration(name, ctx, TypeEqKind(lhs, rhs) if ty is None else TermEqKind(lhs, rhs, ty))
 
     def interp_block(self) -> InterpBlock:
         t = self.expect("interp")
@@ -342,13 +345,15 @@ class _Parser:
         dst = self.expect("IDENT").value
         self.expect("LBRACE")
         assignments = []
-        while not self.at("RBRACE"):
+        while self.tok.kind != "RBRACE":
             s = self.expect("IDENT")
             self.expect("MAPSTO")
-            start = self.pos
+            image, toks = [self.tok], self.toks
+            self.toks = _taking(toks, image)
             self.expr(None)
-            assignments.append((s.value, self.toks[start : self.pos + 1], s.line, s.col))
-            if self.at("SEMI"):
+            self.toks = toks
+            assignments.append((s.value, image, s.line, s.col))
+            if self.tok.kind == "SEMI":
                 self.next()
         self.expect("RBRACE")
         return InterpBlock(name, src, dst, assignments, t.line)
@@ -366,11 +371,11 @@ class _Parser:
         return JudgmentBlock(name, theory_name, ctx, stmt, t.line)
 
     def statement(self, scope: tuple[str, ...]) -> deriv.Statement:
-        if self.at("Ctx"):
+        if self.tok.kind == "Ctx":
             self.next()
             return deriv.CtxOk()
         first = self.expr(scope)
-        if self.at("EQUALS"):
+        if self.tok.kind == "EQUALS":
             self.next()
             second = self.expr(scope)
             self.expect("COLON")
@@ -379,6 +384,13 @@ class _Parser:
         self.expect("COLON")
         ty = self.type_or_expr(scope)
         return deriv.IsType(first) if ty is None else deriv.HasType(first, ty)
+
+
+def _taking(toks: Iterator[Token], taken: list[Token]) -> Iterator[Token]:
+    """toks, each also appended to taken as it is pulled."""
+    for t in toks:
+        taken.append(t)
+        yield t
 
 
 def parse(text: str) -> SourceFile:
@@ -412,7 +424,7 @@ def resolve_interp_block(block: InterpBlock, src: Theory, dst: Theory):
             raise GatSyntaxError(f"{sym!r} is not declared in {src.name!r}", line, col)
         if not d.is_symbol:
             continue  # axiom entries are irrelevant
-        mapping[sym] = _Parser(toks).expr(d.arity)
+        mapping[sym] = _Parser(iter(toks)).expr(d.arity)
     return Interpretation(src, dst, mapping, block.name)
 
 
@@ -421,31 +433,31 @@ def resolve_interp_block(block: InterpBlock, src: Theory, dst: Theory):
 # ---------------------------------------------------------------------------
 
 
-def print_expr(e: Expr, unicode: bool = False, scope: Sequence[str] = ()) -> str:
+def print_expr(
+    e: Expr, unicode: bool = False, scope: Sequence[str] = (), heads: Optional[set[str]] = None
+) -> str:
+    """e as text over the variables in scope, in one walk that also adds
+    the symbols applied in e to heads when it is given."""
     pi_word = "Π" if unicode else "Pi"
-
-    def binder_name(hint: str, bound_part: Expr, avoid: tuple[str, ...]) -> str:
-        # the chosen name must not shadow any symbol applied under the
-        # binder, or reparsing would read those heads as the variable
-        taken = set(avoid) | set(free_vars(bound_part)) | head_symbols(bound_part)
-        return fresh_name(hint, taken)
+    heads = set() if heads is None else heads
 
     def go(t: Expr, avoid: tuple[str, ...]) -> str:
-        if isinstance(t, Var):
+        c = t.__class__
+        if c is Var:
             return t.name
-        if isinstance(t, App):
+        if c is App:
+            heads.add(t.head)
             if not t.args:
                 return t.head
-            return f"{t.head}({', '.join(go(a, avoid) for a in t.args)})"
-        if isinstance(t, Pi):
-            x = binder_name(t.hint, t.cod, avoid)
-            cod = open_bound(t.cod, Var(x))
-            return f"{pi_word} ({x} : {go(t.dom, avoid)}) {go(cod, avoid + (x,))}"
-        if isinstance(t, Lam):
-            x = binder_name(t.hint, t.body, avoid)
-            body = open_bound(t.body, Var(x))
-            return f"lam ({x} : {go(t.dom, avoid)}) {go(body, avoid + (x,))}"
-        if isinstance(t, Ap):
+            return f"{t.head}({', '.join([go(a, avoid) for a in t.args])})"
+        if c is Pi or c is Lam:
+            dom, part = children(t)
+            # the bound name must not shadow any symbol applied under the
+            # binder, or reparsing would read those heads as the variable
+            x = fresh_name(t.hint, {*avoid, *free_vars(part), *head_symbols(part)})
+            word = pi_word if c is Pi else "lam"
+            return f"{word} ({x} : {go(dom, avoid)}) {go(open_bound(part, Var(x)), avoid + (x,))}"
+        if c is Ap:
             fun = go(t.fun, avoid)
             if isinstance(t.fun, (Pi, Lam)):
                 fun = f"({fun})"
@@ -458,18 +470,14 @@ def print_expr(e: Expr, unicode: bool = False, scope: Sequence[str] = ()) -> str
     return go(e, tuple(scope))
 
 
-def _shadow_free(ctx, exprs):
-    """Rename telescope variables that shadow symbols applied anywhere in
-    the declaration, so lexical resolution reads the print back verbatim.
-    Returns the new telescope and the renaming substitution."""
-    used: set[str] = set()
-    for e in exprs:
-        used |= head_symbols(e)
-    for _, ty in ctx:
-        used |= head_symbols(ty)
+def _shadow_free(ctx, used: set[str]):
+    """Rename the telescope variables that shadow a symbol in used, the
+    symbols applied anywhere in the declaration, so lexical resolution
+    reads the print back verbatim.  Returns the new telescope and the
+    renaming substitution."""
     sub: dict[str, Expr] = {}
     out = []
-    taken = set(used) | {x for x, _ in ctx}
+    taken = used | {x for x, _ in ctx}
     for x, ty in ctx:
         ty = substitute(ty, sub)
         if x in used:
@@ -483,10 +491,13 @@ def _shadow_free(ctx, exprs):
 
 def print_decl(d: Declaration, unicode: bool = False) -> str:
     arrow = "⇒" if unicode else "=>"
-    ctx, sub = _shadow_free(d.ctx, d.kind.exprs())
-    tele = "(" + ", ".join(f"{x} : {print_expr(ty, unicode)}" for x, ty in ctx) + ")"
+    heads: set[str] = set()
+    tele = "(" + ", ".join([f"{x} : {print_expr(ty, unicode, heads=heads)}" for x, ty in d.ctx]) + ")"
     # the kind with each expression replaced by its printed text
-    k = d.kind.map(lambda e: print_expr(substitute(e, sub), unicode))
+    k = d.kind.map(lambda e: print_expr(e, unicode, heads=heads))
+    if not heads.isdisjoint(d.arity):  # print again with the shadowing variables renamed
+        ctx, sub = _shadow_free(d.ctx, heads)
+        return print_decl(Declaration(d.name, ctx, d.kind.map(lambda e: substitute(e, sub))), unicode)
     if isinstance(k, TypeKind):
         return f"sym {d.name} : {tele} {arrow} Type"
     if isinstance(k, TermKind):
@@ -514,12 +525,9 @@ def print_interp(i, unicode: bool = False) -> str:
     same map.
     """
     lines = [f"interp {i.name or 'I'} : {i.src.name} -> {i.dst.name} {{"]
-    for d in i.src.decls:
-        if not d.is_symbol:
-            continue
-        image = i.mapping[d.name]
-        _, sub = _shadow_free(d.ctx, d.exprs())
-        image = substitute(image, sub)
+    for d in i.src.symbols():
+        _, sub = _shadow_free(d.ctx, set().union(*map(head_symbols, d.exprs())))
+        image = substitute(i.mapping[d.name], sub)
         lines.append(f"  {d.name} |-> {print_expr(image, unicode)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

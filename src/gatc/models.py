@@ -433,7 +433,7 @@ def _coproduct_duality(cp: Coproduct, bound: int, budget: int) -> DualityReport:
     m2 = enumerate_models(cp.right.src, bound, budget)
     left, right = _reducer(cp.left), _reducer(cp.right)
     pairs = [(left(m).key(), right(m).key()) for m in ms]
-    expected = {(a.key(), b.key()) for a in m1 for b in m2}
+    expected = set(itertools.product([a.key() for a in m1], [b.key() for b in m2]))
     return _bijection("coproduct", pairs, expected, (m1, m2))
 
 

@@ -12,7 +12,7 @@ adjunction triangle identities as interpretation equivalences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from . import deriv
 from .deriv import Fuel, JudgmentResult, RuleSet
@@ -200,9 +200,10 @@ class UnitResult:
     prod: Coproduct  # base x Ty0
 
 
-def derive_unit(leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL) -> UnitResult:
+def derive_unit(leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL, fib: Optional[Pushout] = None) -> UnitResult:
     """Build the adjunction unit at a leg, over its target base, from
-    weakening and projection.
+    weakening and projection; fib is the leg's fibre product when it is
+    already built.
 
     The families theory of the fibred product splits into the families
     of the base and the pointed part, so the unit is glued from
@@ -210,7 +211,7 @@ def derive_unit(leg: Interpretation, fuel: Fuel = deriv.DEFAULT_FUEL) -> UnitRes
     defining equations are checked post hoc by check_unit_laws.
     """
     base = leg.dst
-    fib = fib_product_el0(leg, fuel)
+    fib = fib or fib_product_el0(leg, fuel)
     poly_fib = poly_apply(fib.theory)
     poly_base = poly_apply(base)
     prod = product_with_ty0(base)
@@ -313,7 +314,7 @@ def check_triangles(poly_base: PolyTheory, unit: UnitResult, rules: Optional[Rul
     base = poly_base.base
     rules = rules if rules is not None else _default_rules(base)
     return [
-        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_base, rules, fuel)),
+        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_base, fib_product_el0(poly_base.leg, fuel), rules, fuel)),
         _law(f"triangle-unit[{unit.base.name}]", lambda: _triangle_unit(unit, rules, fuel)),
     ]
 
@@ -346,30 +347,39 @@ def verify_polynomial_axioms(
     mutation check.
     """
     rules = rules if rules is not None else deriv.BASE
+    # Built once per call: P3 and P4 of a sample share P(X) and the fibre
+    # product of its leg, which P2 reads for El0, and P1 and P3[Ty0] share
+    # Ty0 x Ty0.
+    poly, prod = _once(poly_apply), _once(product_with_ty0)
+    fib = _once(lambda p: fib_product_el0(p.leg, fuel))
     out: list[LawReport] = [
-        _law("P1[Ty0]", lambda: _check_p1(rules, fuel)),
-        _law("P2[El0]", lambda: _check_p2(rules, fuel, corrupt_subst)),
+        _law("P1[Ty0]", lambda: _check_p1(prod(mk_Ty(0)), rules, fuel)),
+        _law("P2[El0]", lambda: _check_p2(poly(mk_El(0)), fib(poly(mk_El(0))), rules, fuel, corrupt_subst)),
     ]
     for t in samples:
-        out.append(_law(f"P3[{t.name}]", lambda: _check_p3(poly_apply(t), rules, fuel)))
-        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly_apply(t), rules, fuel)))
+        out.append(_law(f"P3[{t.name}]", lambda: _check_p3(poly(t), prod(t), fib(poly(t)), rules, fuel)))
+        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly(t), fib(poly(t)), rules, fuel)))
     return out
 
 
-def _check_p1(rules, fuel) -> EquivalenceResult:
+def _once(build: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    """build, memoized on the identity of its argument: for one verifier
+    call, whose arguments all outlive it."""
+    memo: dict[int, Any] = {}
+    return lambda t: memo[id(t)] if id(t) in memo else memo.setdefault(id(t), build(t))
+
+
+def _check_p1(prod: Coproduct, rules, fuel) -> EquivalenceResult:
     ty0 = mk_Ty(0)
     pty0, pel0 = poly_apply(ty0), poly_apply(mk_El(0))
     incl = Interpretation(ty0, pel0.base, {"A0": App("A0")}, "element-of")
     p_incl = poly_interp(incl, pty0, pel0)
     lhs = compose(p_incl, projection_interp(pel0))
-    prod = product_with_ty0(ty0)
     rhs = compose(weakening_interp(pty0, prod), diagonal_interp(prod))
     return equivalent(lhs, rhs, rules, fuel)
 
 
-def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | JudgmentResult:
-    pel0 = poly_apply(mk_El(0))
-    fib = fib_product_el0(pel0.leg, fuel)
+def _check_p2(pel0: PolyTheory, fib: Pushout, rules, fuel, corrupt: bool = False) -> EquivalenceResult | JudgmentResult:
     subst = substitution_interp(pel0, fib)
     if corrupt:
         bad = dict(subst.mapping)
@@ -388,10 +398,8 @@ def _check_p2(rules, fuel, corrupt: bool = False) -> EquivalenceResult | Judgmen
     return equivalent(composite, canonical, rules, fuel)
 
 
-def _check_p3(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
-    prod = product_with_ty0(poly_base.base)
+def _check_p3(poly_base: PolyTheory, prod: Coproduct, fib_poly: Pushout, rules, fuel) -> EquivalenceResult:
     fib_prod = fib_product_el0(product_leg(prod), fuel)
-    fib_poly = fib_product_el0(poly_base.leg, fuel)
     wk_x_el0 = fib_arrow(weakening_interp(poly_base, prod), fib_prod, fib_poly)
     subst = substitution_interp(poly_base, fib_poly)
     composite = compose(subst, wk_x_el0)
@@ -399,8 +407,8 @@ def _check_p3(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
     return equivalent(composite, projection, rules, fuel)
 
 
-def _check_p4(poly_base: PolyTheory, rules, fuel) -> EquivalenceResult:
-    unit = derive_unit(poly_base.leg, fuel)
+def _check_p4(poly_base: PolyTheory, fib: Pushout, rules, fuel) -> EquivalenceResult:
+    unit = derive_unit(poly_base.leg, fuel, fib)
     subst = substitution_interp(poly_base, unit.fib)
     p_subst = poly_interp(subst, poly_base, poly_apply(unit.fib.theory))
     composite = compose(p_subst, unit.eta)

@@ -82,6 +82,25 @@ def test_substitute_under_binder_no_capture():
     assert out == Lam(App("A"), App("mul", (BVar(0), Var("x"))), "x")
 
 
+def test_substitute_keeps_what_it_does_not_change():
+    e = App("f", (mk_pi("x", App("A"), App("g", (Var("x"), Var("y")))), Ap(Var("y"), App("c"))))
+    assert substitute(e, {"z": App("c")}) is e
+    # a changed argument is rebuilt, the unchanged one kept
+    pair = App("f", (Var("x"), e))
+    out = substitute(pair, {"x": App("c")})
+    assert out == App("f", (App("c"), e)) and out.args[1] is e
+
+
+def test_translate_of_a_symbol_over_its_own_telescope_is_its_image():
+    image = mk_lam("z", App("A"), App("g", (Var("y1"), Var("z"), Var("y2"))))
+    images = {"c": (("y1", "y2"), image), "u": ((), App("e"))}
+    assert translate(App("c", (Var("y1"), Var("y2"))), images) is image
+    assert translate(App("u"), images) is images["u"][1]
+    # other arguments are substituted as before
+    swapped = translate(App("c", (Var("y2"), Var("y1"))), images)
+    assert swapped == mk_lam("z", App("A"), App("g", (Var("y2"), Var("z"), Var("y1"))))
+
+
 def test_translate_identity_on_variables():
     images = {"u": ((), App("id", (App("b"),)))}
     assert translate(Var("x"), images) == Var("x")

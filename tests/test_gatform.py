@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gatc import deriv
+from gatc import deriv, gatform
 from gatc.errors import GatSyntaxError
 from gatc.expr import Ap, App, Var, mk_lam, mk_pi
 from gatc.gatform import (
@@ -252,14 +252,46 @@ LEX_CASES = [
 def test_lexer_edge_cases(text, expected):
     if isinstance(expected, str):
         with pytest.raises(GatSyntaxError) as err:
-            _lex(text)
+            list(_lex(text))
         assert str(err.value) == expected
     else:
         assert [(t.kind, t.value, t.line, t.col) for t in _lex(text)] == expected
 
 
+def test_lexing_stops_at_the_parse_error(monkeypatch):
+    # the benchmark's 1,500-deep goal is 7,502 tokens; the parser rejects
+    # it at level 201, so only the tokens up to there are lexed
+    goal = "u"
+    for _ in range(1500):
+        goal = f"mul({goal}, u)"
+    pulled = []
+    lex = gatform._lex
+    monkeypatch.setattr(gatform, "_lex", lambda text: (pulled.append(t) or t for t in lex(text)))
+    with pytest.raises(GatSyntaxError) as err:
+        parse_expr(goal)
+    assert str(err.value) == "1:805: expression nested more than 200 levels deep"
+    assert len(pulled) <= 2 * (gatform.MAX_NESTING + 1) + 1
+
+
+# A parse error before a bad character, and a bad character before a
+# parse error: whichever comes first in the text is reported.
+FIRST_ERROR_CASES = [
+    (parse, "theory T { sym A : () => Type ) $ }", "1:31: expected 'sym' or 'ax', found ')'"),
+    (parse_expr, "f(, $)", "1:3: expected an expression, found ','"),
+    (parse_expr, "f(x y) $", "1:5: expected ')', found 'y'"),
+    (parse_expr, "f($, )", "1:3: unexpected character '$'"),
+]
+
+
+@pytest.mark.parametrize("read,text,expected", FIRST_ERROR_CASES, ids=[t for _, t, _ in FIRST_ERROR_CASES])
+def test_the_first_error_in_reading_order_is_reported(read, text, expected):
+    with pytest.raises(GatSyntaxError) as err:
+        read(text)
+    assert str(err.value) == expected
+
+
 def test_unicode_spellings_lex_as_ascii_kinds():
-    toks = _lex("Π (x : A) B ⇒ Πx")
+    toks = list(_lex("Π (x : A) B ⇒ Πx"))
     assert [t.kind for t in toks] == ["Pi", "LPAREN", "IDENT", "COLON", "IDENT", "RPAREN", "IDENT", "DARROW", "IDENT", "EOF"]
     assert parse_expr("Π (x : A0) A1(x)") == parse_expr("Pi (x : A0) A1(x)")
     # expected-token messages keep the ASCII spelling

@@ -46,6 +46,11 @@ CASES = {
         f"poly_{n}": ["poly", "--theory", n, "--json"] + (["--rules", "pi"] if n in PI_THEORIES else [])
         for n in theory.stdlib()
     },
+    "check_interpretations": ["check", INTERPS, "--json"],
+    "present_Cat_reconstruct": ["present", "--theory", "Cat", "--reconstruct", "--json"],
+    "present_MLTT-N_reconstruct": [
+        "present", "--theory", "MLTT-N", "--reconstruct", "--rules", "pi", "--json",
+    ],
     "coprod_Mon_Cat": ["coprod", "--left", "Mon", "--right", "Cat", "--json"],
     "pushout_Ty0_El0_Ty0ToMon": [
         "pushout", INTERPS, "--base", "Ty0", "--total", "El0", "--along", "Ty0ToMon", "--json",

@@ -258,6 +258,19 @@ def test_coproduct_duality_mon_ty0():
     assert r.colimit_count == 15
 
 
+def test_coproduct_duality_keys_each_component_model_once(monkeypatch):
+    # 13 models of Ty1 and 13 of El1 at bound 2, whose 169 pairs are the
+    # expected set; the 169 coproduct models' two reducts are keyed too
+    cp = coproduct(LIB["Ty1"], LIB["El1"])
+    before = check_colimit_duality(cp, 2)
+    calls = []
+    key = Model.key
+    monkeypatch.setattr(Model, "key", lambda m: calls.append(m) or key(m))
+    assert check_colimit_duality(cp, 2) == before
+    assert before.component_counts == (13, 13) and before.bijection
+    assert len(calls) == 2 * 169 + 26
+
+
 def test_pushout_duality_pointed_monoid():
     po = pushout(LIB["Ty0"], LIB["El0"], corpus_interpretations()["Ty0ToMon"])
     r = check_colimit_duality(po, 2)

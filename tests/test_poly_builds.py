@@ -1,9 +1,9 @@
 """The polynomial verifiers build each construction once.
 
 The families theories that one verifier command builds (memo misses of
-poly_apply) and the units it derives (derive_unit) are counted, so a
-law that rebuilds what another law of the same command has built shows
-up here.  When a count falls, lower its bound below.
+poly_apply), the units it derives (derive_unit), and the fibre products
+and products with Ty0 it builds are counted, so a law that rebuilds what
+another law of the same command has built shows up here.  When a count falls, lower its bound below.
 """
 
 import io
@@ -23,7 +23,12 @@ def builds(monkeypatch):
     for t in (terminal_theory(), *stdlib().values()):
         vars(t).pop("_families", None)
     counts = Counter()
-    originals = {"families": (theory, theory.families), "derive_unit": (poly, poly.derive_unit)}
+    originals = {
+        "families": (theory, theory.families),
+        "derive_unit": (poly, poly.derive_unit),
+        "fib_product_el0": (poly, poly.fib_product_el0),
+        "product_with_ty0": (poly, poly.product_with_ty0),
+    }
     for name, (module, original) in originals.items():
 
         def counting(*args, _name=name, _original=original, **kwargs):
@@ -52,5 +57,9 @@ def test_unit_triangles_derives_each_unit_once(builds):
 def test_verify_poly_builds_each_sample_once(builds):
     _run(["verify-poly"])
     assert builds["families"] <= 15
+    # P3 and P4 of a sample share its fibre product, P2 reads El0's, and
+    # P1 and P3[Ty0] share Ty0 x Ty0: 11 legs and 10 theories
+    assert builds["fib_product_el0"] <= 11
+    assert builds["product_with_ty0"] <= 10
     # once, for the element-of arrow and as the El0 sample alike
     assert builds["P(El0)"] <= 1
