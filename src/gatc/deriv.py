@@ -211,14 +211,19 @@ def _head(e: Expr):
     return e.head if isinstance(e, App) else Ap if isinstance(e, Ap) else None
 
 
-def _pattern(e: Expr):
-    """An axiom side as a pattern: a variable's name, (head, argument
+def _pattern(e: Expr, slots: dict[str, int]):
+    """An axiom side as a pattern: a variable's slot, (head, argument
     patterns) for an application (head Ap for an object-level one), or a
-    binder expression, which is matched structurally."""
+    binder expression whose variables are renamed to their slots, which is
+    matched structurally."""
     if isinstance(e, Var):
-        return e.name
+        return slots[e.name]
     head = _head(e)
-    return e if head is None else (head, tuple(_pattern(a) for a in children(e)))
+    return (
+        substitute(e, {x: Var(k) for x, k in slots.items()})
+        if head is None
+        else (head, tuple([_pattern(a, slots) for a in children(e)]))
+    )
 
 
 def _height(pat) -> int:
@@ -229,37 +234,44 @@ def _height(pat) -> int:
 
 
 def _axiom_pattern(d: Declaration):
-    """An equational axiom as (label, lhs, rhs, sides to match).
+    """An equational axiom as (label, sides to match).
 
     A side is matched when it is not a bare variable and binds every
     variable of the axiom's context, so each instance substitutes a term
-    for every context variable; it comes with its head, its height and
-    the other side's pattern.  Theory._axiom_patterns compiles each
-    theory's axioms once: compiling costs more than a small goal's whole
-    search.
+    for every context variable.  Its variables are numbered into slots in
+    first-occurrence order, the order in which matching binds them, and
+    both sides' patterns use its slots; it comes as (pattern, head,
+    height, other side's pattern, lhs pattern, rhs pattern, the variable
+    names in slot order).  Theory._axiom_patterns compiles each theory's
+    axioms once: compiling costs more than a small goal's whole search.
     """
-    lhs, rhs = _pattern(d.kind.lhs), _pattern(d.kind.rhs)
-    sides = tuple(
-        (p, p[0] if type(p) is tuple else type(p), _height(p), q)
-        for side, p, q in ((d.kind.lhs, lhs, rhs), (d.kind.rhs, rhs, lhs))
-        if not isinstance(side, Var) and set(d.arity) <= set(free_vars(side))
-    )
-    return d.name, lhs, rhs, sides
+    sides = []
+    for k, side in enumerate((d.kind.lhs, d.kind.rhs)):
+        slots = {x: n for n, x in enumerate(free_vars(side))}
+        if not isinstance(side, Var) and set(d.arity) <= slots.keys():
+            pats = (_pattern(d.kind.lhs, slots), _pattern(d.kind.rhs, slots))
+            sides.append((pats[k], _head(side) or type(side), _height(pats[k]), pats[1 - k], *pats, tuple(slots)))
+    return d.name, tuple(sides)
 
 
 class _EGraph:
     """Hash-consed terms in congruence-closed classes.
 
     A term is stored once per head and child term ids, with its Expr for
-    traces; variables and binder terms are leaves.  Classes form a
-    union-find over term ids whose roots keep their members and the terms
-    using them as a child.  `table` maps a head and canonical child
-    classes to the first term entered with them; a later term with the
-    same key is a duplicate: it is joined to that term by a congruence
-    step and never matched.  A union queues the terms above the absorbed
-    class, and rebuild() re-keys them (deferred rebuilding, after egg,
-    Willsey et al. 2021).  Every union records the one step that joins
-    its two terms, so the classes are exactly what the trace replays.
+    traces; variables and binder terms are leaves.  Each term's class is
+    named by its current root, `root[i]`, the class's oldest term: a union
+    relabels the members of the younger class, so no lookup walks a
+    chain.  A root keeps its class's members and the terms using them as
+    a child.  `table` maps a head and canonical child classes to the first
+    term entered with them; a later term with the same key is a
+    duplicate: it is joined to that term by a congruence step and never
+    matched.  A union queues the terms above the absorbed class, and
+    rebuild() re-keys them (deferred rebuilding, after egg, Willsey et al.
+    2021).  Every union records the one step that joins its two terms, so
+    the classes are exactly what the trace replays.  E-matching binds a
+    side's variables by slot number, in the order _axiom_pattern gave
+    them, so a substitution is a tuple that grows by one entry per new
+    variable.
     """
 
     def __init__(self, max_terms: int):
@@ -268,7 +280,7 @@ class _EGraph:
         self.heads: list = []
         self.kids: list[tuple[int, ...]] = []
         self.ids: dict = {}
-        self.parent: list[int] = []
+        self.root: list[int] = []
         self.members: list[list[int]] = []
         self.uses: list[list[int]] = []
         self.dup: list[bool] = []
@@ -279,19 +291,26 @@ class _EGraph:
         self.steps: list[EqStep] = []
         self.goal: Optional[tuple[int, int]] = None
 
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
     def add(self, e: Expr) -> int:
-        if isinstance(e, App):
-            return self.node(e.head, tuple([self.add(a) for a in e.args]), e)
-        if isinstance(e, Ap):
-            return self.node(Ap, (self.add(e.fun), self.add(e.arg)), e)
-        i = self.ids.get(e)
-        return self._new(e, type(e), (), e) if i is None else i
+        """The term id of e, entering whichever of e and its subterms are
+        missing, children first and left to right; iterative, so any depth
+        is fine."""
+        out: list[int] = []
+        stack: list = [e]
+        while stack:
+            t = stack.pop()
+            c = t.__class__
+            if c is App:
+                stack.append((t, t.head, len(out)))
+                stack += t.args[::-1]
+            elif c is Ap:
+                stack += ((t, Ap, len(out)), t.arg, t.fun)
+            elif c is tuple:  # a term whose children's ids now end out, from index k
+                t, head, k = t
+                out[k:] = [self.node(head, tuple(out[k:]), t)]
+            else:
+                out.append(self._new(t, c, (), t) if (i := self.ids.get(t)) is None else i)
+        return out[0]
 
     def node(self, head, kids: tuple[int, ...], e: Optional[Expr] = None) -> int:
         key = (head, kids)
@@ -312,36 +331,38 @@ class _EGraph:
         self.exprs.append(e)
         self.heads.append(head)
         self.kids.append(kids)
-        self.parent.append(i)
+        self.root.append(i)
         self.members.append([i])
         self.uses.append([])
         self.dup.append(False)
         self.by_head.setdefault(head, []).append(i)
         for k in kids:
-            self.uses[self.find(k)].append(i)
+            self.uses[self.root[k]].append(i)
         return i
 
     def _key(self, i: int) -> None:
         """Enter term i under its canonical key, joining a congruent term."""
-        j = self.table.setdefault((self.heads[i], tuple([self.find(k) for k in self.kids[i]])), i)
+        j = self.table.setdefault((self.heads[i], tuple([self.root[k] for k in self.kids[i]])), i)
         if j != i:
             self.dup[i] = True
             self.union(j, i, CongStep(self.exprs[j], self.exprs[i]))
 
     def union(self, i: int, j: int, step: EqStep) -> bool:
-        a, b = self.find(i), self.find(j)
+        root = self.root
+        a, b = root[i], root[j]
         if a == b:
             return False
         if a > b:
-            a, b = b, a
-        self.parent[b] = a  # the older root stays, which keeps runs deterministic
+            a, b = b, a  # the older root stays, which keeps runs deterministic
+        for m in self.members[b]:
+            root[m] = a
         self.pending += self.uses[b]
         self.members[a] += self.members[b]
         self.uses[a] += self.uses[b]
         self.members[b] = self.uses[b] = []
         self.dirty.append(a)
         self.steps.append(step)
-        if self.goal and self.find(self.goal[0]) == self.find(self.goal[1]):
+        if self.goal and root[self.goal[0]] == root[self.goal[1]]:
             raise _Joined
         return True
 
@@ -357,39 +378,34 @@ class _EGraph:
         head = _head(e)
         if head is None:
             return self.ids.get(e)
-        kids = []
-        for a in children(e):
-            k = self.lookup(a)
-            if k is None:
-                return None
-            kids.append(k)
-        return self.ids.get((head, tuple(kids)))
+        return self.ids.get((head, tuple([self.lookup(a) for a in children(e)])))  # no key holds None
 
-    # -- e-matching: substitutions map pattern variables to term ids, or
-    # to expressions from binder innards that are not in the bank
+    # -- e-matching: a substitution is a tuple holding, for each pattern
+    # slot in binding order, a term id or an expression from binder
+    # innards that is not in the bank; slot x is bound when x < len(s),
+    # and an unbound slot is the next one, x == len(s)
 
-    def _bind(self, x: str, v, subs: list[dict]) -> list[dict]:
+    def _bind(self, x: int, v, subs: list[tuple]) -> list[tuple]:
+        root = self.root
         out = []
         for s in subs:
-            w = s.get(x)
-            if w is None:
-                out.append({**s, x: v})
-            elif w == v or (type(w) is int and type(v) is int and self.find(w) == self.find(v)):
+            if x == len(s):
+                out.append((*s, v))
+            elif (w := s[x]) == v or (type(w) is int and type(v) is int and root[w] == root[v]):
                 out.append(s)
         return out
 
-    def _match(self, pat, t: int, subs: list[dict]) -> list[dict]:
-        """Extend each substitution by the matches of pat in the class of term t."""
-        if type(pat) is str:
-            return self._bind(pat, t, subs)
+    def _match(self, pat, t: int, subs: list[tuple]) -> list[tuple]:
+        """Extend each substitution by the matches of pat, not a variable, in
+        the class of term t."""
         head = pat[0] if type(pat) is tuple else type(pat)
-        out: list[dict] = []
-        for m in self.members[self.find(t)]:
+        out: list[tuple] = []
+        for m in self.members[self.root[t]]:
             if self.heads[m] == head and not self.dup[m]:
                 out += self._at(pat, m, subs)
         return out
 
-    def _at(self, pat, i: int, subs: list[dict]) -> list[dict]:
+    def _at(self, pat, i: int, subs: list[tuple]) -> list[tuple]:
         """Extend each substitution by the matches of pat at term i, whose head is pat's."""
         if type(pat) is not tuple:
             return self._rigid(pat, self.exprs[i], subs)
@@ -397,13 +413,14 @@ class _EGraph:
         if len(kids) != len(pat[1]):
             return []
         for p, k in zip(pat[1], kids):
-            subs = self._match(p, k, subs)
+            subs = self._bind(p, k, subs) if type(p) is int else self._match(p, k, subs)
             if not subs:
                 break
         return subs
 
-    def _rigid(self, pat: Expr, e: Expr, subs: list[dict]) -> list[dict]:
-        """Match inside a binder, structurally; every variable is a pattern variable."""
+    def _rigid(self, pat: Expr, e: Expr, subs: list[tuple]) -> list[tuple]:
+        """Match inside a binder, structurally; every variable is a pattern
+        variable named by its slot."""
         if isinstance(pat, Var):
             if not locally_closed(e):
                 return []
@@ -422,35 +439,37 @@ class _EGraph:
                 break
         return subs
 
-    def _probe(self, pat, sub: dict) -> Optional[int]:
+    def _probe(self, pat, sub: tuple) -> Optional[int]:
         """The class of pat's instance under sub, if a term already has its key."""
-        if type(pat) is str:
+        if type(pat) is int:
             v = sub[pat]
-            return self.find(v) if type(v) is int else None
+            return self.root[v] if type(v) is int else None
         if type(pat) is not tuple:
             return None
         kids = []
-        for p in pat[1]:
-            c = self._probe(p, sub)
+        for p in pat[1]:  # a variable bound to a term id is probed without a call
+            c = self.root[v] if type(p) is int and type(v := sub[p]) is int else self._probe(p, sub)
             if c is None:
                 return None
             kids.append(c)
         j = self.table.get((pat[0], tuple(kids)))
-        return None if j is None else self.find(j)
+        return None if j is None else self.root[j]
 
-    def build(self, pat, sub: dict) -> int:
+    def build(self, pat, sub: tuple) -> int:
         """Add pat's instance under sub."""
-        if type(pat) is str:
+        if type(pat) is int:
             v = sub[pat]
             return v if type(v) is int else self.add(v)
-        if type(pat) is tuple:
-            return self.node(pat[0], tuple([self.build(p, sub) for p in pat[1]]))
-        return self.add(substitute(pat, {x: self.exprs[v] if type(v) is int else v for x, v in sub.items()}))
+        if type(pat) is tuple:  # a variable bound to a term id is built without a call
+            return self.node(
+                pat[0], tuple([v if type(p) is int and type(v := sub[p]) is int else self.build(p, sub) for p in pat[1]])
+            )
+        return self.add(substitute(pat, {k: self.exprs[v] if type(v) is int else v for k, v in enumerate(sub)}))
 
-    def instance(self, label: str, lhs, rhs, sub: dict) -> None:
+    def instance(self, label: str, lhs, rhs, names: tuple[str, ...], sub: tuple) -> None:
         """Add an axiom instance and join its sides."""
         il, ir = self.build(lhs, sub), self.build(rhs, sub)
-        subst = tuple(sorted((x, self.exprs[v] if type(v) is int else v) for x, v in sub.items()))
+        subst = tuple(sorted(zip(names, [self.exprs[v] if type(v) is int else v for v in sub])))
         self.union(il, ir, AxiomStep(label, subst, self.exprs[il], self.exprs[ir]))
         self.rebuild()
 
@@ -470,12 +489,12 @@ class _EGraph:
         """touched[h]: the terms with a class changed since the last call
         at most h levels below them."""
         out: list[set[int]] = [set()]
-        front = {self.find(c) for c in self.dirty}
+        front = {self.root[c] for c in self.dirty}
         self.dirty = []
         for _ in range(height):
             new = {i for c in front for i in self.uses[c]} - out[-1]
             out.append(out[-1] | new)
-            front = {self.find(i) for i in new}
+            front = {self.root[i] for i in new}
         return out
 
     def saturate(self, axioms, pi: bool, rounds: int) -> str:
@@ -487,22 +506,22 @@ class _EGraph:
         below them: no other term can have gained a match.
         """
         seen = 0  # terms before this index took part in an earlier round
-        height = max((side[2] for *_, sides in axioms for side in sides), default=0)
+        height = max((side[2] for _, sides in axioms for side in sides), default=0)
         for _ in range(rounds):
             before, end = len(self.steps), len(self.exprs)
             if pi:
                 self.beta_eta(seen, end)
             touched = self.touched(height)
-            for label, lhs, rhs, sides in axioms:
-                for pat, head, h, other in sides:
+            for label, sides in axioms:
+                for pat, head, h, other, lhs, rhs, names in sides:
                     for i in self.by_head.get(head, ()):
                         if i >= end:
                             break
                         if not self.dup[i] and (i >= seen or i in touched[h]):
-                            for sub in self._at(pat, i, [{}]):
+                            for sub in self._at(pat, i, [()]):
                                 # the matched side's instance is in i's class
-                                if self._probe(other, sub) != self.find(i):
-                                    self.instance(label, lhs, rhs, sub)
+                                if self._probe(other, sub) != self.root[i]:
+                                    self.instance(label, lhs, rhs, names, sub)
             seen = end
             if len(self.steps) == before:
                 return "closed"

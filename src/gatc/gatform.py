@@ -210,6 +210,8 @@ class _Parser:
         height = self.height
         while self.tok.kind == "AT":
             t = self.next()
+            if level + 1 + height > MAX_NESTING:  # before the operand, whose own error comes later
+                raise self._too_deep(t)
             e = Ap(e, self.atom(scope))
             height = 1 + max(height, self.height)
             if level + height > MAX_NESTING:

@@ -80,6 +80,11 @@ class Declaration:
     name: str
     ctx: tuple[tuple[str, Expr], ...]
     kind: DeclKind
+    # the context's variable names, stored once: not compared, hashed or shown
+    arity: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "arity", tuple(x for x, _ in self.ctx))
 
     @property
     def is_symbol(self) -> bool:
@@ -88,10 +93,6 @@ class Declaration:
     @property
     def is_axiom(self) -> bool:
         return isinstance(self.kind, (TypeEqKind, TermEqKind))
-
-    @property
-    def arity(self) -> tuple[str, ...]:
-        return tuple(x for x, _ in self.ctx)
 
     def exprs(self) -> Iterable[Expr]:
         for _, ty in self.ctx:

@@ -532,3 +532,26 @@ def test_stdlib_emit_round_trips(tmp_path):
     assert (emit_dir / "interpretations.gat").exists()
     code, _ = run(["check", str(emit_dir / "interpretations.gat")])
     assert code == 0
+
+
+def _nest(head: str, inner: str, depth: int) -> str:
+    for _ in range(depth):
+        inner = f"{head}({inner})"
+    return inner
+
+
+def test_an_interpretation_of_a_deep_axiom_gets_a_verdict(tmp_path):
+    # f |-> f^150(x) turns the 150-deep axiom into a 22,500-deep
+    # obligation: the equality engine enters it without recursing, and the
+    # term bank's cap leaves it unproved instead of raising
+    p = tmp_path / "deep.gat"
+    p.write_text(
+        "theory T {\n  sym A : () => Type\n  sym a : () => A\n  sym f : (x : A) => A\n"
+        f"  ax r : () => {_nest('f', 'a', 150)} = a : A\n}}\n"
+        f"interp I : T -> T {{\n  A |-> A\n  a |-> a\n  f |-> {_nest('f', 'x', 150)}\n}}\n"
+    )
+    code, out = run(["check", str(p), "--json"])
+    assert code == 2
+    items = json.loads(out)["items"]
+    assert [(i["name"], i["verdict"]) for i in items] == [("theory T", "ok"), ("interp I", "Inconclusive")]
+    assert items[1]["detail"] == "obligation for 'r': term equality not proved (fuel)"

@@ -290,6 +290,14 @@ def test_the_first_error_in_reading_order_is_reported(read, text, expected):
     assert str(err.value) == expected
 
 
+def test_an_at_chain_too_deep_is_reported_before_its_next_operand():
+    # the 201st '@' (column 803) is one level too deep; the bad character
+    # in the operand after it (column 807) is never reached
+    with pytest.raises(GatSyntaxError) as err:
+        parse_expr("u" + " @ u" * 201 + " $")
+    assert str(err.value) == "1:803: expression nested more than 200 levels deep"
+
+
 def test_unicode_spellings_lex_as_ascii_kinds():
     toks = list(_lex("Π (x : A) B ⇒ Πx"))
     assert [t.kind for t in toks] == ["Pi", "LPAREN", "IDENT", "COLON", "IDENT", "RPAREN", "IDENT", "DARROW", "IDENT", "EOF"]
