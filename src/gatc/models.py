@@ -12,14 +12,17 @@ makes counts well-defined and the colimit comparison bijections literal.
 The enumerator is the independent oracle for the colimit universal
 properties; it is exhaustive, duplicate-free and deterministic.  It
 fills a function table one cell at a time when axioms can be checked on
-it cell by cell, and checks each such axiom instance, grounded once,
-when the latest cell it reads is set, after Zhang & Zhang's SEM (IJCAI
-1995) and McCune's Mace4 (2003); it breaks no symmetries, so counts stay
-those of labeled structures.  A search creates no reference cycles, and
-it relies on that: it runs with the cyclic garbage collector paused, so
-a cycle made during a search lives until the next collection after it.
-The switch is process-wide; a search in another thread at the same time
-only loses the speed-up.
+it cell by cell, and checks each such axiom instance when the latest
+cell it reads is set, after Zhang & Zhang's SEM (IJCAI 1995) and
+McCune's Mace4 (2003); it breaks no symmetries, so counts stay those of
+labeled structures.  The table's cells are numbered in key order, and
+each instance is grounded once into reads of numbered cells, whose
+nested applications are resolved in advance into lookup lists, so a
+check indexes lists and builds no key.  A search creates no reference
+cycles, and it relies on that: it runs with the cyclic garbage collector
+paused, so a cycle made during a search lives until the next collection
+after it.  The switch is process-wide; a search in another thread at the
+same time only loses the speed-up.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import gc
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .deriv import HasType, IsType, TermEq, TypeEq
 from .errors import BudgetExceeded, ModelError
@@ -175,16 +178,19 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     Symbols are assigned in declaration order.  A carrier table, or a
     function table that no equation watches, is chosen whole; a watched
     function table is filled one cell at a time in context-instance key
-    order.  Each watched equation instance is grounded once, with its
-    variables and the complete tables read, and waits on the latest cell
-    it reads that is still unset: as cells are set in key order, it is
-    evaluated again exactly when that cell is set, and it can turn false
-    only then.  Values are tried in ascending order, so models come out
-    in the order of the whole-table product.  The budget counts nodes:
-    one per whole table chosen and one per cell value tried.  It bounds
-    memory as well: a whole table's values are built only as far as the
-    budget can reach.  The models share every table that is the same in
-    several of them, so they must be treated as read-only.
+    order, the order its cells are numbered in.  Each watched equation
+    instance is grounded once, with its variables and the complete tables
+    read, into reads: an element, a cell, or, for an application whose
+    argument waits on a cell, a lookup list of the read that each value
+    of the argument leads to.  It waits on the latest cell it reads that
+    is still unset: as cells are set in key order, it is evaluated again
+    exactly when that cell is set, and it can turn false only then.
+    Values are tried in ascending order, so models come out in the order
+    of the whole-table product.  The budget counts nodes: one per whole
+    table chosen and one per cell value tried.  It bounds memory as well:
+    whole tables are walked one at a time, so no value range is built
+    before the search reaches it.  The models share every table that is
+    the same in several of them, so they must be treated as read-only.
     """
     out: list[Model] = []
     _search(theory, bound, budget, lambda tables: out.append(Model(theory, dict(tables))))
@@ -200,7 +206,8 @@ def count_models(theory: Theory, bound: int, budget: int = 2_000_000) -> int:
 
 def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], None]) -> None:
     """The search of enumerate_models; leaf sees each model's tables as
-    they are completed, in a dict the search goes on to change.
+    they are completed, in a dict the search goes on to change.  A node is
+    one whole table chosen or one cell value tried.
 
     It runs with the cyclic collector paused and restores the caller's
     setting on every exit.  That is sound only because the search makes
@@ -212,20 +219,15 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
     if budget < 0:
         raise ModelError("node budget must be non-negative")
     plan = theory._program
-    # Carrier sizes range below top, as itertools.product builds every range
-    # in full first: a carrier reaches size v only after v nodes, so no size
-    # past the budget is reached, and elements range below carrier sizes.
+    # Carrier sizes range below top: a carrier reaches size v only after v
+    # nodes, so no size past the budget is reached, and elements range
+    # below carrier sizes.
     top = min(bound, budget) + 1
     if top > sys.maxsize:
         raise ModelError(f"a carrier range of {top} sizes exceeds {sys.maxsize}")
     tables: Tables = {}  # the tables set so far, read by the compiled program
-    nodes = 0
-
-    def spend() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceeded(f"model search for {theory.name!r} exceeded {budget} nodes")
+    nodes = itertools.count(1)
+    spent = f"model search for {theory.name!r} exceeded {budget} nodes"
 
     def holds(eqs: list[_Compiled]) -> bool:
         # An undefined value means some equation not yet checked fails in
@@ -235,146 +237,178 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
         except KeyError:
             return False
 
-    def fill(s: int, keys: list[Instance], sizes: list[int]) -> None:
+    def fill(s: int, keys: list[Instance], down: Callable, arg) -> None:
         c, watched, eqs = plan[s]
-        name = c.decl.name
-        table: dict[Instance, int] = {}
-        tables[name] = table
-        get = table.get
-        watches: dict[Instance, list] = {key: [] for key in keys}
-        late: Instance = ()  # the latest cell ground has made a key for
+        name, n = c.decl.name, len(keys)
+        # Cell j, the j-th key, is read as ~j, and every per-cell list holds
+        # cell j at index ~j: vals[~j] is the cell's value, or ~j while it is
+        # unset, so a negative value is the read of a cell still to be set.
+        vals = list(range(-n, 0))
+        sizes = [c.ty(tables, x) for x in reversed(keys)]
+        watches: list[list] = [[] for _ in keys]
+        moved: list[list[int]] = [[] for _ in keys]  # the watches each value placed
+        undefined = ~n  # the read of no cell: reading it raises IndexError
 
-        def ground(e: Expr, x: Instance):
-            """e at instance x with the complete tables read: an element, the
-            key of a cell of table, or [table of e's head, grounded arguments]
-            for an application that waits on cells of table."""
-            nonlocal late
+        def app(get: Callable, k: tuple):
+            """The read of a table at the argument reads k, get its get: the
+            element or cell they key, or undefined.  When an argument waits,
+            (a, outs) for the first one: a lookup list, whose outs[v] is the
+            read for a's value v.  When others wait too, ((a, outs), more),
+            which reads the others, the frozenset more, as well."""
+            for i, a in enumerate(k):
+                if a.__class__ is not int or a < 0:
+                    pre, post = k[:i], k[i + 1 :]
+                    # a cell's values lie below its size, any other read's
+                    # below the largest carrier size
+                    values = range(
+                        sizes[a]
+                        if a.__class__ is int
+                        else max(
+                            [
+                                v
+                                for d, _, _ in plan[:s]
+                                if d.ty is None
+                                for v in tables[d.decl.name].values()
+                            ]
+                        )
+                    )
+                    outs = tuple([get((*pre, v, *post), undefined) for v in values])
+                    if undefined in outs:  # another argument waits too, or undefined
+                        outs = tuple([app(get, (*pre, v, *post)) for v in values])
+                    more = [b for b in post if b.__class__ is not int or b < 0]
+                    return ((a, outs), frozenset(more)) if more else (a, outs)
+            return get(k, undefined)
+
+        def ground(e: Expr) -> Sequence:
+            """e's reads at the instances of an equation, whose variables'
+            values cols holds, with the complete tables read once."""
             if e.__class__ is Var:
-                return x[pos[e.name]]
-            args = []
-            for a in e.args:
-                args.append(x[pos[a.name]] if a.__class__ is Var else ground(a, x))
-            tbl = tables[e.head]
-            for a in args:
-                if a.__class__ is not int:
-                    return [tbl, args]
-            key = tuple(args)
-            if tbl is table and key in watches:
-                late = key if key > late else late
-                return key
-            return tbl[key]
+                return cols[e.name]
+            get = tables[e.head].get
+            rows = list(zip(*map(ground, e.args))) or [()] * len(xs)
+            reads = [get(k, undefined) for k in rows]
+            if undefined in reads:  # some argument waits, or undefined
+                reads = [app(get, k) for k in rows]
+                if undefined in reads:  # whatever the cells hold
+                    raise KeyError(e.head)
+            return reads
 
-        def value(g):
-            """g's element, or the latest unset cell it waits on; KeyError if undefined."""
-            if g.__class__ is tuple:
-                return get(g, g)
-            tbl, args = g
-            key = []
-            wait = None
-            for a in args:
-                if a.__class__ is not int:
-                    a = get(a, a) if a.__class__ is tuple else value(a)
-                    if a.__class__ is not int:
-                        if wait is None or a > wait:
-                            wait = a
-                        continue
-                key.append(a)
-            if wait is not None:
-                return wait
-            key = tuple(key)
-            return get(key, key) if tbl is table and key in watches else tbl[key]
+        def value(r: tuple) -> int:
+            """The element r reads, or the read of the latest unset cell it reads."""
+            a, outs = r
+            try:
+                v = vals[a]
+            except TypeError:  # a is a tuple, not a cell: read it first
+                if outs.__class__ is frozenset:  # r is (a, more): read all that wait
+                    v = value(a)  # once a is set, reading on through a's lists reads more
+                    return v if v >= 0 else min(
+                        v, *[vals[m] if m.__class__ is int else value(m) for m in outs]
+                    )
+                v = value(a)
+            if v < 0:
+                return v
+            r = outs[v]
+            return value(r) if r.__class__ is tuple else vals[r] if r < 0 else r
 
-        def propagate(insts: list, moved: list[Instance]) -> bool:
-            """Check instances; watch each undecided one on the latest unset cell it reads."""
+        def propagate(insts: list, moved: list[int]) -> bool:
+            """Check instances; watch each undecided one on the latest unset cell
+            it reads, whose read is the least."""
             try:
                 for inst in insts:
-                    lhs, rhs = inst
-                    a = lhs if lhs.__class__ is int else value(lhs)
-                    b = rhs if rhs.__class__ is int else value(rhs)
-                    if a.__class__ is int and b.__class__ is int:
-                        if a != b:
-                            return False
-                        continue
-                    r = b if a.__class__ is int or (b.__class__ is not int and b > a) else a
-                    watches[r].append(inst)
-                    moved.append(r)
-            except KeyError:  # an undefined value fails in every completion
+                    a, b = inst
+                    a = value(a) if a.__class__ is tuple else vals[a] if a < 0 else a
+                    b = value(b) if b.__class__ is tuple else vals[b] if b < 0 else b
+                    r = a if a < b else b
+                    if r < 0:
+                        watches[r].append(inst)
+                        moved.append(r)
+                    elif a != b:
+                        return False
+            except IndexError:  # an undefined value fails in every completion
                 return False
             return True
 
         try:
-            # The table is empty and each watched equation applies name, so an
-            # instance waits on the latest cell that grounding it made a key for.
+            # Ground each watched instance with this table's cells read as
+            # their reads, then watch it on the latest cell it reads at once.
+            tables[name] = {key: ~j for j, key in enumerate(keys)}
+            insts = []
             try:
                 for eq in watched:
-                    pos = {v: i for i, v in enumerate(eq.decl.arity)}  # read by ground
-                    for x in eq.instances(tables):
-                        late = ()
-                        inst = (ground(eq.decl.kind.lhs, x), ground(eq.decl.kind.rhs, x))
-                        watches[late].append(inst)
+                    if xs := eq.instances(tables):
+                        cols = dict(zip(eq.decl.arity, zip(*xs)))  # read by ground
+                        insts += zip(ground(eq.decl.kind.lhs), ground(eq.decl.kind.rhs))
             except KeyError:
                 return
-            # Iterative backtracking over the cells: tried[j] is the value of
-            # cell j, moved[j] the cells it moved watches to, undone in reverse.
-            n = len(keys)
-            tried = [-1] * n
-            moved: list[list[Instance]] = [[] for _ in keys]
-            j = 0
-            while j >= 0:
-                if j == n:
+            propagate(insts, [])  # cannot fail: each instance reads an unset cell
+            # Iterative backtracking over the cells, r the read of the cell to set.
+            r = -1
+            while r < 0:
+                if r < -n:
+                    # the snapshot later levels and models share
+                    tables[name] = dict(zip(keys, reversed(vals)))
                     if not eqs or holds(eqs):
-                        # the snapshot later levels and models share
-                        tables[name] = dict(table)
-                        rec(s + 1)
-                        tables[name] = table
-                    j -= 1
-                    continue
-                key = keys[j]
-                for r in reversed(moved[j]):
-                    watches[r].pop()
-                moved[j].clear()
-                v = tried[j] + 1
-                if v == sizes[j]:
-                    tried[j] = -1
-                    table.pop(key, None)
-                    j -= 1
-                    continue
-                spend()
-                tried[j] = v
-                table[key] = v
-                if propagate(watches[key], moved[j]):
-                    j += 1
+                        down(arg)
+                    r += 1
+                else:
+                    for w in reversed(moved[r]):
+                        watches[w].pop()
+                    moved[r].clear()
+                    v = vals[r] + 1 if vals[r] >= 0 else 0
+                    if v < sizes[r]:
+                        if next(nodes) > budget:
+                            raise BudgetExceeded(spent)
+                        vals[r] = v
+                        r -= propagate(watches[r], moved[r])  # on when none fails
+                    else:
+                        vals[r] = r
+                        r += 1
         finally:  # end their self-reference cycles on every exit: free the instances now
-            del ground, value
+            del app, ground, value
 
     def rec(s: int) -> None:
-        if s == len(plan):
-            leaf(tables)
-            return
         c, watched, eqs = plan[s]
         # The tables this level sets stay behind when it returns: every
         # check reads only symbols set before it, so none reads a stale one.
         name, keys = c.decl.name, c.instances(tables)
+        # the last level hands each model straight to leaf
+        down, arg = (leaf, tables) if s + 1 == len(plan) else (rec, s + 1)
         if watched:
-            fill(s, keys, [c.ty(tables, x) for x in keys])
-        else:
-            sizes = [top] * len(keys) if c.ty is None else [c.ty(tables, x) for x in keys]
-            for values in itertools.product(*map(range, sizes)):
-                spend()
-                tables[name] = dict(zip(keys, values))
-                if not eqs or holds(eqs):
-                    rec(s + 1)
+            fill(s, keys, down, arg)
+            return
+        sizes = [top] * len(keys) if c.ty is None else [c.ty(tables, x) for x in keys]
+        for tables[name] in _tables(keys, sizes):
+            if next(nodes) > budget:
+                raise BudgetExceeded(spent)
+            if not eqs or holds(eqs):
+                down(arg)
 
     # A collection during the search would free nothing, only walk the
     # growing heap of live models again and again: pause the collector.
     enabled = gc.isenabled()
     gc.disable()
     try:
-        rec(0)
+        rec(0) if plan else leaf(tables)
     finally:  # end the cycle through rec's own closure cell on every exit
         del rec
         if enabled:
             gc.enable()
+
+
+def _tables(keys: list[Instance], sizes: list[int]):
+    """Every table on keys whose cell i holds a value below sizes[i], in the
+    order of itertools.product(*map(range, sizes)).  No range is built, so
+    a size past what the node budget reaches costs nothing."""
+    table = dict.fromkeys(keys, 0)
+    i = -1 if 0 in sizes else 0  # the cell last increased, -1 once none can be
+    while i >= 0:
+        yield table.copy()
+        i = len(keys) - 1
+        while i >= 0 and table[keys[i]] + 1 == sizes[i]:
+            table[keys[i]] = 0
+            i -= 1
+        if i >= 0:
+            table[keys[i]] += 1
 
 
 def _reducer(interp: Interpretation) -> Callable[[Model], Model]:

@@ -9,9 +9,10 @@ import pytest
 from conftest import MONOID_SIG, random_expr
 from model_oracle import context_instances, evaluate
 from model_oracle import evaluate as eval_term
+from test_random_theories import random_flat_theory
 from gatc import deriv
 from gatc.errors import BudgetExceeded, ModelError
-from gatc.expr import App, Var
+from gatc.expr import App, Var, walk
 from gatc.gatcat import (
     coequalizer,
     compose,
@@ -31,6 +32,7 @@ from gatc.models import (
     validate_model,
 )
 from gatc.theory import (
+    TermKind,
     TypeKind,
     check_theory,
     stdlib,
@@ -455,6 +457,71 @@ def test_count_models_counts_what_enumerate_models_returns(name):
         assert n == 33_673
 
 
+def _magma(decls, names, lhs, rhs, name):
+    """A theory over one carrier M: decls, which declare mul, and the
+    axiom lhs = rhs over variables of M with the given names."""
+    m = App("M")
+    ax = term_eq_ax("_1", tuple((x, m) for x in names), lhs, rhs, m)
+    return check_theory((type_sym("M"), *decls, ax), name=name)
+
+
+def _mul(a, b):
+    return App("mul", (a, b))
+
+
+def _medial():
+    # mul(mul(x, y), mul(z, w)) = mul(mul(x, z), mul(y, w)): two arguments
+    # that wait on cells of mul sit in one application on each side
+    x, y, z, w = map(Var, "xyzw")
+    mul = term_sym("mul", (("a", App("M")), ("b", App("M"))), App("M"))
+    lhs, rhs = _mul(_mul(x, y), _mul(z, w)), _mul(_mul(x, z), _mul(y, w))
+    return _magma((mul,), "xyzw", lhs, rhs, "Medial")
+
+
+def _reversing():
+    # f declared before mul and f(mul(x, y)) = mul(f(y), f(x)): the complete
+    # table f applied to an argument that waits on a cell of mul
+    x, y, m = Var("x"), Var("y"), App("M")
+    f = term_sym("f", (("a", m),), m)
+    mul = term_sym("mul", (("a", m), ("b", m)), m)
+    lhs, rhs = App("f", (_mul(x, y),)), _mul(App("f", (y,)), App("f", (x,)))
+    return _magma((f, mul), "xy", lhs, rhs, "Reversing")
+
+
+def _fibred(fixed: bool):
+    # A family P over A with a section k, g : B -> A and h : A x A -> A, then
+    # f : A -> A last, under the type equation P(f(e)) = B, which is checked
+    # once f is complete: until then an element k(...) read in B can leave g
+    # undefined.  Unfixed, f(h(f(f(e)), g(k(f(e))))) = e applies h to two
+    # arguments that wait; fixed, f(e) = e and f(h(f(e), g(k(e)))) = e, where
+    # g(k(e)), which no cell decides, sits beside an argument that waits.
+    a, e = App("A"), App("e")
+
+    def f(t):
+        return App("f", (t,))
+
+    def g_k(t):
+        return App("g", (App("k", (t,)),))
+
+    decls = (
+        type_sym("A"),
+        type_sym("B"),
+        term_sym("e", (), a),
+        type_sym("P", (("x", a),)),
+        term_sym("k", (("x", a),), App("P", (Var("x"),))),
+        term_sym("g", (("y", App("B")),), a),
+        term_sym("h", (("x", a), ("y", a)), a),
+        term_sym("f", (("x", a),), a),
+    )
+    fixed_point = (term_eq_ax("_1", (), f(e), e, a),) if fixed else ()
+    side = App("h", (f(e), g_k(e))) if fixed else App("h", (f(f(e)), g_k(f(e))))
+    axioms = (
+        type_eq_ax("_2", (), App("P", (f(e),)), App("B")),
+        term_eq_ax("_3", (), f(side), e, a),
+    )
+    return check_theory(decls + fixed_point + axioms, name="Fibred")
+
+
 @pytest.mark.parametrize(
     "make, bound, nodes, digest",
     [
@@ -479,8 +546,50 @@ def test_count_models_counts_what_enumerate_models_returns(name):
             11_278,
             "7ad61a92d311d875a1503abaafa225bea358e0f72a7103d9f1a83a32522d71c5",
         ),
+        # two waiting arguments in one application
+        (
+            _medial,
+            2,
+            34,
+            "9ce4b081229921f69e0a52e10ca5c7e66f13aa0b14dcbef51b279fe01d41a5cc",
+        ),
+        (
+            _medial,
+            3,
+            4_385,
+            "434b7a2c110dfd6a7200415bdfcf8264701725fddab9a1914089187ce1e1b533",
+        ),
+        # a complete table applied to a waiting argument
+        (
+            _reversing,
+            2,
+            84,
+            "cd3894e820d1a4ed26f76d9038e61c99e341a871406d71b2dcb1ff6275a62b6a",
+        ),
+        # reads that stay undefined until the table is complete
+        (
+            lambda: _fibred(fixed=False),
+            2,
+            13_452,
+            "834f20daf6b4abea6809482136d31d7698609ae7aaa892bd5fd670bf4500f158",
+        ),
+        (
+            lambda: _fibred(fixed=True),
+            2,
+            9_992,
+            "c9b56c11f509e044e587d647ac6015ad160eca27641fcc479ed92ef8f82b56b3",
+        ),
     ],
-    ids=["Mon+Mon@2", "MonP-early@3", "CatPtC@2"],
+    ids=[
+        "Mon+Mon@2",
+        "MonP-early@3",
+        "CatPtC@2",
+        "Medial@2",
+        "Medial@3",
+        "Reversing@2",
+        "Fibred@2",
+        "Fibred-fixed@2",
+    ],
 )
 def test_mixed_plans_pin_order_and_nodes(make, bound, nodes, digest):
     t = make()
@@ -529,14 +638,46 @@ def whole_table_models(theory, bound: int) -> list[Model]:
         (lambda: LIB["Cat"], 1),
         (lambda: LIB["CatPt"], 1),
         (lambda: coproduct(LIB["Mon"], LIB["El0"]).theory, 1),
+        (_medial, 2),
+        (_reversing, 2),
     ],
-    ids=["Mon@2", "Cat@1", "CatPt@1", "Mon+El0@1"],
+    ids=["Mon@2", "Cat@1", "CatPt@1", "Mon+El0@1", "Medial@2", "Reversing@2"],
 )
 def test_model_order_is_the_whole_table_product(make, bound):
     t = make()
     got = [m.key() for m in enumerate_models(t, bound)]
     assert got == [m.key() for m in whole_table_models(t, bound)]
     assert got
+
+
+def _nests(theory) -> bool:
+    """Whether an argument of an application in a watched equation applies
+    the symbol the equation is watched on: a read through a lookup list."""
+    return any(
+        a.__class__ is App and any(t.head == c.decl.name for t, _ in walk(a, App))
+        for c, watched, _ in theory._program
+        for eq in watched
+        for side in (eq.decl.kind.lhs, eq.decl.kind.rhs)
+        for app, _ in walk(side, App)
+        for a in app.args
+    )
+
+
+def test_random_theories_at_bound_two_come_out_in_whole_table_order():
+    # at bound 1 every nested read has one possible value; at bound 2 a
+    # lookup list has two entries, so a wrong one changes the models
+    rng = random.Random(2024)
+    checked = nested = 0
+    for tag in range(60):
+        t = random_flat_theory(rng, 900 + tag)
+        # keep the whole-table oracle to a few seconds in all
+        if sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, TermKind)) > 12:
+            continue
+        got = [m.key() for m in enumerate_models(t, 2)]
+        assert got == [m.key() for m in whole_table_models(t, 2)], t.name
+        checked += 1
+        nested += _nests(t)
+    assert checked >= 50 and nested >= 8
 
 
 class _LeafError(Exception):
@@ -578,6 +719,12 @@ SEARCH_EXITS = {
     "budget-in-fill": lambda: count_models(LIB["Cat"], 2, budget=500),
     "budget-in-product": lambda: count_models(LIB["Ty1"], 2, budget=3),
     "leaf-raises": lambda: _search(LIB["Cat"], 2, 2_000_000, _raise_at(100)),
+    "enumerate-Medial": lambda: enumerate_models(_medial(), 3),
+    "budget-in-fill-Medial": lambda: count_models(_medial(), 3, budget=500),
+    "leaf-raises-Medial": lambda: _search(_medial(), 3, 2_000_000, _raise_at(100)),
+    "enumerate-Reversing": lambda: enumerate_models(_reversing(), 2),
+    "budget-in-fill-Reversing": lambda: count_models(_reversing(), 2, budget=40),
+    "leaf-raises-Reversing": lambda: _search(_reversing(), 2, 2_000_000, _raise_at(10)),
 }
 
 
@@ -623,6 +770,21 @@ def test_budget_bounds_memory_of_a_huge_carrier_bound():
     try:
         with pytest.raises(BudgetExceeded):
             count_models(mon, 10**6, budget=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_first_model_of_a_huge_carrier_bound_takes_little_memory():
+    # the carrier range is walked lazily, so the default budget leaves a
+    # million sizes unbuilt until the search reaches them
+    mon = LIB["Mon"]
+    mon._program  # compiled outside the measured search
+    tracemalloc.start()
+    try:
+        with pytest.raises(_LeafError):
+            _search(mon, 10**6, 2_000_000, _raise_at(0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
