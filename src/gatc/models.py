@@ -16,13 +16,16 @@ it cell by cell, and checks each such axiom instance when the latest
 cell it reads is set, after Zhang & Zhang's SEM (IJCAI 1995) and
 McCune's Mace4 (2003); it breaks no symmetries, so counts stay those of
 labeled structures.  The table's cells are numbered in key order, and
-each instance is grounded once into reads of numbered cells, whose
-nested applications are resolved in advance into lookup lists, so a
-check indexes lists and builds no key.  A search creates no reference
-cycles, and it relies on that: it runs with the cyclic garbage collector
-paused, so a cycle made during a search lives until the next collection
-after it.  The switch is process-wide; a search in another thread at the
-same time only loses the speed-up.
+each instance is grounded into reads of numbered cells, whose nested
+applications are resolved in advance into lookup lists, so a check
+indexes lists and builds no key.  An instance is grounded once per
+assignment of the tables its grounding reads, not once per fill: the
+search keeps each watched equation's last grounding with those tables
+and reuses it while they are the same objects.  A search creates no
+reference cycles, and it relies on that: it runs with the cyclic garbage
+collector paused, so a cycle made during a search lives until the next
+collection after it.  The switch is process-wide; a search in another
+thread at the same time only loses the speed-up.
 """
 
 from __future__ import annotations
@@ -31,11 +34,12 @@ import gc
 import itertools
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from operator import is_, itemgetter
+from typing import Callable, NamedTuple, Optional
 
 from .deriv import HasType, IsType, TermEq, TypeEq
 from .errors import BudgetExceeded, ModelError
-from .expr import App, Expr, Var, walk
+from .expr import App, Expr, Var, head_symbols, walk
 from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout, identity
 from .theory import Declaration, Theory
 
@@ -43,13 +47,13 @@ Instance = tuple[int, ...]
 Tables = dict[str, dict[Instance, int]]  # every symbol's table, by name
 
 
-@dataclass
+@dataclass(slots=True)
 class Model:
     """One table per symbol, keyed by the symbol's context instances; the
     symbol's judgment decides what a cell holds: a type symbol's is the
     size of a carrier, a term symbol's an element of its type's carrier.
     Models from one enumeration share tables, so treat every table as
-    read-only."""
+    read-only.  A model has no __dict__: an enumeration can hold many."""
 
     theory: Theory
     tables: Tables
@@ -70,6 +74,8 @@ def _reader(e: Expr, pos: dict[str, int]) -> Callable[[Tables, Instance], int]:
         idx = [pos[a.name] for a in e.args]
         if idx == list(range(len(idx))):
             return lambda tables, x, h=e.head, n=len(idx): tables[h][x[:n]]
+        if len(idx) > 1:
+            return lambda tables, x, h=e.head, key=itemgetter(*idx): tables[h][key(x)]
     args = [_reader(a, pos) for a in e.args]
     return lambda tables, x, h=e.head: tables[h][tuple([a(tables, x) for a in args])]
 
@@ -90,9 +96,24 @@ def _instances(ctx) -> Callable[[Tables], list[Instance]]:
     return instances
 
 
+# How a watched equation is grounded: the symbols whose tables that
+# reads; its distinct applications, each after its arguments, as (head,
+# the columns of its arguments, the positions of those that apply the
+# watched symbol, so that their reads wait on a cell); and the columns
+# of its sides.  Its variables' columns come first, in context order,
+# then one per application.
+_Watch = NamedTuple(
+    "_Watch",
+    [
+        ("reads", tuple[str, ...]),
+        ("steps", tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...]),
+        ("lhs", int),
+        ("rhs", int),
+    ],
+)
 # One declaration, compiled: the instances of its context, whether its
-# judgment holds at one of them, and a term symbol's type (None for a
-# type symbol, whose table is a carrier).
+# judgment holds at one of them, a term symbol's type (None for a type
+# symbol, whose table is a carrier), and a watched equation's grounding.
 _Compiled = NamedTuple(
     "_Compiled",
     [
@@ -100,6 +121,7 @@ _Compiled = NamedTuple(
         ("instances", Callable[[Tables], list[Instance]]),
         ("true_at", Callable[[Tables, Instance], bool]),
         ("ty", Optional[Callable[[Tables, Instance], int]]),
+        ("watch", Optional[_Watch]),
     ],
 )
 
@@ -109,13 +131,13 @@ def _compiled(d: Declaration) -> _Compiled:
     match d.judgment():
         case IsType(ty):
             a = _reader(ty, pos)
-            return _Compiled(d, instances, lambda t, x: a(t, x) >= 0, None)
+            return _Compiled(d, instances, lambda t, x: a(t, x) >= 0, None, None)
         case HasType(term, ty):
             a, b = _reader(term, pos), _reader(ty, pos)
-            return _Compiled(d, instances, lambda t, x: 0 <= a(t, x) < b(t, x), b)
+            return _Compiled(d, instances, lambda t, x: 0 <= a(t, x) < b(t, x), b, None)
         case TypeEq(lhs, rhs) | TermEq(lhs, rhs):
             a, b = _reader(lhs, pos), _reader(rhs, pos)
-            return _Compiled(d, instances, lambda t, x: a(t, x) == b(t, x), None)
+            return _Compiled(d, instances, lambda t, x: a(t, x) == b(t, x), None, None)
 
 
 def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Compiled]]]:
@@ -128,6 +150,12 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
     cell by cell when that symbol is a term symbol its context does not
     read; otherwise it is checked whole once the symbol's table is
     complete.  Each plan entry is (symbol, watched, checked after).
+
+    Grounding a watched equation reads the tables its context and sides
+    mention, those the watched symbol's context and type mention (they
+    fix the cells' keys and sizes), and every carrier before it (a
+    lookup list over a read that is not a cell is as long as the largest
+    carrier): the equation's reads, in declaration order.
     """
     plan: list[tuple[_Compiled, list[_Compiled], list[_Compiled]]] = []
     position: dict[str, int] = {}
@@ -147,8 +175,27 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
             plan.append((c, [], []))
             continue
         sym, watched, after = plan[max(position[h] for h in mentions)]
-        watch = isinstance(d.judgment(), TermEq) and sym.ty is not None
-        (watched if watch and sym.decl.name not in reads else after).append(c)
+        name, sides = sym.decl.name, (d.kind.lhs, d.kind.rhs)
+        if isinstance(d.judgment(), TermEq) and sym.ty is not None and name not in reads:
+            got = mentions.union(
+                *map(head_symbols, sym.decl.exprs()),
+                [e.decl.name for e, _, _ in plan[: position[name]] if e.ty is None],
+            ) - {name}
+            # the distinct applications, each after its arguments, and the columns
+            apps = dict.fromkeys(t for side in sides for t, _ in reversed(walk(side, App)))
+            cols = {e: i for i, e in enumerate([*map(Var, d.arity), *apps])}
+            steps = tuple(
+                (
+                    t.head,
+                    tuple(map(cols.get, t.args)),
+                    tuple(i for i, a in enumerate(t.args) if name in head_symbols(a)),
+                )
+                for t in apps
+            )
+            watch = _Watch(tuple(sorted(got, key=position.get)), steps, *map(cols.get, sides))
+            watched.append(c._replace(watch=watch))
+        else:
+            after.append(c)
     return plan
 
 
@@ -179,10 +226,13 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     function table that no equation watches, is chosen whole; a watched
     function table is filled one cell at a time in context-instance key
     order, the order its cells are numbered in.  Each watched equation
-    instance is grounded once, with its variables and the complete tables
+    instance is grounded, with its variables and the complete tables
     read, into reads: an element, a cell, or, for an application whose
     argument waits on a cell, a lookup list of the read that each value
-    of the argument leads to.  It waits on the latest cell it reads that
+    of the argument leads to.  It is grounded once per assignment of the
+    tables its grounding reads, not once per fill: the fills under one
+    assignment come one after another, and each reuses the grounding of
+    the first.  An instance waits on the latest cell it reads that
     is still unset: as cells are set in key order, it is evaluated again
     exactly when that cell is set, and it can turn false only then.
     Values are tried in ascending order, so models come out in the order
@@ -226,6 +276,11 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
     if top > sys.maxsize:
         raise ModelError(f"a carrier range of {top} sizes exceeds {sys.maxsize}")
     tables: Tables = {}  # the tables set so far, read by the compiled program
+    # Per watched equation, the tables its last grounding read and its
+    # instances then, or None if an undefined read emptied the fill.  A
+    # table never changes once set, so the same objects give the same
+    # grounding; the slot holds them, so no new table can share an id.
+    slots: dict[str, tuple[list, Optional[list]]] = {}
     nodes = itertools.count(1)
     spent = f"model search for {theory.name!r} exceeded {budget} nodes"
 
@@ -249,62 +304,65 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
         moved: list[list[int]] = [[] for _ in keys]  # the watches each value placed
         undefined = ~n  # the read of no cell: reading it raises IndexError
 
-        def app(get: Callable, k: tuple):
-            """The read of a table at the argument reads k, get its get: the
-            element or cell they key, or undefined.  When an argument waits,
-            (a, outs) for the first one: a lookup list, whose outs[v] is the
+        def app(get: Callable, k: tuple, waits: tuple[int, ...]):
+            """The read of a table, get its get, at the argument reads k, of
+            which those at the positions waits wait on cells: (a, outs) for
+            a, the first of them, where the lookup list outs holds at v the
             read for a's value v.  When others wait too, ((a, outs), more),
             which reads the others, the frozenset more, as well."""
-            for i, a in enumerate(k):
-                if a.__class__ is not int or a < 0:
-                    pre, post = k[:i], k[i + 1 :]
-                    # a cell's values lie below its size, any other read's
-                    # below the largest carrier size
-                    values = range(
-                        sizes[a]
-                        if a.__class__ is int
-                        else max(
-                            [
-                                v
-                                for d, _, _ in plan[:s]
-                                if d.ty is None
-                                for v in tables[d.decl.name].values()
-                            ]
-                        )
-                    )
-                    outs = tuple([get((*pre, v, *post), undefined) for v in values])
-                    if undefined in outs:  # another argument waits too, or undefined
-                        outs = tuple([app(get, (*pre, v, *post)) for v in values])
-                    more = [b for b in post if b.__class__ is not int or b < 0]
-                    return ((a, outs), frozenset(more)) if more else (a, outs)
-            return get(k, undefined)
+            i = waits[0]
+            a, pre, post = k[i], k[:i], k[i + 1 :]
+            # a cell's values lie below its size, any other read's below the
+            # largest carrier size
+            values = range(
+                sizes[a]
+                if a.__class__ is int
+                else max(
+                    [
+                        v
+                        for d, _, _ in plan[:s]
+                        if d.ty is None
+                        for v in tables[d.decl.name].values()
+                    ]
+                )
+            )
+            if len(waits) == 1:
+                return a, tuple([get((*pre, v, *post), undefined) for v in values])
+            outs = tuple([app(get, (*pre, v, *post), waits[1:]) for v in values])
+            return (a, outs), frozenset([k[j] for j in waits[1:]])
 
-        def ground(e: Expr) -> Sequence:
-            """e's reads at the instances of an equation, whose variables'
-            values cols holds, with the complete tables read once."""
-            if e.__class__ is Var:
-                return cols[e.name]
-            get = tables[e.head].get
-            rows = list(zip(*map(ground, e.args))) or [()] * len(xs)
-            reads = [get(k, undefined) for k in rows]
-            if undefined in reads:  # some argument waits, or undefined
-                reads = [app(get, k) for k in rows]
-                if undefined in reads:  # whatever the cells hold
-                    raise KeyError(e.head)
-            return reads
+        def ground(eq: _Compiled) -> Optional[list]:
+            """eq's instances, each the pair of its sides' reads, grounded as
+            eq.watch describes with the complete tables read once; None if a
+            read that waits on no cell is undefined."""
+            try:
+                xs = eq.instances(tables)
+                cols: list = list(zip(*xs))  # the variables' columns
+                for head, args, waits in eq.watch.steps if xs else ():
+                    get = tables[head].get
+                    rows = zip(*map(cols.__getitem__, args)) if args else [()] * len(xs)
+                    # a read that waits is a tuple, an undefined one None
+                    cols.append(
+                        [app(get, k, waits) for k in rows] if waits else list(map(get, rows))
+                    )
+                    if None in cols[-1]:
+                        return None  # whatever the cells hold
+                return list(zip(cols[eq.watch.lhs], cols[eq.watch.rhs])) if xs else []
+            except KeyError:  # an instance of the context is undefined
+                return None
 
         def value(r: tuple) -> int:
             """The element r reads, or the read of the latest unset cell it reads."""
             a, outs = r
-            try:
+            if a.__class__ is int:
                 v = vals[a]
-            except TypeError:  # a is a tuple, not a cell: read it first
+            else:  # a is a lookup list, read first
+                v = value(a)
                 if outs.__class__ is frozenset:  # r is (a, more): read all that wait
-                    v = value(a)  # once a is set, reading on through a's lists reads more
+                    # once a is set, reading on through a's lists reads more
                     return v if v >= 0 else min(
                         v, *[vals[m] if m.__class__ is int else value(m) for m in outs]
                     )
-                v = value(a)
             if v < 0:
                 return v
             r = outs[v]
@@ -330,16 +388,18 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
 
         try:
             # Ground each watched instance with this table's cells read as
-            # their reads, then watch it on the latest cell it reads at once.
+            # their reads, unless the slot holds its grounding over the
+            # same tables, then watch it on the latest cell it reads at once.
             tables[name] = {key: ~j for j, key in enumerate(keys)}
             insts = []
-            try:
-                for eq in watched:
-                    if xs := eq.instances(tables):
-                        cols = dict(zip(eq.decl.arity, zip(*xs)))  # read by ground
-                        insts += zip(ground(eq.decl.kind.lhs), ground(eq.decl.kind.rhs))
-            except KeyError:
-                return
+            for eq in watched:
+                got = list(map(tables.__getitem__, eq.watch.reads))
+                slot = slots.get(eq.decl.name)
+                if slot is None or not all(map(is_, got, slot[0])):
+                    slot = slots[eq.decl.name] = (got, ground(eq))
+                if slot[1] is None:
+                    return
+                insts += slot[1]
             propagate(insts, [])  # cannot fail: each instance reads an unset cell
             # Iterative backtracking over the cells, r the read of the cell to set.
             r = -1
@@ -364,7 +424,7 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
                         vals[r] = r
                         r += 1
         finally:  # end their self-reference cycles on every exit: free the instances now
-            del app, ground, value
+            del app, value
 
     def rec(s: int) -> None:
         c, watched, eqs = plan[s]

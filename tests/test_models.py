@@ -1,8 +1,11 @@
+import collections
 import gc
 import hashlib
 import itertools
+import pickle
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -650,6 +653,113 @@ def test_model_order_is_the_whole_table_product(make, bound):
     assert got
 
 
+def _pointed_magma():
+    # e is chosen whole between the carrier and mul, and the unit law
+    # mul(e, x) = x reads it: each of e's tables needs its own grounding
+    m, x = App("M"), Var("x")
+    ax = term_eq_ax("_1", (("x", m),), App("mul", (App("e"), x)), x, m)
+    decls = (type_sym("M"), term_sym("e", (), m), term_sym("mul", (("a", m), ("b", m)), m), ax)
+    return check_theory(decls, name="PointedMagma")
+
+
+def _keyed_by_k():
+    # f's context and type read k, a table chosen whole after every table
+    # the equation f(c, y) = y mentions: under one c, k(0) sizes the fibre
+    # T(k(0)), which moves the cells that f(1, y) keys
+    a, d, c = App("A"), App("D"), App("c")
+
+    def t_k(t):
+        return App("T", (App("k", (t,)),))
+
+    decls = (
+        type_sym("A"),
+        type_sym("D"),
+        term_sym("c", (), a),
+        type_sym("T", (("x", a),)),
+        term_sym("k", (("x", a),), a),
+        type_eq_ax("_1", (), t_k(c), d),
+        term_sym("f", (("x", a), ("y", t_k(Var("x")))), t_k(Var("x"))),
+        term_eq_ax("_2", (("y", d),), App("f", (c, Var("y"))), Var("y"), d),
+    )
+    return check_theory(decls, name="KeyedByK")
+
+
+def _late_carrier():
+    # f(f(f(x))) reads f through a lookup list over f(f(x)), which is not a
+    # cell, so the list is as long as the largest carrier, which can be C,
+    # a carrier nothing in the equation mentions
+    m = App("M")
+
+    def f(t):
+        return App("f", (t,))
+
+    ax = term_eq_ax("_1", (("x", m),), f(f(f(Var("x")))), Var("x"), m)
+    decls = (type_sym("M"), type_sym("C"), term_sym("f", (("a", m),), m), ax)
+    return check_theory(decls, name="LateCarrier")
+
+
+@pytest.mark.parametrize(
+    "make, reads",
+    [
+        (_pointed_magma, ("M", "e")),
+        (_keyed_by_k, ("A", "D", "c", "T", "k")),
+        (_late_carrier, ("M", "C")),
+    ],
+    ids=["table-between", "symbol-context-and-type", "carrier-unmentioned"],
+)
+def test_groundings_kept_across_fills_match_the_whole_table_product(make, reads):
+    # a grounding is kept while the tables it read stay the same objects.
+    # In the first two theories a table changes under one assignment of
+    # the others, and a grounding kept across it would misread the table;
+    # in the third, C only lengthens lookup lists, past any value they are
+    # read at, so only the reads pin that C is in the slot's key
+    t = make()
+    assert [eq.watch.reads for _, watched, _ in t._program for eq in watched] == [reads]
+    for bound in (1, 2):
+        got = [m.key() for m in enumerate_models(t, bound)]
+        assert got == [m.key() for m in whole_table_models(t, bound)]
+
+
+def groundings(theory, bound: int) -> dict[str, int]:
+    """How often the search grounds each watched equation, counted as the
+    calls of its context's instances from a copy of the theory's program."""
+    t = replace(theory)  # a new object, whose program is compiled afresh
+    seen: collections.Counter = collections.Counter()
+
+    def counted(eq):
+        def instances(tables, instances=eq.instances, name=eq.decl.name):
+            seen[name] += 1
+            return instances(tables)
+
+        return eq._replace(instances=instances)
+
+    t.__dict__["_program"] = [
+        (sym, [counted(eq) for eq in watched], after) for sym, watched, after in t._program
+    ]
+    count_models(t, bound)
+    return dict(seen)
+
+
+@pytest.mark.parametrize(
+    "name, bound, counts",
+    # grounded once per fill before: 85 fills of comp for Cat at bound 2,
+    # from 39 assignments of Ob and Hom, and 6 fills of mul for Mon at 3,
+    # from 3 of Mon; the unit laws read id or u, chosen whole per fill
+    [("Cat", 2, {"_1": 85, "_2": 85, "_3": 39}), ("Mon", 3, {"_1": 6, "_2": 6, "_3": 3})],
+)
+def test_each_grounding_is_kept_for_the_fills_under_one_assignment(name, bound, counts):
+    assert groundings(LIB[name], bound) == counts
+
+
+def test_models_have_no_instance_dict_and_pickle():
+    ms = enumerate_models(LIB["Mon"], 2)
+    assert not hasattr(ms[0], "__dict__")
+    with pytest.raises(AttributeError):
+        ms[0].extra = 1
+    back = pickle.loads(pickle.dumps(ms))
+    assert back == ms and [m.key() for m in back] == [m.key() for m in ms]
+
+
 def _nests(theory) -> bool:
     """Whether an argument of an application in a watched equation applies
     the symbol the equation is watched on: a read through a lookup list."""
@@ -710,7 +820,8 @@ def _cyclic_garbage(search) -> int:
 
 
 # Every exit of a search: a complete one, the budget running out in each
-# kind of level, and a leaf that raises inside a watched fill.
+# kind of level, and a leaf that raises inside a watched fill, also while
+# a slot holds a grounding that later fills reuse.
 SEARCH_EXITS = {
     "count": lambda: count_models(LIB["Mon"], 2),
     "enumerate": lambda: enumerate_models(LIB["Mon"], 2),
@@ -725,6 +836,10 @@ SEARCH_EXITS = {
     "enumerate-Reversing": lambda: enumerate_models(_reversing(), 2),
     "budget-in-fill-Reversing": lambda: count_models(_reversing(), 2, budget=40),
     "leaf-raises-Reversing": lambda: _search(_reversing(), 2, 2_000_000, _raise_at(10)),
+    "budget-with-slots-Mon": lambda: count_models(LIB["Mon"], 3, budget=200),
+    "leaf-raises-with-slots-Mon": lambda: _search(LIB["Mon"], 3, 2_000_000, _raise_at(20)),
+    "budget-with-slots-Fibred": lambda: count_models(_fibred(fixed=False), 2, budget=5_000),
+    "leaf-raises-with-slots-Fibred": lambda: _search(_fibred(fixed=False), 2, 2_000_000, _raise_at(5)),
 }
 
 
