@@ -317,13 +317,14 @@ def cmd_pi_square(args, env, report, rules, fuel) -> None:
 def cmd_present(args, env, report, rules, fuel) -> None:
     t = env.theory(args.theory)
     clauses = gatcat.limit_presentation(t)
-    tower = {"type-symbol": "context tower", "term-symbol": "element tower"}
     for c in clauses:
-        kind = (
-            f"pullback against the {tower[c.kind]} (n={c.n})"
-            if c.kind in tower
-            else f"equalizer of two classifying maps (n={c.n})"
-        )
+        match c.kind:
+            case theory.IsType():
+                kind = f"pullback against the context tower (n={c.n})"
+            case theory.HasType():
+                kind = f"pullback against the element tower (n={c.n})"
+            case _:
+                kind = f"equalizer of two classifying maps (n={c.n})"
         report.items.append(Item(f"clause {c.decl_name}", "ok", kind))
     if args.reconstruct:
         rec, renaming = gatcat.reconstruct(clauses, rules, fuel)
@@ -359,8 +360,8 @@ def cmd_models(args, env, report, rules, fuel) -> None:
 def _model_json(m: models.Model) -> dict:
     out: dict = {"carriers": {}, "functions": {}}
     for c, t in sorted(m.tables.items()):
-        match m.theory.decl(c).judgment():
-            case deriv.IsType():
+        match m.theory.decl(c).kind:
+            case theory.IsType():
                 part, cell = out["carriers"], "size"
             case _:
                 part, cell = out["functions"], "value"

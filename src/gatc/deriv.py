@@ -1,10 +1,13 @@
 """Derivability engine: judgment checking and fuel-bounded equality.
 
-A judgment is checked in three steps: its context, then what its
+A judgment is a context and one of the five statement forms (CtxOk,
+IsType, HasType, TypeEq, TermEq), which theory defines and this module
+exports.  It is checked in three steps: its context, then what its
 statement presupposes (a typing's type is a type; an equation's sides
 are types, or terms of its type), then the claim itself.  A declaration
-asserts a judgment over its context (Declaration.judgment), and
-certification checks its presuppositions over the earlier declarations.
+holds the statement it asserts over its context, a symbol's with its
+subject left None (Declaration.judgment fills it in), and certification
+checks its presuppositions over the earlier declarations.
 Typing is checked algorithmically (symbol rule instantiated by
 substitution; weakening, projection and substitution are admissible in
 this presentation).  Equality of types and terms is undecidable in
@@ -49,7 +52,7 @@ from .expr import (
     substitute,
     walk,
 )
-from .theory import Declaration, ExprFields, TermKind, Theory, TypeEqKind, TypeKind
+from .theory import CtxOk, Declaration, HasType, IsType, Statement, TermEq, Theory, TypeEq  # noqa: F401
 
 Context = tuple[tuple[str, Expr], ...]
 
@@ -85,44 +88,8 @@ DEFAULT_FUEL = Fuel()
 
 
 # ---------------------------------------------------------------------------
-# Statements and judgments
+# Judgments: a context and a statement (the statement forms live in theory)
 # ---------------------------------------------------------------------------
-
-
-class Statement(ExprFields):
-    """Base of the five statement forms; only TermEq.ty may be None
-    (omitted: it is inferred from the left side)."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class CtxOk(Statement):
-    pass
-
-
-@dataclass(frozen=True)
-class IsType(Statement):
-    ty: Expr
-
-
-@dataclass(frozen=True)
-class HasType(Statement):
-    term: Expr
-    ty: Expr
-
-
-@dataclass(frozen=True)
-class TypeEq(Statement):
-    lhs: Expr
-    rhs: Expr
-
-
-@dataclass(frozen=True)
-class TermEq(Statement):
-    lhs: Expr
-    rhs: Expr
-    ty: Optional[Expr] = None
 
 
 @dataclass(frozen=True)
@@ -670,7 +637,7 @@ def _check_term(theory: Theory, ctx: Context, term: Expr, ty: Expr, rules, fuel,
 def _apart(theory: Theory, a: Expr, b: Expr) -> bool:
     """Provably unequal types: without type equations, types are equal
     only under the same type symbol or the same type former."""
-    if any(isinstance(d.kind, TypeEqKind) for d in theory.axioms()):
+    if any(isinstance(d.kind, TypeEq) for d in theory.axioms()):
         return False
     if isinstance(a, App) and isinstance(b, App):
         return a.head != b.head
@@ -710,7 +677,7 @@ def check_is_type(
     """Check that ty is a derivable type over ctx."""
     if isinstance(ty, App):
         d = _lookup(theory, ty.head)
-        if not isinstance(d.kind, TypeKind):
+        if not isinstance(d.kind, IsType):
             raise NotAType(f"{ty.head!r} is a term symbol, not a type symbol")
         _check_args(theory, ctx, d, ty.args, rules, fuel, sink)
         return
@@ -735,7 +702,7 @@ def infer_type(
 ) -> Expr:
     """Infer the type of a term over ctx.
 
-    For an application the declared kind is instantiated by the
+    For an application the declared type is instantiated by the
     (recursively checked) arguments; argument types are compared up to
     provable equality.
     """
@@ -746,10 +713,8 @@ def infer_type(
         raise ScopeError(f"variable {term.name!r} is not bound by the context")
     if isinstance(term, App):
         d = _lookup(theory, term.head)
-        if isinstance(d.kind, TypeKind):
+        if isinstance(d.kind, IsType):
             raise NotATerm(f"{term.head!r} is a type symbol, not a term symbol")
-        if not isinstance(d.kind, TermKind):
-            raise UnknownSymbol(f"{term.head!r} names an axiom, not a symbol")
         sub = _check_args(theory, ctx, d, term.args, rules, fuel, sink)
         return substitute(d.kind.ty, sub)
     if isinstance(term, Ap):

@@ -16,15 +16,18 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import deriv
-from .deriv import EqVerdict, Fuel, HasType, IsType, RuleSet, TermEq, TypeEq
+from .deriv import EqVerdict, Fuel, RuleSet
 from .errors import GatError, UnknownSymbol
 from .gatform_names import safe_name
 from .expr import App, Expr, Var, fresh_name, rename_symbols, substitute, translate
 from .theory import (
     Declaration,
-    TermEqKind,
+    HasType,
+    IsType,
+    Statement,
+    TermEq,
     Theory,
-    TypeEqKind,
+    TypeEq,
     disjoint_union,
     extend,
     mk_El,
@@ -234,11 +237,11 @@ def coequalizer(
         if not d.is_symbol:
             continue
         ctx2 = i1.apply_ctx(d.ctx)
-        match d.judgment():
+        match d.kind:
             case IsType():
-                kind = TypeEqKind(i1.image(d.name), i2.image(d.name))
+                kind = TypeEq(i1.image(d.name), i2.image(d.name))
             case HasType(_, ty):
-                kind = TermEqKind(i1.image(d.name), i2.image(d.name), i1.apply(ty))
+                kind = TermEq(i1.image(d.name), i2.image(d.name), i1.apply(ty))
         label = fresh_name(f"eq_{d.name}", current)
         current = extend(current, Declaration(label, ctx2, kind), rules, fuel)
     out = replace(current, name=name or safe_name(f"coeq_{i1.dst.name}"))
@@ -333,14 +336,16 @@ def pushout_general(
 
 @dataclass
 class LimitClause:
-    """One pullback-or-equalizer clause per declaration.
+    """One pullback-or-equalizer clause per declaration, which carries
+    the declaration's statement.
 
-    Type symbols classify against the context-extension arrow between
-    type towers; term symbols against the element-of arrow; equational
-    axioms are equalizers of two classifying arrows.
+    Type symbols (IsType) classify against the context-extension arrow
+    between type towers; term symbols (HasType) against the element-of
+    arrow; equational axioms (TypeEq, TermEq) are equalizers of two
+    classifying arrows.
     """
 
-    kind: str  # "type-symbol" | "term-symbol" | "type-eq" | "term-eq"
+    kind: Statement
     n: int
     decl_name: str
     arrows: tuple[Interpretation, ...]
@@ -365,27 +370,27 @@ def _classifier(
     return Interpretation(tower, prefix, mapping)
 
 
+def _context_tower(n: int) -> Theory:
+    """The theory of an n-variable context: Ty(n-1), or terminal for none."""
+    return mk_Ty(n - 1) if n > 0 else terminal_theory()
+
+
 def limit_presentation(theory: Theory) -> list[LimitClause]:
-    """One clause per declaration, read off from its context and kind."""
+    """One clause per declaration, read off from its context and statement."""
     out: list[LimitClause] = []
     for i, d in enumerate(theory.decls):
         prefix = theory.prefix(i)
         n = len(d.ctx)
-        match d.judgment():
+        match d.kind:
             case IsType():
-                tower = mk_Ty(n - 1) if n > 0 else terminal_theory()
-                out.append(LimitClause("type-symbol", n, d.name, (_classifier(prefix, d, None, tower),)))
+                arrows = (_classifier(prefix, d, None, _context_tower(n)),)
             case HasType(_, ty):
-                f = _classifier(prefix, d, ty, mk_Ty(n))
-                out.append(LimitClause("term-symbol", n, d.name, (f,)))
+                arrows = (_classifier(prefix, d, ty, mk_Ty(n)),)
             case TypeEq(lhs, rhs):
-                f = _classifier(prefix, d, lhs, mk_Ty(n))
-                g = _classifier(prefix, d, rhs, mk_Ty(n))
-                out.append(LimitClause("type-eq", n, d.name, (f, g)))
+                arrows = tuple(_classifier(prefix, d, side, mk_Ty(n)) for side in (lhs, rhs))
             case TermEq(lhs, rhs, ty):
-                f = _classifier(prefix, d, ty, mk_El(n), lhs)
-                g = _classifier(prefix, d, ty, mk_El(n), rhs)
-                out.append(LimitClause("term-eq", n, d.name, (f, g)))
+                arrows = tuple(_classifier(prefix, d, ty, mk_El(n), side) for side in (lhs, rhs))
+        out.append(LimitClause(d.kind, n, d.name, arrows))
     return out
 
 
@@ -410,13 +415,14 @@ def reconstruct(
         return Interpretation(i.src, current, mapping)
 
     for cl in clauses:
-        if cl.kind == "type-symbol":
-            sub, total = (mk_Ty(cl.n - 1) if cl.n > 0 else terminal_theory()), mk_Ty(cl.n)
-        elif cl.kind == "term-symbol":
-            sub, total = mk_Ty(cl.n), mk_El(cl.n)
-        else:
-            current = coequalizer(*map(retarget, cl.arrows), rules, fuel, name=name).theory
-            continue
+        match cl.kind:
+            case IsType():
+                sub, total = _context_tower(cl.n), mk_Ty(cl.n)
+            case HasType():
+                sub, total = mk_Ty(cl.n), mk_El(cl.n)
+            case _:
+                current = coequalizer(*map(retarget, cl.arrows), rules, fuel, name=name).theory
+                continue
         po = pushout(sub, total, retarget(cl.arrows[0]), rules, fuel, name=name)
         renaming[cl.decl_name] = po.theory.decls[len(current.decls)].name
         current = po.theory

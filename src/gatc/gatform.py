@@ -22,7 +22,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Optional, Sequence
 
-from . import deriv
 from .errors import GatSyntaxError, UnknownSymbol
 from .expr import (
     Ap,
@@ -40,14 +39,7 @@ from .expr import (
     open_bound,
     substitute,
 )
-from .theory import (
-    Declaration,
-    TermEqKind,
-    TermKind,
-    Theory,
-    TypeEqKind,
-    TypeKind,
-)
+from .theory import CtxOk, Declaration, HasType, IsType, Statement, TermEq, Theory, TypeEq
 
 KEYWORDS = {"theory", "interp", "judgment", "sym", "ax", "over", "Type", "Pi", "lam", "Ctx"}
 
@@ -146,7 +138,7 @@ class JudgmentBlock:
     name: str
     theory_name: str
     ctx: tuple[tuple[str, Expr], ...]
-    stmt: deriv.Statement
+    stmt: Statement
     line: int
 
 
@@ -328,15 +320,15 @@ class _Parser:
         self.expect("DARROW")
         if t.kind == "sym":
             ty = self.type_or_expr(scope)
-            return Declaration(name, ctx, TypeKind() if ty is None else TermKind(ty))
+            return Declaration(name, ctx, IsType(None) if ty is None else HasType(None, ty))
         lhs = self.expr(scope)
         self.expect("EQUALS")
         rhs = self.expr(scope)
         if self.tok.kind != "COLON":
-            return Declaration(name, ctx, TermEqKind(lhs, rhs, None))
+            return Declaration(name, ctx, TermEq(lhs, rhs))
         self.next()
         ty = self.type_or_expr(scope)
-        return Declaration(name, ctx, TypeEqKind(lhs, rhs) if ty is None else TermEqKind(lhs, rhs, ty))
+        return Declaration(name, ctx, TypeEq(lhs, rhs) if ty is None else TermEq(lhs, rhs, ty))
 
     def interp_block(self) -> InterpBlock:
         t = self.expect("interp")
@@ -372,20 +364,20 @@ class _Parser:
         self.expect("RBRACE")
         return JudgmentBlock(name, theory_name, ctx, stmt, t.line)
 
-    def statement(self, scope: tuple[str, ...]) -> deriv.Statement:
+    def statement(self, scope: tuple[str, ...]) -> Statement:
         if self.tok.kind == "Ctx":
             self.next()
-            return deriv.CtxOk()
+            return CtxOk()
         first = self.expr(scope)
         if self.tok.kind == "EQUALS":
             self.next()
             second = self.expr(scope)
             self.expect("COLON")
             ty = self.type_or_expr(scope)
-            return deriv.TypeEq(first, second) if ty is None else deriv.TermEq(first, second, ty)
+            return TypeEq(first, second) if ty is None else TermEq(first, second, ty)
         self.expect("COLON")
         ty = self.type_or_expr(scope)
-        return deriv.IsType(first) if ty is None else deriv.HasType(first, ty)
+        return IsType(first) if ty is None else HasType(first, ty)
 
 
 def _taking(toks: Iterator[Token], taken: list[Token]) -> Iterator[Token]:
@@ -495,19 +487,21 @@ def print_decl(d: Declaration, unicode: bool = False) -> str:
     arrow = "⇒" if unicode else "=>"
     heads: set[str] = set()
     tele = "(" + ", ".join([f"{x} : {print_expr(ty, unicode, heads=heads)}" for x, ty in d.ctx]) + ")"
-    # the kind with each expression replaced by its printed text
+    # the statement with each expression replaced by its printed text
     k = d.kind.map(lambda e: print_expr(e, unicode, heads=heads))
     if not heads.isdisjoint(d.arity):  # print again with the shadowing variables renamed
         ctx, sub = _shadow_free(d.ctx, heads)
         return print_decl(Declaration(d.name, ctx, d.kind.map(lambda e: substitute(e, sub))), unicode)
-    if isinstance(k, TypeKind):
-        return f"sym {d.name} : {tele} {arrow} Type"
-    if isinstance(k, TermKind):
-        return f"sym {d.name} : {tele} {arrow} {k.ty}"
-    if isinstance(k, TypeEqKind):
-        return f"ax {d.name} : {tele} {arrow} {k.lhs} = {k.rhs} : Type"
-    ty = "" if k.ty is None else f" : {k.ty}"
-    return f"ax {d.name} : {tele} {arrow} {k.lhs} = {k.rhs}{ty}"
+    match k:
+        case IsType():
+            return f"sym {d.name} : {tele} {arrow} Type"
+        case HasType(_, ty):
+            return f"sym {d.name} : {tele} {arrow} {ty}"
+        case TypeEq(lhs, rhs):
+            return f"ax {d.name} : {tele} {arrow} {lhs} = {rhs} : Type"
+        case TermEq(lhs, rhs, ty):
+            ty = "" if ty is None else f" : {ty}"
+            return f"ax {d.name} : {tele} {arrow} {lhs} = {rhs}{ty}"
 
 
 def print_theory(t: Theory, unicode: bool = False) -> str:

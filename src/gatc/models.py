@@ -37,11 +37,10 @@ from dataclasses import dataclass
 from operator import is_, itemgetter
 from typing import Callable, NamedTuple, Optional
 
-from .deriv import HasType, IsType, TermEq, TypeEq
 from .errors import BudgetExceeded, ModelError
 from .expr import App, Expr, Var, head_symbols, walk
 from .gatcat import Coequalizer, Coproduct, Interpretation, Pushout, identity
-from .theory import Declaration, Theory
+from .theory import Declaration, HasType, IsType, TermEq, Theory, TypeEq
 
 Instance = tuple[int, ...]
 Tables = dict[str, dict[Instance, int]]  # every symbol's table, by name
@@ -160,14 +159,14 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
     plan: list[tuple[_Compiled, list[_Compiled], list[_Compiled]]] = []
     position: dict[str, int] = {}
     for d in theory.decls:
-        exprs = list(d.exprs())  # the context's types, then the kind's
+        exprs = list(d.exprs())  # the context's types, then the statement's
         if any(t.__class__ not in (App, Var) for e in exprs for t, _ in walk(e)):
             raise ModelError(
                 f"theory {theory.name!r} uses binders; finite models cover "
                 "only binder-free theories"
             )
         reads = {t.head for e in exprs[: len(d.ctx)] for t, _ in walk(e, App)}
-        # a TermEqKind.ty, the third of its kind's expressions, is never evaluated
+        # a TermEq.ty, the third of its statement's expressions, is never evaluated
         mentions = {t.head for e in exprs[: len(d.ctx) + 2] for t, _ in walk(e, App)}
         c = _compiled(d)
         if d.is_symbol:
@@ -176,7 +175,7 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
             continue
         sym, watched, after = plan[max(position[h] for h in mentions)]
         name, sides = sym.decl.name, (d.kind.lhs, d.kind.rhs)
-        if isinstance(d.judgment(), TermEq) and sym.ty is not None and name not in reads:
+        if isinstance(d.kind, TermEq) and sym.ty is not None and name not in reads:
             got = mentions.union(
                 *map(head_symbols, sym.decl.exprs()),
                 [e.decl.name for e, _, _ in plan[: position[name]] if e.ty is None],
@@ -303,6 +302,10 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
         watches: list[list] = [[] for _ in keys]
         moved: list[list[int]] = [[] for _ in keys]  # the watches each value placed
         undefined = ~n  # the read of no cell: reading it raises IndexError
+        # The largest carrier size, once a grounding first needs it (the
+        # carriers are set before this table): one that never does cannot
+        # meet carriers with no cells.
+        largest: list[int] = []
 
         def app(get: Callable, k: tuple, waits: tuple[int, ...]):
             """The read of a table, get its get, at the argument reads k, of
@@ -314,18 +317,11 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
             a, pre, post = k[i], k[:i], k[i + 1 :]
             # a cell's values lie below its size, any other read's below the
             # largest carrier size
-            values = range(
-                sizes[a]
-                if a.__class__ is int
-                else max(
-                    [
-                        v
-                        for d, _, _ in plan[:s]
-                        if d.ty is None
-                        for v in tables[d.decl.name].values()
-                    ]
+            if a.__class__ is not int and not largest:
+                largest.append(
+                    max([v for d, _, _ in plan[:s] if d.ty is None for v in tables[d.decl.name].values()])
                 )
-            )
+            values = range(sizes[a] if a.__class__ is int else largest[0])
             if len(waits) == 1:
                 return a, tuple([get((*pre, v, *post), undefined) for v in values])
             outs = tuple([app(get, (*pre, v, *post), waits[1:]) for v in values])

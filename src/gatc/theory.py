@@ -1,11 +1,14 @@
 """Theories: ordered symbol and axiom declarations with well-formedness.
 
-A pretheory is an ordered list of declarations, each over a context; the
-list order realizes the dependency (well-founded) relation.  A Theory is
-a pretheory every declaration of which checks over the strictly earlier
-prefix; construct one through check_theory or extend, or from certified
-theories by the lemmas of Theory.prefix, Theory.rename, disjoint_union
-and families.
+A declaration holds the statement it asserts over its context, one of
+the judgment forms that deriv checks: A type or c : T for a symbol, whose
+subject, the symbol applied to its context's variables, is left None, or
+an equation between types or terms for an axiom.  A pretheory is an
+ordered list of declarations; the list order realizes the dependency
+(well-founded) relation.  A Theory is a pretheory every declaration of
+which checks over the strictly earlier prefix; construct one through
+check_theory or extend, or from certified theories by the lemmas of
+Theory.prefix, Theory.rename, disjoint_union and families.
 """
 
 from __future__ import annotations
@@ -20,56 +23,49 @@ from .expr import Ap, App, Expr, Var, fresh_name, hypothesize, mk_lam, mk_pi, re
 from .gatform_names import safe_name
 
 
-class ExprFields:
-    """Base of frozen dataclasses whose fields are all expressions, where
-    an omitted type is None: the declaration kinds and the statements."""
+class Statement:
+    """Base of the five statement forms, frozen dataclasses whose fields
+    are all expressions.  A field may be None: an omitted TermEq.ty, which
+    is inferred from the left side, and the subject of a declaration's
+    IsType or HasType, which is the declared symbol applied to its
+    context's variables and is left implicit (Declaration.judgment)."""
 
     __slots__ = ()
 
     def exprs(self) -> tuple[Expr, ...]:
-        """The expressions in field order; an omitted type is skipped."""
+        """The expressions in field order; a None field is skipped."""
         return tuple(v for v in vars(self).values() if v is not None)
 
     def map(self, fn: Callable[[Expr], Expr]):
-        """The same record with fn applied to each of its expressions."""
-        return type(self)(**{k: fn(v) for k, v in vars(self).items() if v is not None})
-
-
-class DeclKind(ExprFields):
-    """Base of the four declaration kinds; only TermEqKind.ty may be
-    None (omitted in source)."""
-
-    __slots__ = ()
+        """The same statement with fn applied to each of its expressions;
+        a None field stays None."""
+        return type(self)(*[v if v is None else fn(v) for v in vars(self).values()])
 
 
 @dataclass(frozen=True)
-class TypeKind(DeclKind):
-    """Declares a dependent type symbol."""
+class CtxOk(Statement):
+    pass
 
 
 @dataclass(frozen=True)
-class TermKind(DeclKind):
-    """Declares a term symbol of the given type."""
-
+class IsType(Statement):
     ty: Expr
 
 
 @dataclass(frozen=True)
-class TypeEqKind(DeclKind):
-    """Equational axiom between two types."""
+class HasType(Statement):
+    term: Expr
+    ty: Expr
 
+
+@dataclass(frozen=True)
+class TypeEq(Statement):
     lhs: Expr
     rhs: Expr
 
 
 @dataclass(frozen=True)
-class TermEqKind(DeclKind):
-    """Equational axiom between two terms of a type.
-
-    The type may be omitted in source and is filled in from the left side
-    during certification.
-    """
-
+class TermEq(Statement):
     lhs: Expr
     rhs: Expr
     ty: Optional[Expr] = None
@@ -79,7 +75,9 @@ class TermEqKind(DeclKind):
 class Declaration:
     name: str
     ctx: tuple[tuple[str, Expr], ...]
-    kind: DeclKind
+    # what it asserts over ctx: IsType(None) or HasType(None, ty) for a
+    # symbol, whose subject is implicit, or a TypeEq or TermEq axiom
+    kind: Statement
     # the context's variable names, stored once: not compared, hashed or shown
     arity: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
@@ -88,11 +86,11 @@ class Declaration:
 
     @property
     def is_symbol(self) -> bool:
-        return isinstance(self.kind, (TypeKind, TermKind))
+        return isinstance(self.kind, (IsType, HasType))
 
     @property
     def is_axiom(self) -> bool:
-        return isinstance(self.kind, (TypeEqKind, TermEqKind))
+        return not self.is_symbol
 
     def exprs(self) -> Iterable[Expr]:
         for _, ty in self.ctx:
@@ -100,25 +98,18 @@ class Declaration:
         yield from self.kind.exprs()
 
     def map(self, fn: Callable[[Expr], Expr], name: Optional[str] = None) -> Declaration:
-        """Apply fn to every telescope type and kind expression; optionally rename."""
+        """Apply fn to every telescope type and statement expression; optionally rename."""
         return Declaration(
             self.name if name is None else name,
             tuple((x, fn(ty)) for x, ty in self.ctx),
             self.kind.map(fn),
         )
 
-    def judgment(self) -> _deriv.Statement:
-        """The statement the declaration asserts over its context:
-        A(ctx) type, c(ctx) : T, or its equation."""
+    def judgment(self) -> Statement:
+        """The statement the declaration asserts over its context, a
+        symbol's with its subject c(ctx) filled in."""
         k = self.kind
-        head = App(self.name, tuple(Var(x) for x in self.arity))
-        if isinstance(k, TypeKind):
-            return _deriv.IsType(head)
-        if isinstance(k, TermKind):
-            return _deriv.HasType(head, k.ty)
-        if isinstance(k, TypeEqKind):
-            return _deriv.TypeEq(k.lhs, k.rhs)
-        return _deriv.TermEq(k.lhs, k.rhs, k.ty)
+        return type(k)(App(self.name, tuple(map(Var, self.arity))), *k.exprs()) if self.is_symbol else k
 
 
 Pretheory = Sequence[Declaration]
@@ -132,7 +123,12 @@ def _name_index(decls: Sequence[Declaration]) -> dict[str, int]:
 @dataclass(frozen=True)
 class Theory:
     """A certified pretheory; pi records the rule set used.  Its prefixes, extensions
-    and renamed copies share one name index: a name is visible iff its position < len(decls)."""
+    and renamed copies share one name index: a name is visible iff its position < len(decls).
+
+    The constructor checks nothing: only check_theory, extend and the
+    named lemmas (Theory.prefix, Theory.rename, disjoint_union and
+    families) produce certified theories, and the rest of gatc trusts
+    that every Theory came from one of them."""
 
     name: str
     decls: tuple[Declaration, ...]
@@ -235,19 +231,28 @@ def _scan_references(prefix: Theory, d: Declaration, names: Container[str]) -> N
 
 
 def _extend(theory: Theory, d: Declaration, names: Container[str], rules, fuel) -> Theory:
-    """The one certify step: d's references, its context and what its
-    judgment presupposes, over the certified theory.  Errors name the
-    declaration; an omitted term-equation type comes back filled in."""
+    """The one certify step: d's statement form, its references, its
+    context and what its judgment presupposes, over the certified theory.
+    Errors name the declaration; an omitted term-equation type comes back
+    filled in."""
     if theory.has(d.name):
         raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
     try:
+        match d.kind:  # a symbol's subject is the symbol itself, left None
+            case IsType(None) | HasType(None, _) | TypeEq() | TermEq():
+                pass
+            case _:
+                raise GatError(
+                    f"states a {type(d.kind).__name__} that is neither an equation "
+                    "nor a symbol's statement with its subject left None"
+                )
         _scan_references(theory, d, names)
         _deriv.check_context(theory, d.ctx, rules, fuel)
         stmt = d.judgment()
         filled = _deriv.presupposed(theory, d.ctx, stmt, rules, fuel)
     except GatError as exc:
         raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
-    d = d if filled is stmt else replace(d, kind=replace(d.kind, ty=filled.ty))
+    d = d if filled is stmt else replace(d, kind=filled)
     n = len(theory.decls)
     # an index that a longer theory already extends is rebuilt, not overwritten
     index = theory._index if len(theory._index) == n else _name_index(theory.decls)
@@ -333,19 +338,19 @@ def _a(head: str, *args: Expr) -> App:
 
 
 def type_sym(name: str, ctx=()) -> Declaration:
-    return Declaration(name, tuple(ctx), TypeKind())
+    return Declaration(name, tuple(ctx), IsType(None))
 
 
 def term_sym(name: str, ctx, ty: Expr) -> Declaration:
-    return Declaration(name, tuple(ctx), TermKind(ty))
+    return Declaration(name, tuple(ctx), HasType(None, ty))
 
 
 def type_eq_ax(name: str, ctx, lhs: Expr, rhs: Expr) -> Declaration:
-    return Declaration(name, tuple(ctx), TypeEqKind(lhs, rhs))
+    return Declaration(name, tuple(ctx), TypeEq(lhs, rhs))
 
 
 def term_eq_ax(name: str, ctx, lhs: Expr, rhs: Expr, ty: Optional[Expr] = None) -> Declaration:
-    return Declaration(name, tuple(ctx), TermEqKind(lhs, rhs, ty))
+    return Declaration(name, tuple(ctx), TermEq(lhs, rhs, ty))
 
 
 @functools.lru_cache(maxsize=None)

@@ -22,7 +22,7 @@ from gatc.gatcat import (
     reconstruct,
     renaming_interpretation,
 )
-from gatc.theory import check_theory, stdlib, terminal_theory
+from gatc.theory import HasType, IsType, TermEq, check_theory, stdlib, terminal_theory
 
 LIB = stdlib()
 
@@ -196,7 +196,7 @@ def test_limit_presentation_of_terminal_empty():
 
 def test_limit_presentation_ty1():
     clauses = limit_presentation(LIB["Ty1"])
-    assert [(c.kind, c.n) for c in clauses] == [("type-symbol", 0), ("type-symbol", 1)]
+    assert [(type(c.kind), c.n) for c in clauses] == [(IsType, 0), (IsType, 1)]
     # the second clause classifies the one-variable context via the tower
     second = clauses[1]
     assert second.arrows[0].mapping == {"A0": App("A0")}
@@ -212,8 +212,8 @@ def test_limit_presentation_classifiers_are_valid():
 
 def test_limit_presentation_monoid_reconstructs():
     clauses = limit_presentation(LIB["Mon"])
-    kinds = [c.kind for c in clauses]
-    assert kinds == ["type-symbol", "term-symbol", "term-symbol", "term-eq", "term-eq", "term-eq"]
+    kinds = [type(c.kind) for c in clauses]
+    assert kinds == [IsType, HasType, HasType, TermEq, TermEq, TermEq]
     rec, renaming = reconstruct(clauses)
     fwd = renaming_interpretation(LIB["Mon"], rec, renaming)
     inv = {v: k for k, v in renaming.items()}

@@ -17,7 +17,7 @@ import pytest
 from gatc.errors import ModelError
 from gatc.expr import App
 from gatc.models import Model, _reader, enumerate_models, validate_model
-from gatc.theory import TermKind, check_theory, stdlib, term_eq_ax, term_sym, type_sym
+from gatc.theory import HasType, check_theory, stdlib, term_eq_ax, term_sym, type_sym
 from model_oracle import context_instances, evaluate, true_at
 from test_models import CATPT_DEFECTS, hand_catpt_model
 from test_random_theories import random_flat_theory
@@ -117,7 +117,7 @@ def test_program_agrees_with_the_oracle_on_random_flat_models():
         if time.monotonic() > deadline:
             break
         t = random_flat_theory(rng, 1300 + tag)
-        terms = [d for d in t.decls if isinstance(d.kind, TermKind)]
+        terms = [d for d in t.decls if isinstance(d.kind, HasType)]
         if sum(2 ** len(d.ctx) for d in terms) > 12:
             continue
         names = sorted(d.name for d in terms)

@@ -35,8 +35,8 @@ from gatc.models import (
     validate_model,
 )
 from gatc.theory import (
-    TermKind,
-    TypeKind,
+    HasType,
+    IsType,
     check_theory,
     stdlib,
     term_eq_ax,
@@ -346,7 +346,7 @@ def pinned_digest(theory, ms: list[Model]) -> str:
     """sha256 of the models' keys in order, each split into the layout the
     pins were first taken in: (type symbols' tables, term symbols' tables),
     each part sorted by name as in Model.key."""
-    types = {d.name for d in theory.decls if isinstance(d.kind, TypeKind)}
+    types = {d.name for d in theory.decls if isinstance(d.kind, IsType)}
     keys = [
         (tuple(e for e in k if e[0] in types), tuple(e for e in k if e[0] not in types))
         for k in (m.key() for m in ms)
@@ -372,7 +372,7 @@ def test_models_share_their_tables():
     # Ty3 at bound 2: 33,673 models with four type symbols' tables each,
     # found in 33,872 search nodes, each of which builds at most one table
     ty3 = LIB["Ty3"]
-    types = {d.name for d in ty3.decls if isinstance(d.kind, TypeKind)}
+    types = {d.name for d in ty3.decls if isinstance(d.kind, IsType)}
     ms = enumerate_models(ty3, 2)
     assert len({id(m.tables[c]) for m in ms for c in types}) <= 33_872
 
@@ -620,7 +620,7 @@ def whole_table_models(theory, bound: int) -> list[Model]:
             out.append(m)
             return
         d = symbols[i]
-        is_type = isinstance(d.kind, TypeKind)
+        is_type = isinstance(d.kind, IsType)
         try:
             envs = context_instances(m, d.ctx)
             sizes = [bound + 1 if is_type else evaluate(m, env, d.kind.ty) for env in envs]
@@ -781,7 +781,7 @@ def test_random_theories_at_bound_two_come_out_in_whole_table_order():
     for tag in range(60):
         t = random_flat_theory(rng, 900 + tag)
         # keep the whole-table oracle to a few seconds in all
-        if sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, TermKind)) > 12:
+        if sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, HasType)) > 12:
             continue
         got = [m.key() for m in enumerate_models(t, 2)]
         assert got == [m.key() for m in whole_table_models(t, 2)], t.name

@@ -23,10 +23,10 @@ from gatc.models import check_colimit_duality, enumerate_models
 from gatc.poly import poly_apply
 from gatc.theory import (
     Declaration,
-    TermEqKind,
-    TermKind,
+    HasType,
+    IsType,
+    TermEq,
     Theory,
-    TypeKind,
     check_theory,
     term_eq_ax,
     term_sym,
@@ -105,9 +105,9 @@ def random_flat_theory(rng: random.Random, tag: int) -> Theory:
 def independent_model_count(theory: Theory, bound: int) -> int:
     """Second oracle: no backtracking, enumerate every full assignment of
     carrier sizes and operation tables, then filter by the axioms."""
-    type_names = [d.name for d in theory.decls if isinstance(d.kind, TypeKind)]
-    terms = [d for d in theory.decls if isinstance(d.kind, TermKind)]
-    axioms = [d for d in theory.decls if isinstance(d.kind, TermEqKind)]
+    type_names = [d.name for d in theory.decls if isinstance(d.kind, IsType)]
+    terms = [d for d in theory.decls if isinstance(d.kind, HasType)]
+    axioms = [d for d in theory.decls if isinstance(d.kind, TermEq)]
     count = 0
     for sizes in itertools.product(range(bound + 1), repeat=len(type_names)):
         size_of = dict(zip(type_names, sizes))
@@ -189,7 +189,7 @@ def test_random_theories_model_counts_match_independent_oracle():
     for tag in range(14):
         t = random_flat_theory(rng, 200 + tag)
         # keep the flat oracle's blunt enumeration affordable
-        table_cells = sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, TermKind))
+        table_cells = sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, HasType))
         if table_cells > 12:
             continue
         expected = independent_model_count(t, 1)
@@ -205,7 +205,7 @@ def test_random_theories_coproduct_duality():
     for tag in range(10):
         a = random_flat_theory(rng, 300 + tag)
         b = random_flat_theory(rng, 400 + tag)
-        cells = sum(2 ** len(d.ctx) for d in a.decls + b.decls if isinstance(d.kind, TermKind))
+        cells = sum(2 ** len(d.ctx) for d in a.decls + b.decls if isinstance(d.kind, HasType))
         if cells > 10:
             continue
         r = check_colimit_duality(coproduct(a, b), 1)
@@ -221,7 +221,7 @@ def test_random_proved_equalities_hold_in_random_models():
         t = random_flat_theory(rng, 500 + tag)
         if not t.axioms():
             continue
-        cells = sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, TermKind))
+        cells = sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, HasType))
         if cells > 10:
             continue
         ms = enumerate_models(t, 2, budget=400_000)

@@ -3,11 +3,23 @@ import pytest
 from gatc import deriv
 from gatc.errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
 from gatc.expr import App, Var
-from gatc.gatcat import check_interpretation, renaming_interpretation
+from gatc.gatcat import (
+    check_interpretation,
+    coproduct,
+    limit_presentation,
+    reconstruct,
+    renaming_interpretation,
+)
 from gatc.theory import (
-    TermEqKind,
+    CtxOk,
+    Declaration,
+    HasType,
+    IsType,
+    TermEq,
+    TypeEq,
     check_theory,
     extend,
+    families,
     mk_El,
     mk_Ty,
     stdlib,
@@ -99,7 +111,7 @@ def test_extend_monoid_with_idempotency():
     ax = term_eq_ax("idem", (("y", App("Mon")),), App("mul", (Var("y"), Var("y"))), Var("y"))
     got = extend(mon, ax)
     filled = got.decl("idem").kind
-    assert isinstance(filled, TermEqKind)
+    assert isinstance(filled, TermEq)
     assert filled.ty == App("Mon")
 
 
@@ -165,6 +177,16 @@ _A, _a = App("A"), App("a")
 _BASE = [type_sym("A"), term_sym("a", (), _A)]
 _ILL_TYPED_A = type_sym("A", (("x", App("Nowhere")),))
 
+
+def _misstated(name: str, form: str) -> str:
+    """The error on a declaration whose statement is not one a declaration
+    makes: a symbol's subject is the symbol itself, left None."""
+    return (
+        f"in declaration {name!r}: states a {form} that is neither an equation "
+        "nor a symbol's statement with its subject left None"
+    )
+
+
 # (prefix, offending declaration, later declarations, check_theory's error,
 # extend's error); an error is (class, message, exc.decl).  extend sees no
 # later declarations, so a name declared only later is unknown to it.
@@ -204,6 +226,27 @@ CERTIFICATION_ERRORS = {
         (UnknownSymbol, "in declaration 'c': 'Nowhere' is not declared", "c"),
         (UnknownSymbol, "in declaration 'c': 'Nowhere' is not declared", "c"),
     ),
+    "symbol-names-its-subject": (
+        _BASE,
+        Declaration("c", (), HasType(App("d"), _A)),
+        [term_sym("d", (), _A)],
+        (GatError, _misstated("c", "HasType"), "c"),
+        (GatError, _misstated("c", "HasType"), "c"),
+    ),
+    "type-symbol-names-its-subject": (
+        _BASE,
+        Declaration("B", (), IsType(_A)),
+        [],
+        (GatError, _misstated("B", "IsType"), "B"),
+        (GatError, _misstated("B", "IsType"), "B"),
+    ),
+    "context-statement": (
+        _BASE,
+        Declaration("c", (("x", _A),), CtxOk()),
+        [],
+        (GatError, _misstated("c", "CtxOk"), "c"),
+        (GatError, _misstated("c", "CtxOk"), "c"),
+    ),
     "duplicate-after-ill-typed": (
         _BASE,
         term_sym("c", (), App("A", (_a,))),
@@ -225,3 +268,31 @@ def test_certification_errors_are_pinned(case):
     with pytest.raises(GatError) as got:
         extend(check_theory(prefix), offending)
     assert (type(got.value), str(got.value), got.value.decl) == in_extend
+
+
+def _judgment_by_hand(d: Declaration):
+    """The statement d asserts, its subject built here from App(d.name, vars)."""
+    subject = App(d.name, tuple(Var(x) for x, _ in d.ctx))
+    match d.kind:
+        case IsType(None):
+            return IsType(subject)
+        case HasType(None, ty):
+            return HasType(subject, ty)
+        case TypeEq() | TermEq():
+            return d.kind
+    raise AssertionError(f"{d.name!r} states {d.kind!r}")
+
+
+def test_judgment_fills_in_the_implicit_subject():
+    # the families theories go through hypothesize, the coproduct through
+    # rename_symbols and the reconstructions' pushouts through translate,
+    # each of which maps a statement and must keep a symbol's subject None
+    lib = stdlib()
+    theories = []
+    for t in lib.values():
+        rules = deriv.WITH_PI if t.pi else deriv.BASE
+        theories += [t, families(t)[0], reconstruct(limit_presentation(t), rules)[0]]
+    theories.append(coproduct(lib["Mon"], lib["Cat"]).theory)
+    for t in theories:
+        for d in t.decls:
+            assert d.judgment() == _judgment_by_hand(d), (t.name, d.name)
