@@ -21,7 +21,11 @@ applications are resolved in advance into lookup lists, so a check
 indexes lists and builds no key.  An instance is grounded once per
 assignment of the tables its grounding reads, not once per fill: the
 search keeps each watched equation's last grounding with those tables
-and reuses it while they are the same objects.  A search creates no
+and reuses it while they are the same objects.  An instance with a
+cell on one side and an element on the other fixes the cell, as in
+SEM: the fill sets every fixed cell before it branches and backtracks
+over the others only, so a search node is one whole table chosen or one
+value tried at a cell that no instance fixes.  A search creates no
 reference cycles, and it relies on that: it runs with the cyclic garbage
 collector paused, so a cycle made during a search lives until the next
 collection after it.  The switch is process-wide; a search in another
@@ -34,8 +38,8 @@ import gc
 import itertools
 import sys
 from dataclasses import dataclass
-from operator import is_, itemgetter
-from typing import Callable, NamedTuple, Optional
+from operator import ge, is_, itemgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, ModelError
 from .expr import App, Expr, Var, head_symbols, walk
@@ -99,8 +103,9 @@ def _instances(ctx) -> Callable[[Tables], list[Instance]]:
 # reads; its distinct applications, each after its arguments, as (head,
 # the columns of its arguments, the positions of those that apply the
 # watched symbol, so that their reads wait on a cell); and the columns
-# of its sides.  Its variables' columns come first, in context order,
-# then one per application.
+# of its sides, first one that mentions the watched symbol.  Its
+# variables' columns come first, in context order, then one per
+# application.
 _Watch = NamedTuple(
     "_Watch",
     [
@@ -191,6 +196,8 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
                 )
                 for t in apps
             )
+            # the side that mentions the watched symbol first, as fill reads it
+            sides = sorted(sides, key=lambda e: name not in head_symbols(e))
             watch = _Watch(tuple(sorted(got, key=position.get)), steps, *map(cols.get, sides))
             watched.append(c._replace(watch=watch))
         else:
@@ -231,15 +238,22 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     of the argument leads to.  It is grounded once per assignment of the
     tables its grounding reads, not once per fill: the fills under one
     assignment come one after another, and each reuses the grounding of
-    the first.  An instance waits on the latest cell it reads that
-    is still unset: as cells are set in key order, it is evaluated again
-    exactly when that cell is set, and it can turn false only then.
-    Values are tried in ascending order, so models come out in the order
-    of the whole-table product.  The budget counts nodes: one per whole
-    table chosen and one per cell value tried.  It bounds memory as well:
-    whole tables are walked one at a time, so no value range is built
-    before the search reaches it.  The models share every table that is
-    the same in several of them, so they must be treated as read-only.
+    the first.  An instance with a cell on one side, read directly, and
+    an element on the other fixes the cell to the element, the only value
+    that can complete a model; the fill sets each fixed cell first and
+    is empty when two instances fix one cell to different elements, when
+    an element is not below its cell's size, or when an instance whose
+    cells are all set fails.  Every other instance waits on the latest
+    cell it reads that is still unset, which no instance fixes: as the
+    other cells are set in key order, it is evaluated again exactly when
+    that cell is set, and it can turn false only then.  Values are tried
+    in ascending order, so models come out in the order of the
+    whole-table product.  The budget counts nodes: one per whole table
+    chosen and one per value tried at a cell that no instance fixes.  It
+    bounds memory as well: whole tables are walked one at a time, so no
+    value range is built before the search reaches it.  The models share
+    every table that is the same in several of them, so they must be
+    treated as read-only.
     """
     out: list[Model] = []
     _search(theory, bound, budget, lambda tables: out.append(Model(theory, dict(tables))))
@@ -256,7 +270,8 @@ def count_models(theory: Theory, bound: int, budget: int = 2_000_000) -> int:
 def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], None]) -> None:
     """The search of enumerate_models; leaf sees each model's tables as
     they are completed, in a dict the search goes on to change.  A node is
-    one whole table chosen or one cell value tried.
+    one whole table chosen or one value tried at a cell that no watched
+    instance fixes; a fixed cell is set before its fill branches.
 
     It runs with the cyclic collector paused and restores the caller's
     setting on every exit.  That is sound only because the search makes
@@ -327,14 +342,18 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
             outs = tuple([app(get, (*pre, v, *post), waits[1:]) for v in values])
             return (a, outs), frozenset([k[j] for j in waits[1:]])
 
-        def ground(eq: _Compiled) -> Optional[list]:
+        def ground(eq: _Compiled) -> Optional[tuple[list, Sequence]]:
             """eq's instances, each the pair of its sides' reads, grounded as
-            eq.watch describes with the complete tables read once; None if a
-            read that waits on no cell is undefined."""
+            eq.watch describes with the complete tables read once, and those
+            of them that fix a cell: the read of the cell, then an element.
+            None if a read that waits on no cell is undefined, or if an
+            element fixed is not below its cell's size."""
             try:
                 xs = eq.instances(tables)
+                if not xs:
+                    return [], ()
                 cols: list = list(zip(*xs))  # the variables' columns
-                for head, args, waits in eq.watch.steps if xs else ():
+                for head, args, waits in eq.watch.steps:
                     get = tables[head].get
                     rows = zip(*map(cols.__getitem__, args)) if args else [()] * len(xs)
                     # a read that waits is a tuple, an undefined one None
@@ -343,7 +362,15 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
                     )
                     if None in cols[-1]:
                         return None  # whatever the cells hold
-                return list(zip(cols[eq.watch.lhs], cols[eq.watch.rhs])) if xs else []
+                a, b = cols[eq.watch.lhs], cols[eq.watch.rhs]
+                insts = list(zip(a, b))
+                # Every instance reads alike.  An int read on the first side,
+                # which mentions the watched symbol, is the read of a cell;
+                # with an element on the other side, the instance fixes the
+                # cell, whose size comes from tables that eq.watch.reads names.
+                if a[0].__class__ is b[0].__class__ is int and b[0] >= 0:
+                    return None if any(map(ge, b, map(sizes.__getitem__, a))) else (insts, insts)
+                return insts, ()
             except KeyError:  # an instance of the context is undefined
                 return None
 
@@ -385,7 +412,7 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
         try:
             # Ground each watched instance with this table's cells read as
             # their reads, unless the slot holds its grounding over the
-            # same tables, then watch it on the latest cell it reads at once.
+            # same tables, and set the cells the instances fix.
             tables[name] = {key: ~j for j, key in enumerate(keys)}
             insts = []
             for eq in watched:
@@ -395,17 +422,27 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
                     slot = slots[eq.decl.name] = (got, ground(eq))
                 if slot[1] is None:
                     return
-                insts += slot[1]
-            propagate(insts, [])  # cannot fail: each instance reads an unset cell
-            # Iterative backtracking over the cells, r the read of the cell to set.
-            r = -1
-            while r < 0:
+                more, fixed = slot[1]
+                insts += more
+                for r, e in fixed:
+                    vals[r] = e
+            # Check each instance whose cells are all set, which fails when
+            # two instances fix one cell to different elements, and watch
+            # every other on the latest cell it reads, which no instance fixes.
+            if not propagate(insts, []):
+                return
+            # Iterative backtracking over the cells left unset, free[i] the
+            # read of the cell to set; past them, ~n stands for the leaf.
+            free = [*filter((0).__gt__, reversed(vals)), ~n]  # an unset cell holds its read
+            i = 0
+            while i >= 0:
+                r = free[i]
                 if r < -n:
                     # the snapshot later levels and models share
                     tables[name] = dict(zip(keys, reversed(vals)))
                     if not eqs or holds(eqs):
                         down(arg)
-                    r += 1
+                    i -= 1
                 else:
                     for w in reversed(moved[r]):
                         watches[w].pop()
@@ -415,10 +452,10 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
                         if next(nodes) > budget:
                             raise BudgetExceeded(spent)
                         vals[r] = v
-                        r -= propagate(watches[r], moved[r])  # on when none fails
+                        i += propagate(watches[r], moved[r])  # on when none fails
                     else:
                         vals[r] = r
-                        r += 1
+                        i -= 1
         finally:  # end their self-reference cycles on every exit: free the instances now
             del app, value
 

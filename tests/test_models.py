@@ -334,7 +334,17 @@ def test_counts_decided_within_default_budget(name, bound, expected):
 
 @pytest.mark.parametrize(
     "name, bound, nodes",
-    [("Cat", 2, 9_264), ("Ty3", 2, 33_872), ("Mon", 3, 552), ("El2", 2, 382)],
+    # a cell that a watched instance fixes to an element costs no node:
+    # Cat@2 took 9,264 nodes, CatPt@2 9,937, Mon@3 552 and Mon@2 29 when
+    # such cells were tried value by value
+    [
+        ("Cat", 2, 4_166),
+        ("CatPt", 2, 4_839),
+        ("Ty3", 2, 33_872),
+        ("Mon", 3, 176),
+        ("Mon", 2, 10),
+        ("El2", 2, 382),
+    ],
 )
 def test_budget_boundary_is_the_search_node_count(name, bound, nodes):
     count_models(LIB[name], bound, budget=nodes)
@@ -532,21 +542,21 @@ def _fibred(fixed: bool):
         (
             lambda: coproduct(LIB["Mon"], LIB["Mon"]).theory,
             2,
-            174,
+            60,
             "8cbf55b6e81ccb997a288d485037e7a886314d1920dd2cc1f3274fb3d9a2e63c",
         ),
         # a type equation checked whole after a table filled cell by cell
         (
             lambda: _mon_with_family(early=True),
             3,
-            33_889,
+            10_749,
             "c0906c9f436b585876621542da9634459ad7875d0441726180ca493bfc4e16b0",
         ),
         # an equation checked whole after a table its context reads
         (
             _catpt_c,
             2,
-            11_278,
+            6_180,
             "7ad61a92d311d875a1503abaafa225bea358e0f72a7103d9f1a83a32522d71c5",
         ),
         # two waiting arguments in one application
@@ -579,7 +589,7 @@ def _fibred(fixed: bool):
         (
             lambda: _fibred(fixed=True),
             2,
-            9_992,
+            5_379,
             "c9b56c11f509e044e587d647ac6015ad160eca27641fcc479ed92ef8f82b56b3",
         ),
     ],
@@ -751,6 +761,115 @@ def test_each_grounding_is_kept_for_the_fills_under_one_assignment(name, bound, 
     assert groundings(LIB[name], bound) == counts
 
 
+def _points(*axioms):
+    # a carrier A with points a and b, then f : A -> A and axioms, each
+    # (context, lhs, rhs) over A, that mention f, so f watches them
+    a = App("A")
+    decls = (
+        type_sym("A"),
+        term_sym("a", (), a),
+        term_sym("b", (), a),
+        term_sym("f", (("x", a),), a),
+    )
+    laws = tuple(term_eq_ax(f"_{i}", *ax, a) for i, ax in enumerate(axioms, 1))
+    return check_theory(decls + laws, name="Points")
+
+
+def _f(t):
+    return App("f", (t,))
+
+
+def _constantly(point: str):
+    # f(x) = point over x : A, which fixes every cell of f
+    return (("x", App("A")),), _f(Var("x")), App(point)
+
+
+def _late_fibre():
+    # f(t) = c : B(t) holds by t = k and B(k) = C, both checked once k, after
+    # f, is chosen: while f is filled, c can lie past the fibre B(t)
+    a, c, t, k = App("A"), App("C"), App("t"), App("k")
+    decls = (
+        type_sym("A"),
+        type_sym("B", (("x", a),)),
+        type_sym("C"),
+        term_sym("c", (), c),
+        term_sym("t", (), a),
+        term_sym("f", (("x", a),), App("B", (Var("x"),))),
+        term_sym("k", (), a),
+        term_eq_ax("_1", (), t, k, a),
+        type_eq_ax("_2", (), App("B", (k,)), c),
+        term_eq_ax("_3", (), _f(t), App("c"), App("B", (t,))),
+    )
+    return check_theory(decls, name="LateFibre")
+
+
+# The nodes of a Points theory at bound 2: the carrier A takes 3, a and b
+# 1 + 1 at |A| = 1 and 2 + 4 at |A| = 2, and f one per value tried at a
+# cell that no instance fixes.
+@pytest.mark.parametrize(
+    "make, bound, count, nodes",
+    [
+        # f(x) = a and f(x) = b fix each cell twice: a fill with a != b is
+        # empty, one with a = b fixes every cell
+        (lambda: _points(_constantly("a"), _constantly("b")), 2, 3, 11),
+        # f(x) = a fixes every cell, then f(f(b)) = b reads only fixed
+        # cells and fails at the start of the fill when a != b
+        (lambda: _points(_constantly("a"), ((), _f(_f(App("b"))), App("b"))), 2, 3, 11),
+        # f(a) = b and f(b) = a, two watched equations, fix two cells when
+        # a != b; when a = b they fix one cell, and f tries 2 values at the other
+        (
+            lambda: _points(((), _f(App("a")), App("b")), ((), _f(App("b")), App("a"))),
+            2,
+            7,
+            15,
+        ),
+        # c past the fibre B(t) empties the fill; a fill that went on
+        # would cost nodes until B(k) = C failed
+        (_late_fibre, 1, 1, 16),
+        (_late_fibre, 2, 21, 187),
+    ],
+    ids=[
+        "conflict",
+        "fixed-instance-fails",
+        "two-equations-fix",
+        "past-the-size@1",
+        "past-the-size@2",
+    ],
+)
+def test_fixed_cells_match_the_whole_table_product(make, bound, count, nodes):
+    t = make()
+    ms = enumerate_models(t, bound)
+    assert [m.key() for m in ms] == [m.key() for m in whole_table_models(t, bound)]
+    assert len(ms) == count
+    for m in ms:
+        validate_model(m)
+    count_models(t, bound, budget=nodes)
+    with pytest.raises(BudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
+        count_models(t, bound, budget=nodes - 1)
+
+
+def test_fixed_cells_are_kept_with_a_grounding_reused_across_fills():
+    # g, chosen whole between a and f, is read by no equation, so the fills
+    # of f under one a reuse one grounding of f(a, y) = y, which fixes the
+    # cells f(a, 0) and f(a, 1): 3 groundings for 5 fills.  Each fill at
+    # |A| = 2 tries 2 + 4 values at the other two cells: 3 + (1 + 1) +
+    # (2 + 4 + 4 * 6) = 35 nodes
+    a = App("A")
+    f = term_sym("f", (("x", a), ("y", a)), a)
+    law = term_eq_ax("_1", (("y", a),), App("f", (App("a"), Var("y"))), Var("y"), a)
+    decls = (type_sym("A"), term_sym("a", (), a), term_sym("g", (), a), f, law)
+    t = check_theory(decls, name="UnitUnderG")
+    assert groundings(t, 2) == {"_1": 3}
+    ms = enumerate_models(t, 2)
+    assert [m.key() for m in ms] == [m.key() for m in whole_table_models(t, 2)]
+    assert len(ms) == 1 + 4 * 4
+    for m in ms:
+        validate_model(m)
+    count_models(t, 2, budget=35)
+    with pytest.raises(BudgetExceeded, match="exceeded 34 nodes"):
+        count_models(t, 2, budget=34)
+
+
 def test_models_have_no_instance_dict_and_pickle():
     ms = enumerate_models(LIB["Mon"], 2)
     assert not hasattr(ms[0], "__dict__")
@@ -773,21 +892,46 @@ def _nests(theory) -> bool:
     )
 
 
+def _fixes(theory) -> bool:
+    """Whether a watched equation reads a cell of its symbol directly on
+    one side and no cell on the other, so each of its instances fixes a
+    cell to an element."""
+
+    def mentions(e, name):
+        return any(t.head == name for t, _ in walk(e, App))
+
+    return any(
+        any(
+            a.__class__ is App and a.head == c.decl.name
+            and not any(mentions(x, c.decl.name) for x in a.args)
+            and not mentions(b, c.decl.name)
+            for a, b in ((eq.decl.kind.lhs, eq.decl.kind.rhs), (eq.decl.kind.rhs, eq.decl.kind.lhs))
+        )
+        for c, watched, _ in theory._program
+        for eq in watched
+    )
+
+
 def test_random_theories_at_bound_two_come_out_in_whole_table_order():
     # at bound 1 every nested read has one possible value; at bound 2 a
-    # lookup list has two entries, so a wrong one changes the models
-    rng = random.Random(2024)
-    checked = nested = 0
-    for tag in range(60):
-        t = random_flat_theory(rng, 900 + tag)
-        # keep the whole-table oracle to a few seconds in all
-        if sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, HasType)) > 12:
-            continue
-        got = [m.key() for m in enumerate_models(t, 2)]
-        assert got == [m.key() for m in whole_table_models(t, 2)], t.name
-        checked += 1
-        nested += _nests(t)
-    assert checked >= 50 and nested >= 8
+    # lookup list has two entries, so a wrong one changes the models.  The
+    # theories of the second stream each have a unit law, whose instances
+    # fix cells.
+    checked = nested = fixing = 0
+    for rng, first, units in ((random.Random(2024), 900, False), (random.Random(2025), 960, True)):
+        for tag in range(first, first + (40 if units else 60)):
+            t = random_flat_theory(rng, tag, units=units)
+            # keep the whole-table oracle to a few seconds in all
+            if sum(2 ** len(d.ctx) for d in t.decls if isinstance(d.kind, HasType)) > 12:
+                continue
+            ms = enumerate_models(t, 2)
+            assert [m.key() for m in ms] == [m.key() for m in whole_table_models(t, 2)], t.name
+            for m in ms:
+                validate_model(m)
+            checked += 1
+            nested += _nests(t)
+            fixing += _fixes(t)
+    assert checked >= 70 and nested >= 8 and fixing >= 20, (checked, nested, fixing)
 
 
 class _LeafError(Exception):

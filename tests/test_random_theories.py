@@ -37,8 +37,11 @@ from model_oracle import context_instances
 from model_oracle import evaluate as eval_term
 
 
-def random_flat_theory(rng: random.Random, tag: int) -> Theory:
-    """A random well-formed theory with nullary type symbols."""
+def random_flat_theory(rng: random.Random, tag: int, units: bool = False) -> Theory:
+    """A random well-formed theory with nullary type symbols.  With units,
+    it also declares a constant e and, after it, a binary operator u with
+    the unit law u(e, x) = x or u(x, e) = x, which the other axioms may
+    mention too; without, the draws from rng are as they always were."""
     n_types = rng.randint(1, 3)
     types = [f"T{tag}_{i}" for i in range(n_types)]
     decls = [type_sym(t) for t in types]
@@ -74,6 +77,18 @@ def random_flat_theory(rng: random.Random, tag: int) -> Theory:
         decls.append(term_sym(name, ctx, App(result)))
         ops[result].append((name, arg_types))
 
+    unit_laws = []
+    if units:
+        e, u, x = f"e{tag}", f"u{tag}", Var("x")
+        unit_type, carrier, left = rng.choice(types), rng.choice(types), rng.random() < 0.5
+        arg_types = (unit_type, carrier) if left else (carrier, unit_type)
+        ctx = tuple((f"v{j}", App(at)) for j, at in enumerate(arg_types))
+        decls += [term_sym(e, (), App(unit_type)), term_sym(u, ctx, App(carrier))]
+        ops[unit_type].append((e, ()))
+        ops[carrier].append((u, arg_types))
+        side = App(u, (App(e), x) if left else (x, App(e)))
+        unit_laws.append(term_eq_ax(f"unit{tag}", (("x", App(carrier)),), side, x, App(carrier)))
+
     def groundable(ctx, lhs: Expr, rhs: Expr) -> bool:
         # the engine only instantiates an axiom side that is not a bare
         # variable and binds every variable of the axiom's context, so the
@@ -99,7 +114,7 @@ def random_flat_theory(rng: random.Random, tag: int) -> Theory:
         if lhs is None or rhs is None or lhs == rhs or not groundable(ctx, lhs, rhs):
             continue
         decls.append(term_eq_ax(f"ax{tag}_{i}", tuple(ctx), lhs, rhs, App(target)))
-    return check_theory(decls, name=f"R{tag}")
+    return check_theory(decls + unit_laws, name=f"R{tag}")
 
 
 def independent_model_count(theory: Theory, bound: int) -> int:
