@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 from . import deriv, gatcat, gatform, models, poly, theory
-from .deriv import AxiomStep, BetaStep, CongStep, EqVerdict, EtaStep, Fuel
+from .deriv import AxiomStep, BetaStep, CongStep, EtaStep, Fuel
 from .errors import BudgetExceeded, GatError, GatSyntaxError, InconclusiveEquality, NotAType, NotATerm
 from .gatcat import Interpretation
 from .theory import Theory
@@ -37,13 +37,13 @@ class Item:
     verdict: str  # ok | Proved | Failed | Inconclusive | error
     detail: str = ""
     extra: dict = field(default_factory=dict)
-    trace: Optional[list] = None
+    trace: Optional[tuple] = None  # proof steps, serialized only for --trace
 
     def to_json(self, with_trace: bool) -> dict:
         out = {"name": self.name, "verdict": self.verdict, "detail": self.detail}
         out.update(self.extra)
         if with_trace and self.trace is not None:
-            out["trace"] = self.trace
+            out["trace"] = _steps_json(self.trace)
         return out
 
 
@@ -102,6 +102,11 @@ def _steps_json(steps) -> list:
         {"kind": _STEP_KINDS[type(s)], **{f.name: _step_field(getattr(s, f.name)) for f in fields(s)}}
         for s in steps
     ]
+
+
+def _steps(verdicts) -> tuple:
+    """The proof steps of a judgment's equalities, in the order they were proved."""
+    return tuple(s for v in verdicts for s in v.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,7 @@ def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
                 continue
             if v.ok:
                 env.interps[block.name] = i
-                env.items.append(Item(f"interp {block.name}", "ok"))
+                env.items.append(Item(f"interp {block.name}", "ok", trace=_steps(v.eq_traces)))
             else:
                 env.items.append(Item(f"interp {block.name}", "Inconclusive", v.detail))
         else:
@@ -197,12 +202,7 @@ def cmd_check(args, env, report, rules, fuel) -> None:
         except GatError as exc:
             report.items.append(_error_item(name, exc, jb.line))
             continue
-        verdict = "ok" if r.ok else "Inconclusive"
-        item = Item(name, verdict, r.detail)
-        item.trace = _steps_json(
-            tuple(s for v in r.eq_traces if isinstance(v, EqVerdict) for s in v.steps)
-        )
-        report.items.append(item)
+        report.items.append(Item(name, "ok" if r.ok else "Inconclusive", r.detail, trace=_steps(r.eq_traces)))
 
 
 def cmd_eq(args, env, report, rules, fuel) -> None:
@@ -228,7 +228,7 @@ def cmd_eq(args, env, report, rules, fuel) -> None:
         "Proved" if v.proved else "Inconclusive",
         "" if v.proved else f"saturation {v.reason}",
         {"axiom_instances": v.axiom_instances()},
-        _steps_json(v.steps),
+        v.steps,
     )
     report.items.append(item)
 
@@ -262,7 +262,7 @@ def cmd_poly(args, env, report, rules, fuel) -> None:
 
 
 def _law_item(r: poly.LawReport) -> Item:
-    return Item(r.name, r.verdict, r.detail, {"axiom_instances": r.axiom_instances}, _steps_json(r.steps))
+    return Item(r.name, r.verdict, r.detail, {"axiom_instances": r.axiom_instances}, r.steps)
 
 
 def cmd_verify_poly(args, env, report, rules, fuel) -> None:

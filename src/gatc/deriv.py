@@ -16,7 +16,12 @@ hash-consed terms in congruence-closed classes, axiom sides e-matched
 against every term of a class, and beta/eta as oriented rewrites.  It
 reports Proved with a replayable trace, or Inconclusive, and never
 claims disequality; typing reports an argument type mismatch only for
-types that are provably apart.
+types that are provably apart.  A trace is the derivation of the goal,
+not the search log: the search links the two terms of each union in a
+proof forest, and the trace holds the steps on the forest path between
+the goal's sides and, for each congruence among them, the explanations
+of its children, in the order the search took them (proof-producing
+congruence closure, Nieuwenhuis & Oliveras, RTA 2005).
 """
 
 from __future__ import annotations
@@ -143,6 +148,7 @@ class EqVerdict:
 
 
 _DEAD = Var("__unused__")
+_INNERMOST = BVar(0)
 
 
 def _beta(e: Expr) -> Optional[Expr]:
@@ -157,7 +163,7 @@ def _eta(e: Expr) -> Optional[Expr]:
     if (
         isinstance(e, Lam)
         and isinstance(e.body, Ap)
-        and e.body.arg == BVar(0)
+        and e.body.arg == _INNERMOST
         and not mentions_bound(e.body.fun)
     ):
         return open_bound(e.body.fun, _DEAD)  # index 0 is unused: this only shifts
@@ -208,8 +214,9 @@ def _axiom_pattern(d: Declaration):
     for every context variable.  Its variables are numbered into slots in
     first-occurrence order, the order in which matching binds them, and
     both sides' patterns use its slots; it comes as (pattern, head,
-    height, other side's pattern, lhs pattern, rhs pattern, the variable
-    names in slot order).  Theory._axiom_patterns compiles each theory's
+    height, other side's pattern, lhs pattern, rhs pattern, each variable
+    name with its slot in name order, the order of a trace step's
+    substitution).  Theory._axiom_patterns compiles each theory's
     axioms once: compiling costs more than a small goal's whole search.
     """
     sides = []
@@ -217,28 +224,43 @@ def _axiom_pattern(d: Declaration):
         slots = {x: n for n, x in enumerate(free_vars(side))}
         if not isinstance(side, Var) and set(d.arity) <= slots.keys():
             pats = (_pattern(d.kind.lhs, slots), _pattern(d.kind.rhs, slots))
-            sides.append((pats[k], _head(side) or type(side), _height(pats[k]), pats[1 - k], *pats, tuple(slots)))
+            sides.append(
+                (pats[k], _head(side) or type(side), _height(pats[k]), pats[1 - k], *pats, tuple(sorted(slots.items())))
+            )
     return d.name, tuple(sides)
 
 
 class _EGraph:
     """Hash-consed terms in congruence-closed classes.
 
-    A term is stored once per head and child term ids, with its Expr for
-    traces; variables and binder terms are leaves.  Each term's class is
-    named by its current root, `root[i]`, the class's oldest term: a union
-    relabels the members of the younger class, so no lookup walks a
-    chain.  A root keeps its class's members and the terms using them as
-    a child.  `table` maps a head and canonical child classes to the first
-    term entered with them; a later term with the same key is a
-    duplicate: it is joined to that term by a congruence step and never
-    matched.  A union queues the terms above the absorbed class, and
-    rebuild() re-keys them (deferred rebuilding, after egg, Willsey et al.
-    2021).  Every union records the one step that joins its two terms, so
-    the classes are exactly what the trace replays.  E-matching binds a
+    A term is stored once per head and child term ids; variables and
+    binder terms are leaves, stored once per expression (a variable once
+    per name).  Each term's class is named by its current root,
+    `root[i]`, the class's oldest term: a union relabels the members of
+    the younger class, so no lookup walks a chain.  A root keeps its
+    class's members and the terms using them as a child.  `table` maps a
+    head and canonical child classes to the first term entered with them;
+    a later term with the same key is a duplicate: it is joined to that
+    term by a congruence step and never matched.  A union queues the terms
+    above the absorbed class, and rebuild() re-keys them (deferred
+    rebuilding, after egg, Willsey et al. 2021).  E-matching binds a
     side's variables by slot number, in the order _axiom_pattern gave
     them, so a substitution is a tuple that grows by one entry per new
     variable.
+
+    The search log is `unions`: every union by term ids, the two terms it
+    joins and its step's kind, plus an axiom step's label and slot
+    substitution.  `proof` is a proof forest over the terms: union(i, j)
+    makes j the root of its proof tree by reversing the parent links on
+    its path, then links it to i.  A link never changes the path between
+    two terms already in one tree, so the forest path between two terms
+    of a class is the chain of unions that joined them, each older than
+    the join.  explain() turns the path between the goal's sides, with
+    the explanations of each congruence's children, into trace steps in
+    union order, which is an order replay_eq_trace accepts.  A term's
+    Expr is built only when a trace step, a beta contraction or a binder
+    pattern needs it (add() keeps the ones it is given), so an
+    Inconclusive verdict builds no step.
     """
 
     def __init__(self, max_terms: int):
@@ -255,7 +277,8 @@ class _EGraph:
         self.by_head: dict = {}
         self.pending: list[int] = []
         self.dirty: list[int] = []
-        self.steps: list[EqStep] = []
+        self.unions: list[tuple] = []
+        self.proof: dict[int, tuple[int, int]] = {}
         self.goal: Optional[tuple[int, int]] = None
 
     def add(self, e: Expr) -> int:
@@ -275,26 +298,24 @@ class _EGraph:
             elif c is tuple:  # a term whose children's ids now end out, from index k
                 t, head, k = t
                 out[k:] = [self.node(head, tuple(out[k:]), t)]
-            else:
-                out.append(self._new(t, c, (), t) if (i := self.ids.get(t)) is None else i)
+            else:  # a leaf, hashed once; a variable is keyed by its name, which hashes faster
+                i = self.ids.setdefault(t.name if c is Var else t, len(self.exprs))
+                out.append(i if i < len(self.exprs) else self._new(c, (), t))
         return out[0]
 
     def node(self, head, kids: tuple[int, ...], e: Optional[Expr] = None) -> int:
         key = (head, kids)
         i = self.ids.get(key)
         if i is None:
-            if e is None:
-                args = tuple([self.exprs[k] for k in kids])
-                e = Ap(*args) if head is Ap else App(head, args)
-            i = self._new(key, head, kids, e)
+            i = self.ids[key] = self._new(head, kids, e)
             self._key(i)
         return i
 
-    def _new(self, key, head, kids: tuple[int, ...], e: Expr) -> int:
+    def _new(self, head, kids: tuple[int, ...], e: Optional[Expr]) -> int:
+        """A new term's id; the caller enters its key in ids."""
         i = len(self.exprs)
         if i >= self.max_terms:
             raise _OutOfFuel
-        self.ids[key] = i
         self.exprs.append(e)
         self.heads.append(head)
         self.kids.append(kids)
@@ -307,18 +328,32 @@ class _EGraph:
             self.uses[self.root[k]].append(i)
         return i
 
+    def expr(self, i: int) -> Expr:
+        """Term i's Expr, built on first need from its children's."""
+        e = self.exprs[i]
+        if e is None:
+            args = tuple([self.exprs[k] or self.expr(k) for k in self.kids[i]])
+            e = self.exprs[i] = Ap(*args) if self.heads[i] is Ap else App(self.heads[i], args)
+        return e
+
     def _key(self, i: int) -> None:
         """Enter term i under its canonical key, joining a congruent term."""
         j = self.table.setdefault((self.heads[i], tuple([self.root[k] for k in self.kids[i]])), i)
         if j != i:
             self.dup[i] = True
-            self.union(j, i, CongStep(self.exprs[j], self.exprs[i]))
+            self.union(j, i, CongStep)
 
-    def union(self, i: int, j: int, step: EqStep) -> bool:
+    def union(self, i: int, j: int, kind: type, why: Optional[tuple] = None) -> bool:
+        """Join the classes of terms i and j by a step of the given kind; an
+        axiom step's why is its label, slot names and substitution."""
         root = self.root
         a, b = root[i], root[j]
         if a == b:
             return False
+        proof, t, p, u = self.proof, j, i, len(self.unions)
+        while t is not None:  # reverse j's path to its proof root, then hang j under i
+            proof[t], (t, u), p = (p, u), proof.get(t, (None, None)), t
+        self.unions.append((kind, i, j, why))
         if a > b:
             a, b = b, a  # the older root stays, which keeps runs deterministic
         for m in self.members[b]:
@@ -328,10 +363,44 @@ class _EGraph:
         self.uses[a] += self.uses[b]
         self.members[b] = self.uses[b] = []
         self.dirty.append(a)
-        self.steps.append(step)
         if self.goal and root[self.goal[0]] == root[self.goal[1]]:
             raise _Joined
         return True
+
+    def explain(self, a: int, b: int) -> tuple[EqStep, ...]:
+        """The steps that joined terms a and b, in the order they were
+        taken: the unions on the proof-forest path between a and b and, for
+        each congruence among them, the explanations of its children."""
+        proof, unions, kids, used, todo = self.proof, self.unions, self.kids, set(), [(a, b)]
+        while todo:
+            a, b = todo.pop()
+            line = [a]  # a and its proof ancestors
+            while (up := proof.get(line[-1])) is not None:
+                line.append(up[0])
+            path = []
+            while b not in line:  # up from b to the nearest common ancestor, then from a
+                b, u = proof[b]
+                path.append(u)
+            while a != b:
+                a, u = proof[a]
+                path.append(u)
+            for u in path:
+                if u not in used:
+                    used.add(u)
+                    if unions[u][0] is CongStep:  # a loop: in a comprehension each union would pay a call
+                        for x, y in zip(kids[unions[u][1]], kids[unions[u][2]]):
+                            if x != y:
+                                todo.append((x, y))
+        return tuple([self._step(*unions[u]) for u in sorted(used)])
+
+    def _step(self, kind: type, i: int, j: int, why: Optional[tuple]) -> EqStep:
+        exprs = self.exprs
+        lhs, rhs = exprs[i] or self.expr(i), exprs[j] or self.expr(j)
+        if why is None:
+            return kind(lhs, rhs)
+        label, names, sub = why
+        subst = [(x, exprs[v] or self.expr(v) if type(v := sub[k]) is int else v) for x, k in names]
+        return AxiomStep(label, tuple(subst), lhs, rhs)
 
     def rebuild(self) -> None:
         while self.pending:
@@ -344,7 +413,7 @@ class _EGraph:
         """The term id of e, or None when e is not in the bank."""
         head = _head(e)
         if head is None:
-            return self.ids.get(e)
+            return self.ids.get(e.name if e.__class__ is Var else e)
         return self.ids.get((head, tuple([self.lookup(a) for a in children(e)])))  # no key holds None
 
     # -- e-matching: a substitution is a tuple holding, for each pattern
@@ -365,6 +434,9 @@ class _EGraph:
     def _match(self, pat, t: int, subs: list[tuple]) -> list[tuple]:
         """Extend each substitution by the matches of pat, not a variable, in
         the class of term t."""
+        if type(pat) is tuple and not pat[1]:  # a constant: the one term keyed by pat
+            j = self.ids.get(pat)
+            return subs if j is not None and self.root[j] == self.root[t] else []
         head = pat[0] if type(pat) is tuple else type(pat)
         out: list[tuple] = []
         for m in self.members[self.root[t]]:
@@ -431,25 +503,21 @@ class _EGraph:
             return self.node(
                 pat[0], tuple([v if type(p) is int and type(v := sub[p]) is int else self.build(p, sub) for p in pat[1]])
             )
-        return self.add(substitute(pat, {k: self.exprs[v] if type(v) is int else v for k, v in enumerate(sub)}))
+        return self.add(substitute(pat, {k: self.expr(v) if type(v) is int else v for k, v in enumerate(sub)}))
 
-    def instance(self, label: str, lhs, rhs, names: tuple[str, ...], sub: tuple) -> None:
+    def instance(self, label: str, lhs, rhs, names: tuple[tuple[str, int], ...], sub: tuple) -> None:
         """Add an axiom instance and join its sides."""
-        il, ir = self.build(lhs, sub), self.build(rhs, sub)
-        subst = tuple(sorted(zip(names, [self.exprs[v] if type(v) is int else v for v in sub])))
-        self.union(il, ir, AxiomStep(label, subst, self.exprs[il], self.exprs[ir]))
+        self.union(self.build(lhs, sub), self.build(rhs, sub), AxiomStep, (label, names, sub))
         self.rebuild()
 
     def beta_eta(self, start: int, end: int) -> None:
         """Contract the beta redexes and eta expansions among terms start..end-1."""
+        heads, kids = self.heads, self.kids
         for i in range(start, end):
-            e = self.exprs[i]
-            contractum = _beta(e)
-            if contractum is not None:
-                self.union(i, self.add(contractum), BetaStep(e, contractum))
-            reduced = _eta(e)
-            if reduced is not None:
-                self.union(i, self.add(reduced), EtaStep(e, reduced))
+            if heads[i] is Ap and heads[kids[i][0]] is Lam:
+                self.union(i, self.add(_beta(self.expr(i))), BetaStep)
+            if heads[i] is Lam and (reduced := _eta(self.exprs[i])) is not None:
+                self.union(i, self.add(reduced), EtaStep)
         self.rebuild()
 
     def touched(self, height: int) -> list[set[int]]:
@@ -473,12 +541,14 @@ class _EGraph:
         below them: no other term can have gained a match.
         """
         seen = 0  # terms before this index took part in an earlier round
-        height = max((side[2] for _, sides in axioms for side in sides), default=0)
         for _ in range(rounds):
-            before, end = len(self.steps), len(self.exprs)
+            before, end = len(self.unions), len(self.exprs)
             if pi:
                 self.beta_eta(seen, end)
-            touched = self.touched(height)
+            if seen:
+                touched = self.touched(max((side[2] for _, sides in axioms for side in sides), default=0))
+            else:  # every term is new in the first round, so none is looked up in touched
+                self.dirty.clear()
             for label, sides in axioms:
                 for pat, head, h, other, lhs, rhs, names in sides:
                     for i in self.by_head.get(head, ()):
@@ -490,7 +560,7 @@ class _EGraph:
                                 if self._probe(other, sub) != self.root[i]:
                                     self.instance(label, lhs, rhs, names, sub)
             seen = end
-            if len(self.steps) == before:
+            if len(self.unions) == before:
                 return "closed"
         return "fuel"
 
@@ -509,8 +579,11 @@ def eq_check(
     Pi rules) as oriented rewrites, then matches every axiom side against
     the e-graph (e-matching over all terms of a class, after de Moura &
     Bjørner, CADE 2007) and joins the instances' sides, closing under
-    congruence.  It stops as soon as the goal's classes join.
-    Deterministic: iteration follows insertion order.
+    congruence.  It stops as soon as the goal's classes join, and the
+    trace is the goal's explanation from the proof forest: only the steps
+    the goal needs, not every step of the search, so axiom_instances()
+    counts the instances the proof uses.  Deterministic: iteration
+    follows insertion order.
     """
     if lhs == rhs:
         return EqVerdict(True, ())
@@ -519,7 +592,7 @@ def eq_check(
         g.goal = (g.add(lhs), g.add(rhs))
         reason = g.saturate(theory._axiom_patterns, rules.pi, fuel.max_iterations)
     except _Joined:
-        return EqVerdict(True, tuple(g.steps))
+        return EqVerdict(True, g.explain(*g.goal))
     except _OutOfFuel:
         reason = "fuel"
     return EqVerdict(False, reason=reason)

@@ -117,20 +117,23 @@ def check_interpretation(
     scope-checked once, against its own telescope: a certified source
     translated by well-scoped images is well-scoped, so no translated
     statement is walked for scope.  An equality obligation that exhausts
-    fuel makes the whole result inconclusive.
+    fuel makes the whole result inconclusive.  The equalities proved on
+    the way, obligations and typing alike, come back in eq_traces in the
+    order they were proved.
     """
     rules = rules if rules is not None else _default_rules(interp.src, interp.dst)
+    sink: list = []
     for d in interp.src.decls:
         stmt = d.judgment().map(interp.apply)
         try:
             if d.is_symbol:
                 deriv._scope_check(d.arity, interp.image(d.name))
-            r = deriv.check_claim(interp.dst, interp.apply_ctx(d.ctx), stmt, rules, fuel, [])
+            r = deriv.check_claim(interp.dst, interp.apply_ctx(d.ctx), stmt, rules, fuel, sink)
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
             return deriv.JudgmentResult("inconclusive", f"obligation for {d.name!r}: {r.detail}")
-    return deriv.JudgmentResult("ok")
+    return deriv.JudgmentResult("ok", eq_traces=tuple(sink))
 
 
 @dataclass

@@ -388,6 +388,31 @@ def test_json_reports_byte_identical():
     assert any(step["kind"] == "axiom" for step in trace)
 
 
+def test_interpretation_items_keep_their_obligation_traces(tmp_path):
+    from gatc.deriv import BASE, DEFAULT_FUEL, replay_eq_trace
+
+    assert run(["stdlib", "--emit", str(tmp_path)])[0] == 0
+    path = str(tmp_path / "interpretations.gat")
+    env = cli.load_environment(path, BASE, DEFAULT_FUEL)
+    with_axioms = 0
+    for item in env.items:
+        interp = env.interps[item.name.removeprefix("interp ")]
+        goals = [d.judgment().map(interp.apply) for d in interp.src.decls if d.is_axiom]
+        if goals:
+            with_axioms += 1
+            assert item.trace
+        # the obligations' traces, one after another, replay each obligation
+        for g in goals:
+            assert replay_eq_trace(interp.dst, g.lhs, g.rhs, item.trace)
+    assert with_axioms == 3
+    _, out = run(["check", path, "--json", "--trace"])
+    items = json.loads(out)["items"]
+    assert [len(i["trace"]) for i in items] == [len(i.trace) for i in env.items]
+    # without --trace no item carries one
+    _, out = run(["check", path, "--json"])
+    assert not any("trace" in i for i in json.loads(out)["items"])
+
+
 def test_verify_poly_exit_codes():
     code, out = run(["verify-poly"])
     assert code == 0

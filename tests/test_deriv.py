@@ -337,6 +337,63 @@ def test_replay_rechecks_congruence_beta_and_eta_steps():
     assert not replay_eq_trace(stlc, not_eta, f, (EtaStep(not_eta, f),), WITH_PI)
 
 
+def _mul(a, b):
+    return App("mul", (a, b))
+
+
+def test_trace_leaves_out_axiom_instances_the_proof_does_not_use(monkeypatch):
+    # a pinned Mon unit goal: the search fires four axiom instances, the
+    # proof on the forest path between the sides needs two of them
+    from gatc import deriv
+
+    fired = []
+    instance = deriv._EGraph.instance
+    monkeypatch.setattr(deriv._EGraph, "instance", lambda g, label, *rest: fired.append(label) or instance(g, label, *rest))
+    mon = stdlib()["Mon"]
+    m0, m1, m2 = Var("m0"), Var("m1"), Var("m2")
+    lhs = _mul(_mul(App("u"), m0), _mul(m1, m2))
+    rhs = _mul(_mul(m0, m1), m2)
+    v = eq_check(mon, tuple((m.name, MON) for m in (m0, m1, m2)), lhs, rhs)
+    assert v.proved and replay_eq_trace(mon, lhs, rhs, v.steps)
+    assert len(fired) == 4
+    assert v.axiom_instances() == 2 and len(v.steps) == 3
+
+
+def test_pi_proof_needs_a_beta_and_then_an_eta_step():
+    from gatc.deriv import BetaStep, EtaStep
+    from gatc.expr import Ap, mk_lam
+
+    stlc = stdlib()["STLC"]
+    el_a, f = App("El", (Var("a"),)), Var("f")
+    eta_f = mk_lam("w", el_a, Ap(f, Var("w")))
+    lhs = Ap(mk_lam("z", el_a, eta_f), Var("x"))  # (lam z. lam w. f @ w) @ x
+    v = eq_check(stlc, (), lhs, f, WITH_PI)
+    assert v.steps == (BetaStep(lhs, eta_f), EtaStep(eta_f, f))
+    assert replay_eq_trace(stlc, lhs, f, v.steps, WITH_PI)
+
+
+def test_congruence_whose_children_were_joined_by_several_steps():
+    # m0 = mul(u, mul(u, m0)) takes a unit step and a congruence, and the
+    # goal's congruence needs both of them before it
+    from gatc.deriv import CongStep
+
+    mon = stdlib()["Mon"]
+    m0, m1, u = Var("m0"), Var("m1"), App("u")
+    um0, uum0 = _mul(u, m0), _mul(u, _mul(u, m0))
+    lhs, rhs = _mul(uum0, m1), _mul(m0, m1)
+    v = eq_check(mon, (("m0", MON), ("m1", MON)), lhs, rhs)
+    assert v.steps == (AxiomStep("_1", (("y", m0),), um0, m0), CongStep(um0, uum0), CongStep(rhs, lhs))
+    assert replay_eq_trace(mon, lhs, rhs, v.steps)
+    for k in (0, 1):
+        assert not replay_eq_trace(mon, lhs, rhs, v.steps[:k] + v.steps[k + 1 :])
+
+
+def test_inconclusive_verdict_has_no_steps():
+    mon = stdlib()["Mon"]
+    v = eq_check(mon, (("a", MON), ("b", MON)), _mul(Var("a"), Var("b")), _mul(Var("b"), Var("a")))
+    assert not v.proved and v.steps == () and v.axiom_instances() == 0
+
+
 def test_binder_side_matches_heads_under_the_binder():
     # STLC's axiom abs(a, b, lam (x : El(a)) app(a, b, f, x)) = f has a side
     # with a binder, matched structurally: another head under it must not match

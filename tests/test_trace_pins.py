@@ -4,17 +4,25 @@ The goldens (test_golden.py) pin reports without their traces.  Here the
 steps of a seeded list of equality goals, and the ``--json --trace``
 reports of ``check`` over the corpus interpretations and of
 ``verify-poly`` together with every verdict that the equality engine
-gave them, are pinned by sha256, so a change to the equality
-engine's internals that keeps its search must keep every term id, union
-and step.  Each pinned Proved trace must also replay through
+gave them, are pinned by sha256.  So is the goals' search log, every
+step the engine took on them, so a change to the equality engine's
+internals that keeps its search must keep every term id, union and
+step.  Each pinned Proved trace must also replay through
 ``replay_eq_trace``.
+
+Every pinned Proved trace is also minimal: it replays as given, and
+with any one of its steps left out it does not.  A trace holds the
+steps on the proof-forest path between the goal's sides and what their
+congruences need, nothing of the rest of the search.
 
 The goals cover Mon associativity, unit and permutation goals, Cat goals
 whose axiom sides repeat a variable (``comp(x1, x1, x2, id(x1), y)``),
 and STLC goals under the Pi rules, including the axiom with a binder
 side.  After a deliberate change to the traces, print the new digests
 with ``PYTHONPATH=src python tests/test_trace_pins.py`` and record the
-change.
+change; next to each digest it prints the total steps of the Proved
+traces, per goal family and per command, so the re-pin shows which
+traces moved.
 """
 
 import hashlib
@@ -29,9 +37,14 @@ from gatc.deriv import BASE, WITH_PI, eq_check, replay_eq_trace
 from gatc.expr import Ap, App, Var, mk_lam
 from gatc.theory import stdlib
 
-GOALS_SHA256 = "462c8dba7141402924a4d1be8a5c52fa6a89a3385ef401811285d6b1fe9f5c14"
+GOALS_SHA256 = "78e13888d372049a6b0314a24d8bf0591a6ebd371602689e20553575e164a121"
+# The goals' verdicts with every step of the search instead of the
+# explanation: the search log, which a Proved trace held before traces
+# were explained from the proof forest.  It pins every term id, union and
+# match order of the search.
+SEARCH_SHA256 = "462c8dba7141402924a4d1be8a5c52fa6a89a3385ef401811285d6b1fe9f5c14"
 CLI_SHA256 = {
-    "check": "c6c0d58a4db22539f3407b1b5d598f003e9e204d7f1a428835d6880566fe29bb",
+    "check": "292508f5f75f45c907021a1aad311c8969233bf9794141f7c95d2c8de8dd9678",
     "verify-poly": "6a582d2214afd48d601b2e322cad00c85e08c241d354255aca05d303250a828c",
 }
 
@@ -129,14 +142,39 @@ def _goals() -> list:
 
 
 def _goal_digest() -> tuple[str, list]:
+    """The sha256 of every goal's verdict, and the Proved ones with their
+    labels and goals."""
     h = hashlib.sha256()
     proved = []
     for th, rules, label, ctx, lhs, rhs in _goals():
         v = eq_check(th, ctx, lhs, rhs, rules)
         h.update(f"{label}: {v!r}\n".encode())
         if v.proved:
-            proved.append((th, rules, lhs, rhs, v))
+            proved.append((label, th, rules, lhs, rhs, v))
     return h.hexdigest(), proved
+
+
+def _family(label: str) -> str:
+    return label if label.startswith("mon.") else label.split(".")[0] + ".*"
+
+
+def _steps_per_family(proved: list) -> dict[str, int]:
+    out: dict[str, int] = {}
+    for label, *_, v in proved:
+        out[_family(label)] = out.get(_family(label), 0) + len(v.steps)
+    return out
+
+
+def _search_log(g, a, b) -> tuple:
+    """In place of _EGraph.explain: the step of every union, in order."""
+    return tuple(g._step(*u) for u in g.unions)
+
+
+def _minimal(th, rules, lhs, rhs, steps: tuple) -> bool:
+    """The trace replays, and none with one step left out does."""
+    return replay_eq_trace(th, lhs, rhs, steps, rules) and not any(
+        replay_eq_trace(th, lhs, rhs, steps[:k] + steps[k + 1 :], rules) for k in range(len(steps))
+    )
 
 
 def _cli_digest(argv: list[str]) -> tuple[str, list]:
@@ -171,28 +209,56 @@ def corpus(tmp_path_factory) -> Path:
     return directory
 
 
-def test_goal_traces_are_pinned_and_replay():
-    digest, proved = _goal_digest()
+@pytest.fixture(scope="module")
+def goal_run() -> tuple[str, list]:
+    return _goal_digest()
+
+
+@pytest.fixture(scope="module")
+def cli_runs(corpus) -> dict[str, tuple[str, list]]:
+    return {name: _cli_digest(argv) for name, argv in _commands(corpus).items()}
+
+
+def test_goal_traces_are_pinned_and_replay(goal_run):
+    digest, proved = goal_run
     assert digest == GOALS_SHA256
     assert len(proved) > 100
-    for th, rules, lhs, rhs, v in proved:
+    for _, th, rules, lhs, rhs, v in proved:
         assert replay_eq_trace(th, lhs, rhs, v.steps, rules)
 
 
 @pytest.mark.parametrize("command", sorted(CLI_SHA256))
-def test_cli_traces_are_pinned_and_replay(command, corpus):
-    digest, proved = _cli_digest(_commands(corpus)[command])
+def test_cli_traces_are_pinned_and_replay(command, cli_runs):
+    digest, proved = cli_runs[command]
     assert digest == CLI_SHA256[command]
     assert proved
     for th, rules, lhs, rhs, v in proved:
         assert replay_eq_trace(th, lhs, rhs, v.steps, rules)
 
 
+def test_the_search_log_is_pinned(monkeypatch):
+    monkeypatch.setattr(deriv._EGraph, "explain", _search_log)
+    assert _goal_digest()[0] == SEARCH_SHA256
+
+
+def test_every_pinned_trace_is_minimal(goal_run, cli_runs):
+    traces = [goal[1:] for goal in goal_run[1]] + [p for _, proved in cli_runs.values() for p in proved]
+    assert len(traces) > 100
+    for th, rules, lhs, rhs, v in traces:
+        assert _minimal(th, rules, lhs, rhs, v.steps), (lhs, rhs)
+
+
 if __name__ == "__main__":
     import tempfile
 
-    print("GOALS_SHA256 =", repr(_goal_digest()[0]))
+    digest, proved = _goal_digest()
+    per_family = ", ".join(f"{k} {n}" for k, n in _steps_per_family(proved).items())
+    print(f"GOALS_SHA256 = {digest!r}  # steps: {per_family}")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deriv._EGraph, "explain", _search_log)
+        print(f"SEARCH_SHA256 = {_goal_digest()[0]!r}")
     with tempfile.TemporaryDirectory() as tmp:
         cli.main(["stdlib", "--emit", tmp], io.StringIO())
         for name, argv in _commands(Path(tmp)).items():
-            print(f"{name!r}: {_cli_digest(argv)[0]!r},")
+            digest, proved = _cli_digest(argv)
+            print(f"{name!r}: {digest!r},  # steps: {sum(len(p[-1].steps) for p in proved)}")
