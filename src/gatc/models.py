@@ -21,7 +21,10 @@ applications are resolved in advance into lookup lists, so a check
 indexes lists and builds no key.  An instance is grounded once per
 assignment of the tables its grounding reads, not once per fill: the
 search keeps each watched equation's last grounding with those tables
-and reuses it while they are the same objects.  An instance with a
+and reuses it while they are the same objects.  One rule keeps a
+level's context instances too, while the tables its context reads stay
+the same; it does not apply at a level just after one of those tables,
+where every visit follows a new table.  An instance with a
 cell on one side and an element on the other fixes the cell, as in
 SEM: the fill sets every fixed cell before it branches and backtracks
 over the others only, so a search node is one whole table chosen or one
@@ -38,7 +41,7 @@ import gc
 import itertools
 import sys
 from dataclasses import dataclass
-from operator import ge, is_, itemgetter
+from operator import ge, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import BudgetExceeded, ModelError
@@ -117,7 +120,9 @@ _Watch = NamedTuple(
 )
 # One declaration, compiled: the instances of its context, whether its
 # judgment holds at one of them, a term symbol's type (None for a type
-# symbol, whose table is a carrier), and a watched equation's grounding.
+# symbol, whose table is a carrier), a watched equation's grounding, and
+# the tables a symbol's context reads where its instances are kept (empty
+# where they are built on every visit).
 _Compiled = NamedTuple(
     "_Compiled",
     [
@@ -126,6 +131,7 @@ _Compiled = NamedTuple(
         ("true_at", Callable[[Tables, Instance], bool]),
         ("ty", Optional[Callable[[Tables, Instance], int]]),
         ("watch", Optional[_Watch]),
+        ("reads", tuple[str, ...]),
     ],
 )
 
@@ -135,13 +141,13 @@ def _compiled(d: Declaration) -> _Compiled:
     match d.judgment():
         case IsType(ty):
             a = _reader(ty, pos)
-            return _Compiled(d, instances, lambda t, x: a(t, x) >= 0, None, None)
+            return _Compiled(d, instances, lambda t, x: a(t, x) >= 0, None, None, ())
         case HasType(term, ty):
             a, b = _reader(term, pos), _reader(ty, pos)
-            return _Compiled(d, instances, lambda t, x: 0 <= a(t, x) < b(t, x), b, None)
+            return _Compiled(d, instances, lambda t, x: 0 <= a(t, x) < b(t, x), b, None, ())
         case TypeEq(lhs, rhs) | TermEq(lhs, rhs):
             a, b = _reader(lhs, pos), _reader(rhs, pos)
-            return _Compiled(d, instances, lambda t, x: a(t, x) == b(t, x), None, None)
+            return _Compiled(d, instances, lambda t, x: a(t, x) == b(t, x), None, None, ())
 
 
 def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Compiled]]]:
@@ -154,6 +160,8 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
     cell by cell when that symbol is a term symbol its context does not
     read; otherwise it is checked whole once the symbol's table is
     complete.  Each plan entry is (symbol, watched, checked after).
+    A symbol's reads name the tables its context reads, where the search
+    keeps its instances: not where the symbol just before is one of them.
 
     Grounding a watched equation reads the tables its context and sides
     mention, those the watched symbol's context and type mention (they
@@ -175,6 +183,10 @@ def _compile(theory: Theory) -> list[tuple[_Compiled, list[_Compiled], list[_Com
         mentions = {t.head for e in exprs[: len(d.ctx) + 2] for t, _ in walk(e, App)}
         c = _compiled(d)
         if d.is_symbol:
+            # a level visited only after a table its context reads is set
+            # afresh never sees the same reads twice
+            if reads and plan[-1][0].decl.name not in reads:
+                c = c._replace(reads=tuple(sorted(reads, key=position.get)))
             position[d.name] = len(plan)
             plan.append((c, [], []))
             continue
@@ -238,11 +250,15 @@ def enumerate_models(theory: Theory, bound: int, budget: int = 2_000_000) -> lis
     of the argument leads to.  It is grounded once per assignment of the
     tables its grounding reads, not once per fill: the fills under one
     assignment come one after another, and each reuses the grounding of
-    the first.  An instance with a cell on one side, read directly, and
-    an element on the other fixes the cell to the element, the only value
-    that can complete a model; the fill sets each fixed cell first and
-    is empty when two instances fix one cell to different elements, when
-    an element is not below its cell's size, or when an instance whose
+    the first.  A symbol's context instances, its table's keys, are built
+    once per assignment of the tables its context reads by the same rule,
+    unless the symbol just before is one of them: then each visit of the
+    level follows a new table, and nothing is kept, or checked.  An
+    instance with a cell on one side, read directly, and an element on
+    the other fixes the cell to the element, the only value that can
+    complete a model; the fill sets each fixed cell first and is empty
+    when two instances fix one cell to different elements, when an
+    element is not below its cell's size, or when an instance whose
     cells are all set fails.  Every other instance waits on the latest
     cell it reads that is still unset, which no instance fixes: as the
     other cells are set in key order, it is evaluated again exactly when
@@ -271,7 +287,10 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
     """The search of enumerate_models; leaf sees each model's tables as
     they are completed, in a dict the search goes on to change.  A node is
     one whole table chosen or one value tried at a cell that no watched
-    instance fixes; a fixed cell is set before its fill branches.
+    instance fixes; a fixed cell is set before its fill branches.  Each
+    watched equation's grounding, and each level's context instances
+    where the level's reads are compiled, go through kept: made once and
+    reused while the latest table they read is the same object.
 
     It runs with the cyclic collector paused and restores the caller's
     setting on every exit.  That is sound only because the search makes
@@ -290,13 +309,25 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
     if top > sys.maxsize:
         raise ModelError(f"a carrier range of {top} sizes exceeds {sys.maxsize}")
     tables: Tables = {}  # the tables set so far, read by the compiled program
-    # Per watched equation, the tables its last grounding read and its
-    # instances then, or None if an undefined read emptied the fill.  A
-    # table never changes once set, so the same objects give the same
-    # grounding; the slot holds them, so no new table can share an id.
-    slots: dict[str, tuple[list, Optional[list]]] = {}
+    # Per kept result (a watched equation's grounding, None if an undefined
+    # read emptied the fill, or a level's context instances), the latest of
+    # the tables it read and the result then.  A table never changes once
+    # set, and every table set is a new object, set after the tables before
+    # it: so while the latest table read is the same object, so is every
+    # other, and the result is the same.  The slot holds that table, so no
+    # new table can share its id.
+    slots: dict[str, tuple[dict, object]] = {}
     nodes = itertools.count(1)
-    spent = f"model search for {theory.name!r} exceeded {budget} nodes"
+
+    def kept(key: str, reads: tuple[str, ...], make: Callable, arg):
+        """make(arg), which reads only the tables that reads names, in
+        declaration order, unless the slot at key holds it from the same
+        tables."""
+        table = tables[reads[-1]]
+        slot = slots.get(key)
+        if slot is None or slot[0] is not table:
+            slot = slots[key] = (table, make(arg))
+        return slot[1]
 
     def holds(eqs: list[_Compiled]) -> bool:
         # An undefined value means some equation not yet checked fails in
@@ -416,13 +447,10 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
             tables[name] = {key: ~j for j, key in enumerate(keys)}
             insts = []
             for eq in watched:
-                got = list(map(tables.__getitem__, eq.watch.reads))
-                slot = slots.get(eq.decl.name)
-                if slot is None or not all(map(is_, got, slot[0])):
-                    slot = slots[eq.decl.name] = (got, ground(eq))
-                if slot[1] is None:
+                got = kept(eq.decl.name, eq.watch.reads, ground, eq)
+                if got is None:
                     return
-                more, fixed = slot[1]
+                more, fixed = got
                 insts += more
                 for r, e in fixed:
                     vals[r] = e
@@ -450,7 +478,7 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
                     v = vals[r] + 1 if vals[r] >= 0 else 0
                     if v < sizes[r]:
                         if next(nodes) > budget:
-                            raise BudgetExceeded(spent)
+                            raise _spent(theory, budget)
                         vals[r] = v
                         i += propagate(watches[r], moved[r])  # on when none fails
                     else:
@@ -463,7 +491,8 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
         c, watched, eqs = plan[s]
         # The tables this level sets stay behind when it returns: every
         # check reads only symbols set before it, so none reads a stale one.
-        name, keys = c.decl.name, c.instances(tables)
+        name = c.decl.name
+        keys = kept(name, c.reads, c.instances, tables) if c.reads else c.instances(tables)
         # the last level hands each model straight to leaf
         down, arg = (leaf, tables) if s + 1 == len(plan) else (rec, s + 1)
         if watched:
@@ -472,7 +501,7 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
         sizes = [top] * len(keys) if c.ty is None else [c.ty(tables, x) for x in keys]
         for tables[name] in _tables(keys, sizes):
             if next(nodes) > budget:
-                raise BudgetExceeded(spent)
+                raise _spent(theory, budget)
             if not eqs or holds(eqs):
                 down(arg)
 
@@ -486,6 +515,11 @@ def _search(theory: Theory, bound: int, budget: int, leaf: Callable[[Tables], No
         del rec
         if enabled:
             gc.enable()
+
+
+def _spent(theory: Theory, budget: int) -> BudgetExceeded:
+    """The error of a search past its node budget, built only when raised."""
+    return BudgetExceeded(f"model search for {theory.name!r} exceeded {budget} nodes")
 
 
 def _tables(keys: list[Instance], sizes: list[int]):

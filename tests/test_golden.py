@@ -125,13 +125,15 @@ def test_report_matches_golden(case, corpus):
 
 
 def _write_golden() -> None:
+    """Rewrite tests/golden from scratch, so it holds exactly the files the
+    tests above read: a golden no test reads shows as deleted in git."""
+    import shutil
     import tempfile
 
+    shutil.rmtree(GOLDEN, ignore_errors=True)
     for golden, flags in (("stdlib", ()), ("stdlib_unicode", ("--unicode",))):
         stdlib_dir = GOLDEN / golden
-        stdlib_dir.mkdir(parents=True, exist_ok=True)
-        for old in stdlib_dir.iterdir():
-            old.unlink()
+        stdlib_dir.mkdir(parents=True)
         with tempfile.TemporaryDirectory() as tmp:
             for name, text in _emit(Path(tmp), *flags).items():
                 (stdlib_dir / name).write_text(text, encoding="utf-8")

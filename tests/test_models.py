@@ -38,6 +38,7 @@ from gatc.theory import (
     HasType,
     IsType,
     check_theory,
+    families,
     stdlib,
     term_eq_ax,
     term_sym,
@@ -332,20 +333,20 @@ def test_counts_decided_within_default_budget(name, bound, expected):
         validate_model(m)
 
 
-@pytest.mark.parametrize(
-    "name, bound, nodes",
-    # a cell that a watched instance fixes to an element costs no node:
-    # Cat@2 took 9,264 nodes, CatPt@2 9,937, Mon@3 552 and Mon@2 29 when
-    # such cells were tried value by value
-    [
-        ("Cat", 2, 4_166),
-        ("CatPt", 2, 4_839),
-        ("Ty3", 2, 33_872),
-        ("Mon", 3, 176),
-        ("Mon", 2, 10),
-        ("El2", 2, 382),
-    ],
-)
+# (library theory, bound, search nodes).  A cell that a watched instance
+# fixes to an element costs no node: Cat@2 took 9,264 nodes, CatPt@2
+# 9,937, Mon@3 552 and Mon@2 29 when such cells were tried value by value.
+BOUNDARY = [
+    ("Cat", 2, 4_166),
+    ("CatPt", 2, 4_839),
+    ("Ty3", 2, 33_872),
+    ("Mon", 3, 176),
+    ("Mon", 2, 10),
+    ("El2", 2, 382),
+]
+
+
+@pytest.mark.parametrize("name, bound, nodes", BOUNDARY)
 def test_budget_boundary_is_the_search_node_count(name, bound, nodes):
     count_models(LIB[name], bound, budget=nodes)
     with pytest.raises(BudgetExceeded, match=f"exceeded {nodes - 1} nodes"):
@@ -470,6 +471,15 @@ def test_count_models_counts_what_enumerate_models_returns(name):
         assert n == 33_673
 
 
+@pytest.mark.parametrize("name, bound, count", [("Mon", 2, 31), ("Ty1", 2, 183), ("El1", 2, 183)])
+def test_families_models_are_tuples_of_base_models(name, bound, count):
+    # a model of the families theory is a carrier H of some size n <= bound
+    # and a model of the base theory over each of its n points; every
+    # context there reads H, so its fibres' levels keep their instances
+    base = count_models(LIB[name], bound)
+    assert count_models(families(LIB[name])[0], bound) == sum(base**n for n in range(bound + 1)) == count
+
+
 def _magma(decls, names, lhs, rhs, name):
     """A theory over one carrier M: decls, which declare mul, and the
     axiom lhs = rhs over variables of M with the given names."""
@@ -535,75 +545,67 @@ def _fibred(fixed: bool):
     return check_theory(decls + fixed_point + axioms, name="Fibred")
 
 
-@pytest.mark.parametrize(
-    "make, bound, nodes, digest",
-    [
-        # two tables filled cell by cell, one after the other
-        (
-            lambda: coproduct(LIB["Mon"], LIB["Mon"]).theory,
-            2,
-            60,
-            "8cbf55b6e81ccb997a288d485037e7a886314d1920dd2cc1f3274fb3d9a2e63c",
-        ),
-        # a type equation checked whole after a table filled cell by cell
-        (
-            lambda: _mon_with_family(early=True),
-            3,
-            10_749,
-            "c0906c9f436b585876621542da9634459ad7875d0441726180ca493bfc4e16b0",
-        ),
-        # an equation checked whole after a table its context reads
-        (
-            _catpt_c,
-            2,
-            6_180,
-            "7ad61a92d311d875a1503abaafa225bea358e0f72a7103d9f1a83a32522d71c5",
-        ),
-        # two waiting arguments in one application
-        (
-            _medial,
-            2,
-            34,
-            "9ce4b081229921f69e0a52e10ca5c7e66f13aa0b14dcbef51b279fe01d41a5cc",
-        ),
-        (
-            _medial,
-            3,
-            4_385,
-            "434b7a2c110dfd6a7200415bdfcf8264701725fddab9a1914089187ce1e1b533",
-        ),
-        # a complete table applied to a waiting argument
-        (
-            _reversing,
-            2,
-            84,
-            "cd3894e820d1a4ed26f76d9038e61c99e341a871406d71b2dcb1ff6275a62b6a",
-        ),
-        # reads that stay undefined until the table is complete
-        (
-            lambda: _fibred(fixed=False),
-            2,
-            13_452,
-            "834f20daf6b4abea6809482136d31d7698609ae7aaa892bd5fd670bf4500f158",
-        ),
-        (
-            lambda: _fibred(fixed=True),
-            2,
-            5_379,
-            "c9b56c11f509e044e587d647ac6015ad160eca27641fcc479ed92ef8f82b56b3",
-        ),
-    ],
-    ids=[
-        "Mon+Mon@2",
-        "MonP-early@3",
-        "CatPtC@2",
-        "Medial@2",
-        "Medial@3",
-        "Reversing@2",
-        "Fibred@2",
-        "Fibred-fixed@2",
-    ],
-)
+# (make the theory, bound, search nodes, digest of the models in order),
+# by test id
+MIXED_PLANS = {
+    # two tables filled cell by cell, one after the other
+    "Mon+Mon@2": (
+        lambda: coproduct(LIB["Mon"], LIB["Mon"]).theory,
+        2,
+        60,
+        "8cbf55b6e81ccb997a288d485037e7a886314d1920dd2cc1f3274fb3d9a2e63c",
+    ),
+    # a type equation checked whole after a table filled cell by cell
+    "MonP-early@3": (
+        lambda: _mon_with_family(early=True),
+        3,
+        10_749,
+        "c0906c9f436b585876621542da9634459ad7875d0441726180ca493bfc4e16b0",
+    ),
+    # an equation checked whole after a table its context reads
+    "CatPtC@2": (
+        _catpt_c,
+        2,
+        6_180,
+        "7ad61a92d311d875a1503abaafa225bea358e0f72a7103d9f1a83a32522d71c5",
+    ),
+    # two waiting arguments in one application
+    "Medial@2": (
+        _medial,
+        2,
+        34,
+        "9ce4b081229921f69e0a52e10ca5c7e66f13aa0b14dcbef51b279fe01d41a5cc",
+    ),
+    "Medial@3": (
+        _medial,
+        3,
+        4_385,
+        "434b7a2c110dfd6a7200415bdfcf8264701725fddab9a1914089187ce1e1b533",
+    ),
+    # a complete table applied to a waiting argument
+    "Reversing@2": (
+        _reversing,
+        2,
+        84,
+        "cd3894e820d1a4ed26f76d9038e61c99e341a871406d71b2dcb1ff6275a62b6a",
+    ),
+    # reads that stay undefined until the table is complete
+    "Fibred@2": (
+        lambda: _fibred(fixed=False),
+        2,
+        13_452,
+        "834f20daf6b4abea6809482136d31d7698609ae7aaa892bd5fd670bf4500f158",
+    ),
+    "Fibred-fixed@2": (
+        lambda: _fibred(fixed=True),
+        2,
+        5_379,
+        "c9b56c11f509e044e587d647ac6015ad160eca27641fcc479ed92ef8f82b56b3",
+    ),
+}
+
+
+@pytest.mark.parametrize("make, bound, nodes, digest", MIXED_PLANS.values(), ids=MIXED_PLANS.keys())
 def test_mixed_plans_pin_order_and_nodes(make, bound, nodes, digest):
     t = make()
     assert pinned_digest(t, enumerate_models(t, bound)) == digest
@@ -730,24 +732,38 @@ def test_groundings_kept_across_fills_match_the_whole_table_product(make, reads)
         assert got == [m.key() for m in whole_table_models(t, bound)]
 
 
-def groundings(theory, bound: int) -> dict[str, int]:
-    """How often the search grounds each watched equation, counted as the
-    calls of its context's instances from a copy of the theory's program."""
+def instance_builds(theory, bound: int) -> collections.Counter:
+    """How often one search builds context instances, by name: each plan
+    level's (its symbol's), and each watched equation's, built when it is
+    grounded; counted as the calls of their instances from a copy of the
+    theory's program."""
     t = replace(theory)  # a new object, whose program is compiled afresh
     seen: collections.Counter = collections.Counter()
 
-    def counted(eq):
-        def instances(tables, instances=eq.instances, name=eq.decl.name):
+    def counted(c):
+        def instances(tables, instances=c.instances, name=c.decl.name):
             seen[name] += 1
             return instances(tables)
 
-        return eq._replace(instances=instances)
+        return c._replace(instances=instances)
 
     t.__dict__["_program"] = [
-        (sym, [counted(eq) for eq in watched], after) for sym, watched, after in t._program
+        (counted(sym), [counted(eq) for eq in watched], after) for sym, watched, after in t._program
     ]
     count_models(t, bound)
-    return dict(seen)
+    return seen
+
+
+def groundings(theory, bound: int) -> dict[str, int]:
+    """How often the search grounds each watched equation."""
+    watched = {eq.decl.name for _, eqs, _ in theory._program for eq in eqs}
+    return {name: n for name, n in instance_builds(theory, bound).items() if name in watched}
+
+
+def level_builds(theory, bound: int) -> dict[str, int]:
+    """How often the search builds each plan level's context instances."""
+    builds = instance_builds(theory, bound)
+    return {c.decl.name: builds[c.decl.name] for c, _, _ in theory._program}
 
 
 @pytest.mark.parametrize(
@@ -965,7 +981,8 @@ def _cyclic_garbage(search) -> int:
 
 # Every exit of a search: a complete one, the budget running out in each
 # kind of level, and a leaf that raises inside a watched fill, also while
-# a slot holds a grounding that later fills reuse.
+# a slot holds a grounding that later fills reuse, or a level's context
+# instances that later visits of the level reuse (El2's e2, El1's e1).
 SEARCH_EXITS = {
     "count": lambda: count_models(LIB["Mon"], 2),
     "enumerate": lambda: enumerate_models(LIB["Mon"], 2),
@@ -984,6 +1001,9 @@ SEARCH_EXITS = {
     "leaf-raises-with-slots-Mon": lambda: _search(LIB["Mon"], 3, 2_000_000, _raise_at(20)),
     "budget-with-slots-Fibred": lambda: count_models(_fibred(fixed=False), 2, budget=5_000),
     "leaf-raises-with-slots-Fibred": lambda: _search(_fibred(fixed=False), 2, 2_000_000, _raise_at(5)),
+    "enumerate-El2": lambda: enumerate_models(LIB["El2"], 2),
+    "budget-in-kept-level-El2": lambda: count_models(LIB["El2"], 2, budget=200),
+    "leaf-raises-in-kept-level-El1": lambda: _search(LIB["El1"], 3, 2_000_000, _raise_at(100)),
 }
 
 
@@ -1048,3 +1068,28 @@ def test_first_model_of_a_huge_carrier_bound_takes_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def search_nodes(theory, bound: int) -> int:
+    """The search's node count: the least budget it completes within."""
+    low, high = 0, 2_000_000
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            count_models(theory, bound, budget=mid)
+            high = mid
+        except BudgetExceeded:
+            low = mid + 1
+    return low
+
+
+if __name__ == "__main__":
+    # The work of each pinned search (budget boundary and mixed plans), to
+    # re-pin deliberately after a change to the finder: its node count and
+    # how often it builds each level's context instances.
+    pinned = [(f"{n}@{b}", lambda n=n: LIB[n], b) for n, b, _ in BOUNDARY]
+    pinned += [(label, make, b) for label, (make, b, _, _) in MIXED_PLANS.items()]
+    for label, make, bound in pinned:
+        t = make()
+        builds = " ".join(f"{k}={v}" for k, v in level_builds(t, bound).items())
+        print(f"{label}: {search_nodes(t, bound)} nodes; instances built {builds}")
