@@ -8,9 +8,11 @@ are types, or terms of its type), then the claim itself.  A declaration
 holds the statement it asserts over its context, a symbol's with its
 subject left None (Declaration.judgment fills it in), and certification
 checks its presuppositions over the earlier declarations.
-Typing is checked algorithmically (symbol rule instantiated by
-substitution; weakening, projection and substitution are admissible in
-this presentation).  Equality of types and terms is undecidable in
+Typing is checked algorithmically (the symbol rule, with each
+argument's inferred type compared in place with its parameter's declared
+type under the arguments before it, the instance built only on a
+mismatch; weakening, projection and substitution are admissible in this
+presentation).  Equality of types and terms is undecidable in
 general, so the equality engine saturates an e-graph under a fuel bound:
 hash-consed terms in congruence-closed classes, axiom sides e-matched
 against every term of a class, and beta/eta as oriented rewrites.  It
@@ -27,7 +29,8 @@ congruence closure, Nieuwenhuis & Oliveras, RTA 2005).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Container, Iterable, Optional
 
 from .errors import (
     ArgumentTypeMismatch,
@@ -55,7 +58,6 @@ from .expr import (
     open_binder,
     open_bound,
     substitute,
-    walk,
 )
 from .theory import CtxOk, Declaration, HasType, IsType, Statement, TermEq, Theory, TypeEq  # noqa: F401
 
@@ -657,15 +659,30 @@ def replay_eq_trace(
 # ---------------------------------------------------------------------------
 
 
-def _scope_check(bound: Iterable[str], e: Expr) -> None:
-    """Every free variable of e is bound (the first that is not is
-    reported), and no index dangles; one walk over e."""
-    bound_set = set(bound)
-    nodes = walk(e)
-    for t, _ in nodes:
-        if t.__class__ is Var and t.name not in bound_set:
-            raise ScopeError(f"variable {t.name!r} is not bound by the context")
-    if any(t.__class__ is BVar and t.index >= d for t, d in nodes):
+def _scope_check(bound: Container[str], e: Expr) -> None:
+    """Every free variable of e is in bound (the first in preorder that is
+    not is reported), and no index dangles.  One pass over e that builds
+    no set and no list of its nodes; a binder's second child sits between
+    depth markers, as in expr.walk."""
+    dangling = False
+    depth = 0
+    stack: list = [e]
+    while stack:
+        t = stack.pop()
+        c = t.__class__
+        if c is Var:
+            if t.name not in bound:
+                raise ScopeError(f"variable {t.name!r} is not bound by the context")
+        elif c is App:
+            stack += t.args[::-1]
+        elif c is int:
+            depth += t
+        elif c is BVar:
+            dangling = dangling or t.index >= depth
+        else:
+            kids = children(t)
+            stack += kids[::-1] if c is Ap else (-1, kids[1], 1, kids[0])
+    if dangling:
         raise ScopeError("expression has a dangling bound-variable index")
 
 
@@ -717,6 +734,24 @@ def _apart(theory: Theory, a: Expr, b: Expr) -> bool:
     return type(a) is not type(b)
 
 
+def _instance_is(pty: Expr, sub: dict[str, Expr], got: Expr) -> bool:
+    """substitute(pty, sub) == got, decided by walking pty and got
+    together without building the instance: a variable compares its
+    image, an application its head, arity and arguments; any other node
+    is built and compared."""
+    if pty.__class__ is Var:
+        v = sub.get(pty.name, pty)
+        return v is got or v == got
+    if pty.__class__ is App:
+        return (
+            got.__class__ is App
+            and pty.head == got.head
+            and len(pty.args) == len(got.args)
+            and all(map(_instance_is, pty.args, repeat(sub), got.args))
+        )
+    return substitute(pty, sub) == got
+
+
 def _check_args(
     theory: Theory,
     ctx: Context,
@@ -726,15 +761,20 @@ def _check_args(
     fuel: Fuel,
     sink: Optional[list],
 ) -> dict[str, Expr]:
+    """Check args against decl's telescope over ctx; return the
+    substitution of args for its parameters.  Each argument's inferred
+    type is compared in place with its parameter's declared type under
+    the substitution so far; the declared instance is built, and
+    provable equality tried, only on a mismatch."""
     if len(args) != len(decl.ctx):
         raise ArityMismatch(
             f"{decl.name!r} expects {len(decl.ctx)} arguments, got {len(args)}"
         )
     sub: dict[str, Expr] = {}
     for (param, pty), a in zip(decl.ctx, args):
-        expected = substitute(pty, sub)
         got = infer_type(theory, ctx, a, rules, fuel, sink)
-        _equal_types(theory, ctx, got, expected, rules, fuel, sink)
+        if not _instance_is(pty, sub, got):
+            _equal_types(theory, ctx, got, substitute(pty, sub), rules, fuel, sink)
         sub[param] = a
     return sub
 
@@ -820,15 +860,13 @@ def check_context(
     sink: Optional[list] = None,
 ) -> None:
     """Check each telescope entry's type over the preceding prefix."""
-    names: list[str] = []
-    prefix: list[tuple[str, Expr]] = []
-    for x, ty in ctx:
+    names: set[str] = set()
+    for k, (x, ty) in enumerate(ctx):
         if x in names:
             raise DuplicateName(f"context variable {x!r} repeated")
         _scope_check(names, ty)
-        check_is_type(theory, tuple(prefix), ty, rules, fuel, sink)
-        names.append(x)
-        prefix.append((x, ty))
+        check_is_type(theory, ctx[:k], ty, rules, fuel, sink)
+        names.add(x)
 
 
 @dataclass
@@ -916,7 +954,7 @@ def check_judgment(
     sink: list = []
     ctx = judgment.ctx
     check_context(theory, ctx, rules, fuel, sink)
-    names = [x for x, _ in ctx]
+    names = {x for x, _ in ctx}
     for e in judgment.stmt.exprs():
         _scope_check(names, e)
     stmt = presupposed(theory, ctx, judgment.stmt, rules, fuel, sink)

@@ -136,6 +136,43 @@ def test_variable_applied_in_an_image_is_an_item_of_its_interp(tmp_path):
     assert "interp I: error  (line 2: GatSyntaxError: 2:46: variable 'x' cannot take arguments)" in out
 
 
+def _console_script_target() -> str:
+    """The target of the gatc console script in pyproject.toml, read
+    without tomllib (Python 3.10 has none)."""
+    lines = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text().splitlines()
+    section = lines[lines.index("[project.scripts]") + 1 :]
+    for line in section:
+        if line.startswith("["):
+            break
+        name, sep, value = line.partition("=")
+        if sep and name.strip() == "gatc":
+            return value.strip().strip('"')
+    raise AssertionError("pyproject.toml declares no gatc console script")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eq", "--theory", "Mon", "--lhs", "u", "--rhs", "u"], 0),
+        (["eq", "--theory", "Nope", "--lhs", "u", "--rhs", "u"], 1),
+        (["eq", "--theory", "Mon", "--ctx", "(a : Mon, b : Mon)", "--lhs", "mul(a, b)", "--rhs", "mul(b, a)"], 2),
+        (["eq", "--theory", "Mon", "--lhs", "mul(u", "--rhs", "u"], 3),
+    ],
+)
+def test_console_script_exit_codes(argv, code):
+    module, _, attr = _console_script_target().partition(":")
+    assert callable(getattr(__import__(module, fromlist=[attr]), attr))
+    # what the installed wrapper does: call the target with argv set
+    wrapper = f"import sys; from {module} import {attr}; sys.argv[1:] = sys.argv[2:]; sys.exit({attr}())"
+    done = subprocess.run(
+        [sys.executable, "-c", wrapper, "gatc", *argv],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": SRC},
+        timeout=60,
+    )
+    assert done.returncode == code, done.stderr
+
+
 def test_parse_error_exit_three(tmp_path):
     p = tmp_path / "bad.gat"
     p.write_text("theory T { sym A0 : ( => Type }")

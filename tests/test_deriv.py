@@ -314,6 +314,36 @@ def test_axiom_with_an_unbound_context_variable_is_not_instantiated():
     assert replay_eq_trace(t, App("a"), App("b"), (step,))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect (ROADMAP item 15): the replay does not type an axiom step's substitution",
+)
+def test_replay_rejects_an_ill_typed_axiom_substitution():
+    # a0 : A stands for x : E in both steps; d = e does not follow, and
+    # some models of the theory separate d and e
+    x, a0 = Var("x"), App("a0")
+    t = check_theory(
+        [
+            type_sym("E"),
+            type_sym("A"),
+            term_sym("h", (("x", App("E")),), App("A")),
+            term_sym("d", (), App("A")),
+            term_sym("e", (), App("A")),
+            term_sym("a0", (), App("A")),
+            term_eq_ax("ax1", (("x", App("E")),), App("h", (x,)), App("d"), App("A")),
+            term_eq_ax("ax2", (("x", App("E")),), App("h", (x,)), App("e"), App("A")),
+        ],
+        name="T",
+    )
+    v = eq_check(t, (), App("d"), App("e"))
+    assert not v.proved and v.reason == "closed"
+    forged = (
+        AxiomStep("ax1", (("x", a0),), App("h", (a0,)), App("d")),
+        AxiomStep("ax2", (("x", a0),), App("h", (a0,)), App("e")),
+    )
+    assert not replay_eq_trace(t, App("d"), App("e"), forged)
+
+
 def test_replay_rechecks_congruence_beta_and_eta_steps():
     from gatc.deriv import BetaStep, CongStep, EtaStep
     from gatc.expr import Ap, BVar, Lam, mk_lam

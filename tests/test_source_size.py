@@ -11,7 +11,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gatc"
-STATEMENTS = 2510
+STATEMENTS = 2530
 
 
 def statements() -> int:
