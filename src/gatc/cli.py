@@ -120,12 +120,13 @@ class Environment:
     interps: dict[str, Interpretation] = field(default_factory=dict)
     judgments: list[gatform.JudgmentBlock] = field(default_factory=list)
     items: list[Item] = field(default_factory=list)
+    pi: bool = False  # --rules pi: a named theory is lifted to the Pi rules
 
     def theory(self, name: str) -> Theory:
         t = self.theories.get(name)
         if t is None:
             raise GatError(f"theory {name!r} is not defined (file or stdlib)")
-        return t
+        return t.with_pi() if self.pi else t
 
     def interp(self, name: str) -> Interpretation:
         i = self.interps.get(name)
@@ -141,8 +142,11 @@ def _error_item(name: str, exc: Exception, line: Optional[int] = None) -> Item:
     return Item(name, verdict, f"{where}{type(exc).__name__}: {exc}")
 
 
-def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
-    env = Environment(theories=dict(theory.stdlib()))
+def load_environment(path: Optional[str], pi: bool, fuel: Fuel) -> Environment:
+    """The stdlib theories and the file's blocks.  When pi is set, the
+    file's theories are certified under the Pi rules, and a stdlib theory
+    is lifted to them when a command names it."""
+    env = Environment(theories=dict(theory.stdlib()), pi=pi)
     if path is None:
         return env
     try:
@@ -162,7 +166,7 @@ def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
         seen_names.add((kind, block.name))
         if isinstance(block, gatform.TheoryBlock):
             try:
-                t = theory.check_theory(block.decls, rules, fuel, name=block.name)
+                t = theory.check_theory(block.decls, pi, fuel, name=block.name)
             except GatError as exc:
                 line = block.decl_lines.get(exc.decl, block.line)
                 env.items.append(_error_item(f"theory {block.name}", exc, line))
@@ -174,7 +178,7 @@ def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
                 src = env.theory(block.src_name)
                 dst = env.theory(block.dst_name)
                 i = gatform.resolve_interp_block(block, src, dst)
-                v = gatcat.check_interpretation(i, rules, fuel)
+                v = gatcat.check_interpretation(i, fuel)
             except (GatError, GatSyntaxError) as exc:
                 env.items.append(_error_item(f"interp {block.name}", exc, block.line))
                 continue
@@ -193,36 +197,36 @@ def load_environment(path: Optional[str], rules, fuel: Fuel) -> Environment:
 # ---------------------------------------------------------------------------
 
 
-def cmd_check(args, env, report, rules, fuel) -> None:
+def cmd_check(args, env, report, fuel) -> None:
     for jb in env.judgments:
         name = f"judgment {jb.name}"
         try:
             t = env.theory(jb.theory_name)
-            r = deriv.check_judgment(t, deriv.Judgment(jb.ctx, jb.stmt), rules, fuel)
+            r = deriv.check_judgment(t, deriv.Judgment(jb.ctx, jb.stmt), fuel=fuel)
         except GatError as exc:
             report.items.append(_error_item(name, exc, jb.line))
             continue
         report.items.append(Item(name, "ok" if r.ok else "Inconclusive", r.detail, trace=_steps(r.eq_traces)))
 
 
-def cmd_eq(args, env, report, rules, fuel) -> None:
+def cmd_eq(args, env, report, fuel) -> None:
     t = env.theory(args.theory)
     ctx = gatform.parse_context(args.ctx) if args.ctx else ()
     scope = [x for x, _ in ctx]
     lhs = gatform.parse_expr(args.lhs, scope)
     rhs = gatform.parse_expr(args.rhs, scope)
-    deriv.check_context(t, ctx, rules, fuel)
+    deriv.check_context(t, ctx, fuel)
     # A goal is a term equation unless its left side is not a term; then
     # it is a type equation, and the term equation's error stands when it
     # is not one either.
     try:
-        deriv.presupposed(t, ctx, deriv.TermEq(lhs, rhs), rules, fuel)
+        deriv.presupposed(t, ctx, deriv.TermEq(lhs, rhs), fuel)
     except NotATerm as not_a_term:
         try:
-            deriv.presupposed(t, ctx, deriv.TypeEq(lhs, rhs), rules, fuel)
+            deriv.presupposed(t, ctx, deriv.TypeEq(lhs, rhs), fuel)
         except NotAType:
             raise not_a_term from None
-    v = deriv.eq_check(t, ctx, lhs, rhs, rules, fuel)
+    v = deriv.eq_check(t, ctx, lhs, rhs, fuel=fuel)
     item = Item(
         "eq",
         "Proved" if v.proved else "Inconclusive",
@@ -233,15 +237,15 @@ def cmd_eq(args, env, report, rules, fuel) -> None:
     report.items.append(item)
 
 
-def cmd_coprod(args, env, report, rules, fuel) -> None:
+def cmd_coprod(args, env, report, fuel) -> None:
     cp = gatcat.coproduct(env.theory(args.left), env.theory(args.right))
     report.items.append(Item(f"coproduct {args.left}+{args.right}", "ok"))
     report.payload["theory"] = gatform.print_theory(cp.theory, args.unicode)
 
 
-def cmd_coeq(args, env, report, rules, fuel) -> None:
+def cmd_coeq(args, env, report, fuel) -> None:
     try:
-        ce = gatcat.coequalizer(env.interp(args.left), env.interp(args.right), rules, fuel)
+        ce = gatcat.coequalizer(env.interp(args.left), env.interp(args.right), fuel)
     except GatError as exc:
         report.items.append(_error_item("coequalizer", exc))
         return
@@ -249,13 +253,13 @@ def cmd_coeq(args, env, report, rules, fuel) -> None:
     report.payload["theory"] = gatform.print_theory(ce.theory, args.unicode)
 
 
-def cmd_pushout(args, env, report, rules, fuel) -> None:
-    po = gatcat.pushout(env.theory(args.base), env.theory(args.total), env.interp(args.along), rules, fuel)
+def cmd_pushout(args, env, report, fuel) -> None:
+    po = gatcat.pushout(env.theory(args.base), env.theory(args.total), env.interp(args.along), fuel)
     report.items.append(Item("pushout", "ok"))
     report.payload["theory"] = gatform.print_theory(po.theory, args.unicode)
 
 
-def cmd_poly(args, env, report, rules, fuel) -> None:
+def cmd_poly(args, env, report, fuel) -> None:
     p = poly.poly_apply(env.theory(args.theory))
     report.items.append(Item(f"families of {args.theory}", "ok"))
     report.payload["theory"] = gatform.print_theory(p.theory, args.unicode)
@@ -265,17 +269,17 @@ def _law_item(r: poly.LawReport) -> Item:
     return Item(r.name, r.verdict, r.detail, {"axiom_instances": r.axiom_instances}, r.steps)
 
 
-def cmd_verify_poly(args, env, report, rules, fuel) -> None:
+def cmd_verify_poly(args, env, report, fuel) -> None:
     names = args.samples.split(",") if args.samples else [t.name for t in poly.default_samples()]
     samples = []
     for n in names:
         n = n.strip()
         samples.append(theory.terminal_theory() if n == "terminal" else env.theory(n))
-    for r in poly.verify_polynomial_axioms(samples, rules, fuel, corrupt_subst=args.corrupt_subst):
+    for r in poly.verify_polynomial_axioms(samples, fuel, corrupt_subst=args.corrupt_subst):
         report.items.append(_law_item(r))
 
 
-def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
+def cmd_unit_triangles(args, env, report, fuel) -> None:
     lib = theory.stdlib()
     ty0, el0, mon = lib["Ty0"], lib["El0"], lib["Mon"]
     prod = poly.product_with_ty0(mon)
@@ -292,29 +296,29 @@ def cmd_unit_triangles(args, env, report, rules, fuel) -> None:
         )
     }
     for label, unit in units.items():
-        for r in poly.check_unit_laws(unit, rules, fuel):
+        for r in poly.check_unit_laws(unit, fuel):
             report.items.append(_law_item(replace(r, name=f"{r.name}[{label}]")))
     try:
-        rw = poly.recover_weakening(prod, units["MonxTy0-pr2"], rules, fuel)
+        rw = poly.recover_weakening(prod, units["MonxTy0-pr2"], fuel)
         report.items.append(Item("recover-wk[Mon]", "Proved" if rw.proved else "Inconclusive"))
-        rp = poly.recover_projection(units["Ty0-id"], rules, fuel)
+        rp = poly.recover_projection(units["Ty0-id"], fuel)
         report.items.append(Item("recover-proj", "Proved" if rp.proved else "Inconclusive"))
     except GatError as exc:
         report.items.append(_error_item("recover", exc))
     for unit in units.values():
-        for r in poly.check_triangles(poly.poly_apply(unit.base), unit, rules, fuel):
+        for r in poly.check_triangles(poly.poly_apply(unit.base), unit, fuel):
             report.items.append(_law_item(r))
 
 
-def cmd_pi_square(args, env, report, rules, fuel) -> None:
-    if not rules.pi:
+def cmd_pi_square(args, env, report, fuel) -> None:
+    if args.rules != "pi":
         raise UsageError("pi-square requires --rules pi")
     r = poly.pi_square(fuel)
     for law in (r.commutes, r.forward, r.backward):
         report.items.append(_law_item(law))
 
 
-def cmd_present(args, env, report, rules, fuel) -> None:
+def cmd_present(args, env, report, fuel) -> None:
     t = env.theory(args.theory)
     clauses = gatcat.limit_presentation(t)
     for c in clauses:
@@ -327,24 +331,24 @@ def cmd_present(args, env, report, rules, fuel) -> None:
                 kind = f"equalizer of two classifying maps (n={c.n})"
         report.items.append(Item(f"clause {c.decl_name}", "ok", kind))
     if args.reconstruct:
-        rec, renaming = gatcat.reconstruct(clauses, rules, fuel)
+        rec, renaming = gatcat.reconstruct(clauses, fuel)
         fwd = gatcat.renaming_interpretation(t, rec, renaming)
         inverse_names = {v: k for k, v in renaming.items()}
         back = gatcat.renaming_interpretation(
             rec, t, {d.name: inverse_names[d.name] for d in rec.decls if d.is_symbol}
         )
         for i in (fwd, back):
-            v = gatcat.check_interpretation(i, rules, fuel)
+            v = gatcat.check_interpretation(i, fuel)
             if not v.ok:
                 report.items.append(Item("reconstruction", "Inconclusive", v.detail))
                 return
-        mi = gatcat.check_mutually_inverse(fwd, back, rules, fuel)
+        mi = gatcat.check_mutually_inverse(fwd, back, fuel)
         report.items.append(
             Item("reconstruction", "Proved" if mi.proved else "Inconclusive")
         )
 
 
-def cmd_models(args, env, report, rules, fuel) -> None:
+def cmd_models(args, env, report, fuel) -> None:
     t = env.theory(args.theory)
     if args.count_only:
         count = models.count_models(t, args.max_size, args.budget)
@@ -369,7 +373,7 @@ def _model_json(m: models.Model) -> dict:
     return out
 
 
-def cmd_stdlib(args, env, report, rules, fuel) -> None:
+def cmd_stdlib(args, env, report, fuel) -> None:
     lib = theory.stdlib()
     os.makedirs(args.emit, exist_ok=True)
     for name, t in lib.items():
@@ -499,14 +503,12 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
         where = "GATC_FUEL_NODES: " if nodes is None else ""  # int() failed on it
         print(f"gatc: {where}{exc}", file=sys.stderr)
         return 3
-    rules = deriv.WITH_PI if args.rules == "pi" else deriv.BASE
-
     start = time.monotonic()
     report = Report(args.cmd)
     try:
-        env = load_environment(getattr(args, "file", None), rules, fuel)
+        env = load_environment(getattr(args, "file", None), args.rules == "pi", fuel)
         report.items += env.items
-        _COMMANDS[args.cmd](args, env, report, rules, fuel)
+        _COMMANDS[args.cmd](args, env, report, fuel)
     except UsageError as exc:
         print(f"gatc: {exc}", file=sys.stderr)
         return 3

@@ -8,6 +8,10 @@ are types, or terms of its type), then the claim itself.  A declaration
 holds the statement it asserts over its context, a symbol's with its
 subject left None (Declaration.judgment fills it in), and certification
 checks its presuppositions over the earlier declarations.
+Every check runs under the rules the theory was certified under
+(Theory.pi): the base rules, and the Pi rules for Pi types, lambda
+terms and application when it is set; eq_check, replay_eq_trace and
+check_judgment also take rules that can add Pi.
 Typing is checked algorithmically (the symbol rule, with each
 argument's inferred type compared in place with its parameter's declared
 type under the arguments before it, the instance built only on a
@@ -66,7 +70,10 @@ Context = tuple[tuple[str, Expr], ...]
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Which inference rules are active; the base rules are always on."""
+    """Rules a caller of eq_check, replay_eq_trace or check_judgment asks
+    for on top of the theory's own.  They can only add Pi, since more
+    rules keep every derivation (Theory.with_pi); everything below these
+    three entry points reads the rules from the theory."""
 
     pi: bool = False
 
@@ -587,12 +594,14 @@ def eq_check(
     counts the instances the proof uses.  Deterministic: iteration
     follows insertion order.
     """
+    if rules.pi:
+        theory = theory.with_pi()
     if lhs == rhs:
         return EqVerdict(True, ())
     g = _EGraph(fuel.max_eq_nodes)
     try:
         g.goal = (g.add(lhs), g.add(rhs))
-        reason = g.saturate(theory._axiom_patterns, rules.pi, fuel.max_iterations)
+        reason = g.saturate(theory._axiom_patterns, theory.pi, fuel.max_iterations)
     except _Joined:
         return EqVerdict(True, g.explain(*g.goal))
     except _OutOfFuel:
@@ -608,9 +617,12 @@ def replay_eq_trace(
     Re-derives each step from scratch: axiom steps are re-instantiated
     from the named axiom under a substitution of every one of its context
     variables, congruence steps need equal heads and
-    pairwise-merged children, beta/eta steps are recomputed.  Returns
-    True when every step validates and the goal ends up merged.
+    pairwise-merged children, beta/eta steps are recomputed (under the
+    Pi rules only).  Returns True when every step validates and the goal
+    ends up merged.
     """
+    if rules.pi:
+        theory = theory.with_pi()
     parent: dict[Expr, Expr] = {}
 
     def find(e: Expr) -> Expr:
@@ -646,7 +658,7 @@ def replay_eq_trace(
                     return False
             case BetaStep(a, b) | EtaStep(a, b):
                 contract = _beta if isinstance(st, BetaStep) else _eta
-                if not rules.pi or contract(a) != b:
+                if not theory.pi or contract(a) != b:
                     return False
             case _:
                 return False
@@ -698,7 +710,6 @@ def _equal_types(
     ctx: Context,
     got: Expr,
     expected: Expr,
-    rules: RuleSet,
     fuel: Fuel,
     sink: Optional[list],
 ) -> None:
@@ -708,7 +719,7 @@ def _equal_types(
         raise ArgumentTypeMismatch(
             f"expected type {print_expr(expected)}, inferred {print_expr(got)}"
         )
-    v = eq_check(theory, ctx, got, expected, rules, fuel)
+    v = eq_check(theory, ctx, got, expected, fuel=fuel)
     if v.proved:
         if sink is not None:
             sink.append(v)
@@ -718,10 +729,10 @@ def _equal_types(
     )
 
 
-def _check_term(theory: Theory, ctx: Context, term: Expr, ty: Expr, rules, fuel, sink) -> None:
+def _check_term(theory: Theory, ctx: Context, term: Expr, ty: Expr, fuel, sink) -> None:
     """term has type ty: its inferred type is provably ty."""
-    got = infer_type(theory, ctx, term, rules, fuel, sink)
-    _equal_types(theory, ctx, got, ty, rules, fuel, sink)
+    got = infer_type(theory, ctx, term, fuel, sink)
+    _equal_types(theory, ctx, got, ty, fuel, sink)
 
 
 def _apart(theory: Theory, a: Expr, b: Expr) -> bool:
@@ -757,7 +768,6 @@ def _check_args(
     ctx: Context,
     decl: Declaration,
     args: tuple[Expr, ...],
-    rules: RuleSet,
     fuel: Fuel,
     sink: Optional[list],
 ) -> dict[str, Expr]:
@@ -772,9 +782,9 @@ def _check_args(
         )
     sub: dict[str, Expr] = {}
     for (param, pty), a in zip(decl.ctx, args):
-        got = infer_type(theory, ctx, a, rules, fuel, sink)
+        got = infer_type(theory, ctx, a, fuel, sink)
         if not _instance_is(pty, sub, got):
-            _equal_types(theory, ctx, got, substitute(pty, sub), rules, fuel, sink)
+            _equal_types(theory, ctx, got, substitute(pty, sub), fuel, sink)
         sub[param] = a
     return sub
 
@@ -783,7 +793,6 @@ def check_is_type(
     theory: Theory,
     ctx: Context,
     ty: Expr,
-    rules: RuleSet = BASE,
     fuel: Fuel = DEFAULT_FUEL,
     sink: Optional[list] = None,
 ) -> None:
@@ -792,15 +801,15 @@ def check_is_type(
         d = _lookup(theory, ty.head)
         if not isinstance(d.kind, IsType):
             raise NotAType(f"{ty.head!r} is a term symbol, not a type symbol")
-        _check_args(theory, ctx, d, ty.args, rules, fuel, sink)
+        _check_args(theory, ctx, d, ty.args, fuel, sink)
         return
     if isinstance(ty, Pi):
-        if not rules.pi:
+        if not theory.pi:
             raise NotAType("Pi types require the pi rule set")
-        check_is_type(theory, ctx, ty.dom, rules, fuel, sink)
+        check_is_type(theory, ctx, ty.dom, fuel, sink)
         avoid = [x for x, _ in ctx]
         x, cod = open_binder(ty.cod, ty.hint, avoid)
-        check_is_type(theory, ctx + ((x, ty.dom),), cod, rules, fuel, sink)
+        check_is_type(theory, ctx + ((x, ty.dom),), cod, fuel, sink)
         return
     raise NotAType(f"{print_expr(ty)} is not a type expression")
 
@@ -809,7 +818,6 @@ def infer_type(
     theory: Theory,
     ctx: Context,
     term: Expr,
-    rules: RuleSet = BASE,
     fuel: Fuel = DEFAULT_FUEL,
     sink: Optional[list] = None,
 ) -> Expr:
@@ -828,24 +836,24 @@ def infer_type(
         d = _lookup(theory, term.head)
         if isinstance(d.kind, IsType):
             raise NotATerm(f"{term.head!r} is a type symbol, not a term symbol")
-        sub = _check_args(theory, ctx, d, term.args, rules, fuel, sink)
+        sub = _check_args(theory, ctx, d, term.args, fuel, sink)
         return substitute(d.kind.ty, sub)
     if isinstance(term, Ap):
-        if not rules.pi:
+        if not theory.pi:
             raise NotATerm("applications require the pi rule set")
-        fty = infer_type(theory, ctx, term.fun, rules, fuel, sink)
+        fty = infer_type(theory, ctx, term.fun, fuel, sink)
         if not isinstance(fty, Pi):
             raise NotATerm(f"applied expression has non-function type {print_expr(fty)}")
-        aty = infer_type(theory, ctx, term.arg, rules, fuel, sink)
-        _equal_types(theory, ctx, aty, fty.dom, rules, fuel, sink)
+        aty = infer_type(theory, ctx, term.arg, fuel, sink)
+        _equal_types(theory, ctx, aty, fty.dom, fuel, sink)
         return open_bound(fty.cod, term.arg)
     if isinstance(term, Lam):
-        if not rules.pi:
+        if not theory.pi:
             raise NotATerm("lambda terms require the pi rule set")
-        check_is_type(theory, ctx, term.dom, rules, fuel, sink)
+        check_is_type(theory, ctx, term.dom, fuel, sink)
         avoid = [x for x, _ in ctx]
         x, body = open_binder(term.body, term.hint, avoid)
-        bty = infer_type(theory, ctx + ((x, term.dom),), body, rules, fuel, sink)
+        bty = infer_type(theory, ctx + ((x, term.dom),), body, fuel, sink)
         return Pi(term.dom, abstract_var(bty, x), term.hint)
     if isinstance(term, Pi):
         raise NotATerm("a Pi type is not a term")
@@ -855,7 +863,6 @@ def infer_type(
 def check_context(
     theory: Theory,
     ctx: Context,
-    rules: RuleSet = BASE,
     fuel: Fuel = DEFAULT_FUEL,
     sink: Optional[list] = None,
 ) -> None:
@@ -865,7 +872,7 @@ def check_context(
         if x in names:
             raise DuplicateName(f"context variable {x!r} repeated")
         _scope_check(names, ty)
-        check_is_type(theory, ctx[:k], ty, rules, fuel, sink)
+        check_is_type(theory, ctx[:k], ty, fuel, sink)
         names.add(x)
 
 
@@ -884,7 +891,6 @@ def presupposed(
     theory: Theory,
     ctx: Context,
     stmt: Statement,
-    rules: RuleSet = BASE,
     fuel: Fuel = DEFAULT_FUEL,
     sink: Optional[list] = None,
 ) -> Statement:
@@ -897,17 +903,17 @@ def presupposed(
     """
     match stmt:
         case HasType(_, ty):
-            check_is_type(theory, ctx, ty, rules, fuel, sink)
+            check_is_type(theory, ctx, ty, fuel, sink)
         case TypeEq(lhs, rhs):
-            check_is_type(theory, ctx, lhs, rules, fuel, sink)
-            check_is_type(theory, ctx, rhs, rules, fuel, sink)
+            check_is_type(theory, ctx, lhs, fuel, sink)
+            check_is_type(theory, ctx, rhs, fuel, sink)
         case TermEq(lhs, rhs, None):
-            stmt = TermEq(lhs, rhs, infer_type(theory, ctx, lhs, rules, fuel, sink))
-            _check_term(theory, ctx, rhs, stmt.ty, rules, fuel, sink)
+            stmt = TermEq(lhs, rhs, infer_type(theory, ctx, lhs, fuel, sink))
+            _check_term(theory, ctx, rhs, stmt.ty, fuel, sink)
         case TermEq(lhs, rhs, ty):
-            check_is_type(theory, ctx, ty, rules, fuel, sink)
-            _check_term(theory, ctx, lhs, ty, rules, fuel, sink)
-            _check_term(theory, ctx, rhs, ty, rules, fuel, sink)
+            check_is_type(theory, ctx, ty, fuel, sink)
+            _check_term(theory, ctx, lhs, ty, fuel, sink)
+            _check_term(theory, ctx, rhs, ty, fuel, sink)
     return stmt
 
 
@@ -915,7 +921,6 @@ def check_claim(
     theory: Theory,
     ctx: Context,
     stmt: Statement,
-    rules: RuleSet,
     fuel: Fuel,
     sink: list,
 ) -> JudgmentResult:
@@ -929,11 +934,11 @@ def check_claim(
     """
     match stmt:
         case IsType(ty):
-            check_is_type(theory, ctx, ty, rules, fuel, sink)
+            check_is_type(theory, ctx, ty, fuel, sink)
         case HasType(term, ty):
-            _check_term(theory, ctx, term, ty, rules, fuel, sink)
+            _check_term(theory, ctx, term, ty, fuel, sink)
         case TypeEq(lhs, rhs) | TermEq(lhs, rhs):
-            v = eq_check(theory, ctx, lhs, rhs, rules, fuel)
+            v = eq_check(theory, ctx, lhs, rhs, fuel=fuel)
             if not v.proved:
                 what = "type" if isinstance(stmt, TypeEq) else "term"
                 return JudgmentResult("inconclusive", f"{what} equality not proved ({v.reason})")
@@ -951,14 +956,16 @@ def check_judgment(
     steps: the context; the statement's scope and presuppositions
     (presupposed); then the claim (check_claim).
     """
+    if rules.pi:
+        theory = theory.with_pi()
     sink: list = []
     ctx = judgment.ctx
-    check_context(theory, ctx, rules, fuel, sink)
+    check_context(theory, ctx, fuel, sink)
     names = {x for x, _ in ctx}
     for e in judgment.stmt.exprs():
         _scope_check(names, e)
-    stmt = presupposed(theory, ctx, judgment.stmt, rules, fuel, sink)
-    return check_claim(theory, ctx, stmt, rules, fuel, sink)
+    stmt = presupposed(theory, ctx, judgment.stmt, fuel, sink)
+    return check_claim(theory, ctx, stmt, fuel, sink)
 
 
 from .gatform import print_expr  # noqa: E402  (gatform imports this module)

@@ -16,7 +16,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import deriv
-from .deriv import EqVerdict, Fuel, RuleSet
+from .deriv import EqVerdict, Fuel
 from .errors import GatError, UnknownSymbol
 from .gatform_names import safe_name
 from .expr import App, Expr, Var, fresh_name, rename_symbols, substitute, translate
@@ -92,13 +92,8 @@ def compose(first: Interpretation, second: Interpretation, name: str = "") -> In
     return Interpretation(first.src, second.dst, mapping, name)
 
 
-def _default_rules(*theories: Theory) -> RuleSet:
-    return deriv.WITH_PI if any(t.pi for t in theories) else deriv.BASE
-
-
 def check_interpretation(
     interp: Interpretation,
-    rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
 ) -> deriv.JudgmentResult:
     """Check validity declaration by declaration in source order.
@@ -119,16 +114,17 @@ def check_interpretation(
     statement is walked for scope.  An equality obligation that exhausts
     fuel makes the whole result inconclusive.  The equalities proved on
     the way, obligations and typing alike, come back in eq_traces in the
-    order they were proved.
+    order they were proved.  A source certified under the Pi rules is
+    checked over the target lifted to them (Theory.with_pi).
     """
-    rules = rules if rules is not None else _default_rules(interp.src, interp.dst)
+    dst = interp.dst.with_pi() if interp.src.pi else interp.dst
     sink: list = []
     for d in interp.src.decls:
         stmt = d.judgment().map(interp.apply)
         try:
             if d.is_symbol:
                 deriv._scope_check(d.arity, interp.image(d.name))
-            r = deriv.check_claim(interp.dst, interp.apply_ctx(d.ctx), stmt, rules, fuel, sink)
+            r = deriv.check_claim(dst, interp.apply_ctx(d.ctx), stmt, fuel, sink)
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
@@ -149,20 +145,20 @@ class EquivalenceResult:
 def equivalent(
     i1: Interpretation,
     i2: Interpretation,
-    rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
 ) -> EquivalenceResult:
     """Prove the per-symbol equalities that make two interpretations equal
-    as arrows; only symbol images matter."""
+    as arrows; only symbol images matter.  The target is lifted to the
+    Pi rules when the source is under them, as in check_interpretation."""
     if i1.src.decls != i2.src.decls or i1.dst.decls != i2.dst.decls:
         raise GatError("equivalence needs interpretations with the same endpoints")
-    rules = rules if rules is not None else _default_rules(i1.src, i1.dst)
+    dst = i1.dst.with_pi() if i1.src.pi else i1.dst
     per: list[tuple[str, EqVerdict]] = []
     for d in i1.src.decls:
         if not d.is_symbol:
             continue
         ctx2 = i1.apply_ctx(d.ctx)
-        v = deriv.eq_check(i1.dst, ctx2, i1.image(d.name), i2.image(d.name), rules, fuel)
+        v = deriv.eq_check(dst, ctx2, i1.image(d.name), i2.image(d.name), fuel=fuel)
         per.append((d.name, v))
         if not v.proved:
             return EquivalenceResult(False, v.reason, tuple(per))
@@ -172,14 +168,13 @@ def equivalent(
 def check_mutually_inverse(
     i: Interpretation,
     j: Interpretation,
-    rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
 ) -> EquivalenceResult:
     """Proved iff both composites are equivalent to the identities."""
-    there = equivalent(compose(i, j), identity(i.src), rules, fuel)
+    there = equivalent(compose(i, j), identity(i.src), fuel)
     if not there.proved:
         return there
-    back = equivalent(compose(j, i), identity(j.src), rules, fuel)
+    back = equivalent(compose(j, i), identity(j.src), fuel)
     if not back.proved:
         return back
     return EquivalenceResult(True, "", there.per_symbol + back.per_symbol)
@@ -223,19 +218,18 @@ class Coequalizer:
 def coequalizer(
     i1: Interpretation,
     i2: Interpretation,
-    rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
     name: str = "",
 ) -> Coequalizer:
     """Adjoin one equational axiom per source symbol identifying the images.
 
     Each axiom is checked over the theory extended so far, so later
-    obligations may use earlier adjoined equalities.
+    obligations may use earlier adjoined equalities.  The target is
+    lifted to the Pi rules when the source is under them.
     """
     if i1.src.decls != i2.src.decls or i1.dst.decls != i2.dst.decls:
         raise GatError("coequalizer needs parallel interpretations")
-    rules = rules if rules is not None else _default_rules(i1.src, i1.dst)
-    current = i1.dst
+    current = i1.dst.with_pi() if i1.src.pi else i1.dst
     for d in i1.src.decls:
         if not d.is_symbol:
             continue
@@ -246,7 +240,7 @@ def coequalizer(
             case HasType(_, ty):
                 kind = TermEq(i1.image(d.name), i2.image(d.name), i1.apply(ty))
         label = fresh_name(f"eq_{d.name}", current)
-        current = extend(current, Declaration(label, ctx2, kind), rules, fuel)
+        current = extend(current, Declaration(label, ctx2, kind), fuel)
     out = replace(current, name=name or safe_name(f"coeq_{i1.dst.name}"))
     return Coequalizer(out, identity(i1.dst).retarget(out), i1, i2)
 
@@ -265,7 +259,6 @@ def pushout(
     sub: Theory,
     total: Theory,
     along: Interpretation,
-    rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
     name: str = "",
 ) -> Pushout:
@@ -273,7 +266,7 @@ def pushout(
 
     The result is the interpretation's target followed by translated
     copies of the non-shared declarations; each copy is checked as it is
-    appended.
+    appended, under the Pi rules when either theory of the inclusion is.
     """
     k = len(sub.decls)
     if total.decls[:k] != sub.decls:
@@ -283,15 +276,14 @@ def pushout(
         )
     if along.src.decls != sub.decls:
         raise GatError("interpretation source must be the subtheory")
-    rules = rules if rules is not None else _default_rules(sub, total, along.dst)
-    current = along.dst
+    current = along.dst.with_pi() if sub.pi or total.pi else along.dst
     tilde: dict[str, Expr] = dict(along.mapping)
     # the images of total's symbols in tilde, which the copies translate by
     imgs = {d.name: (d.arity, tilde[d.name]) for d in total.decls if d.is_symbol and d.name in tilde}
     for d in total.decls[k:]:
         new_name = fresh_name(d.name, current)
         copy = d.map(lambda e: translate(e, imgs), new_name)
-        current = extend(current, copy, rules, fuel)
+        current = extend(current, copy, fuel)
         if d.is_symbol:
             tilde[d.name] = App(new_name, tuple(Var(x) for x in d.arity))
             imgs[d.name] = (d.arity, tilde[d.name])
@@ -304,32 +296,6 @@ def pushout(
         f"po-leg[{total.name}]",
     )
     return Pushout(out, into_prime, into_total, sub, total, along)
-
-
-@dataclass
-class SpanPushout:
-    theory: Theory
-    into_left: Interpretation
-    into_right: Interpretation
-
-
-def pushout_general(
-    f: Interpretation,
-    g: Interpretation,
-    rules: Optional[RuleSet] = None,
-    fuel: Fuel = deriv.DEFAULT_FUEL,
-    name: str = "",
-) -> SpanPushout:
-    """Pushout of an arbitrary span, as the coequalizer of the two
-    composites into the coproduct; use pushout() when one leg is a
-    prefix-closed inclusion, which gives the small presentation."""
-    if f.src.decls != g.src.decls:
-        raise GatError("a span needs a common source")
-    cp = coproduct(f.dst, g.dst)
-    ce = coequalizer(compose(f, cp.left), compose(g, cp.right), rules, fuel, name=name)
-    return SpanPushout(
-        ce.theory, cp.left.retarget(ce.theory), cp.right.retarget(ce.theory)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +365,18 @@ def limit_presentation(theory: Theory) -> list[LimitClause]:
 
 def reconstruct(
     clauses: list[LimitClause],
-    rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
     name: str = "reconstruction",
 ) -> tuple[Theory, dict[str, str]]:
-    """Re-run the clauses as pushouts and coequalizers.
+    """Re-run the clauses as pushouts and coequalizers, from the empty
+    theory under the Pi rules when the presented theory is.
 
     Returns the rebuilt theory and the original-to-new symbol renaming;
     the result is isomorphic to the presented theory via that renaming
     (equational axioms come back as per-tower-symbol batches, which does
     not affect interpretations).
     """
-    current = Theory(name, ())
+    current = Theory(name, (), any(i.dst.pi for cl in clauses for i in cl.arrows))
     renaming: dict[str, str] = {}
 
     def retarget(i: Interpretation) -> Interpretation:
@@ -424,9 +390,9 @@ def reconstruct(
             case HasType():
                 sub, total = mk_Ty(cl.n), mk_El(cl.n)
             case _:
-                current = coequalizer(*map(retarget, cl.arrows), rules, fuel, name=name).theory
+                current = coequalizer(*map(retarget, cl.arrows), fuel, name=name).theory
                 continue
-        po = pushout(sub, total, retarget(cl.arrows[0]), rules, fuel, name=name)
+        po = pushout(sub, total, retarget(cl.arrows[0]), fuel, name=name)
         renaming[cl.decl_name] = po.theory.decls[len(current.decls)].name
         current = po.theory
     return current, renaming

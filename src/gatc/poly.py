@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional
 
 from . import deriv
-from .deriv import Fuel, JudgmentResult, RuleSet
+from .deriv import Fuel, JudgmentResult
 from .errors import GatError
 from .expr import Ap, App, Expr, Var, hypothesize, mk_lam, mk_pi
 from .gatcat import (
@@ -23,7 +23,6 @@ from .gatcat import (
     EquivalenceResult,
     Interpretation,
     Pushout,
-    _default_rules,
     check_interpretation,
     check_mutually_inverse,
     compose,
@@ -259,30 +258,28 @@ def _law(name: str, prove: Callable[[], EquivalenceResult | JudgmentResult]) -> 
     )
 
 
-def check_unit_laws(unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> list[LawReport]:
+def check_unit_laws(unit: UnitResult, fuel: Fuel = deriv.DEFAULT_FUEL) -> list[LawReport]:
     """The two equations pinning the unit down under the pullback image:
     first-projection law (weakening side) and second-projection law
     (projection side)."""
-    rules = rules if rules is not None else _default_rules(unit.base)
     poly_base, poly_fib, pel0 = poly_apply(unit.base), poly_apply(unit.fib.theory), poly_apply(mk_El(0))
 
     def wk() -> EquivalenceResult:
         lhs = compose(poly_interp(unit.pi1, poly_base, poly_fib), unit.eta)
         rhs = compose(weakening_interp(poly_base, unit.prod), pairing_interp(unit.leg, unit.prod))
-        return equivalent(lhs, rhs, rules, fuel)
+        return equivalent(lhs, rhs, fuel)
 
     def proj() -> EquivalenceResult:
         lhs = compose(poly_interp(unit.pi2, pel0, poly_fib), unit.eta)
-        return equivalent(lhs, compose(projection_interp(pel0), unit.leg), rules, fuel)
+        return equivalent(lhs, compose(projection_interp(pel0), unit.leg), fuel)
 
     return [_law("unit-wk", wk), _law("unit-proj", proj)]
 
 
-def recover_weakening(prod: Coproduct, unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
+def recover_weakening(prod: Coproduct, unit: UnitResult, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
     """Round trip: the unit at the product leg of prod = base x Ty0
     recovers weakening."""
     base = prod.left.src
-    rules = rules if rules is not None else _default_rules(base)
     poly_base = poly_apply(base)
     # first projection of (base x Ty0) x_{Ty0} El0 onto base
     pi1_mapping = {
@@ -291,20 +288,19 @@ def recover_weakening(prod: Coproduct, unit: UnitResult, rules: Optional[RuleSet
     pi1 = Interpretation(base, unit.fib.theory, pi1_mapping, "pr1")
     p_pi1 = poly_interp(pi1, poly_base, poly_apply(unit.fib.theory))
     recovered = compose(p_pi1, unit.eta)
-    return equivalent(recovered, weakening_interp(poly_base, prod), rules, fuel)
+    return equivalent(recovered, weakening_interp(poly_base, prod), fuel)
 
 
-def recover_projection(unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
+def recover_projection(unit: UnitResult, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
     """Round trip: the unit at the identity leg of Ty0 recovers projection."""
-    rules = rules if rules is not None else deriv.BASE
     pel0 = poly_apply(mk_El(0))
     if unit.fib.theory.decls != pel0.base.decls:
         raise GatError("pointed fibre of the one-type theory should present El0")
     recovered = Interpretation(pel0.theory, unit.base, dict(unit.eta.mapping), unit.eta.name)
-    return equivalent(recovered, projection_interp(pel0), rules, fuel)
+    return equivalent(recovered, projection_interp(pel0), fuel)
 
 
-def check_triangles(poly_base: PolyTheory, unit: UnitResult, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> list[LawReport]:
+def check_triangles(poly_base: PolyTheory, unit: UnitResult, fuel: Fuel = deriv.DEFAULT_FUEL) -> list[LawReport]:
     """The adjunction triangle identities.
 
     The first (at the base of poly_base) coincides with the fourth
@@ -312,20 +308,19 @@ def check_triangles(poly_base: PolyTheory, unit: UnitResult, rules: Optional[Rul
     second or third axiom depending on the leg.
     """
     base = poly_base.base
-    rules = rules if rules is not None else _default_rules(base)
     return [
-        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_base, fib_product_el0(poly_base.leg, fuel), rules, fuel)),
-        _law(f"triangle-unit[{unit.base.name}]", lambda: _triangle_unit(unit, rules, fuel)),
+        _law(f"triangle-counit[{base.name}]", lambda: _check_p4(poly_base, fib_product_el0(poly_base.leg, fuel), fuel)),
+        _law(f"triangle-unit[{unit.base.name}]", lambda: _triangle_unit(unit, fuel)),
     ]
 
 
-def _triangle_unit(unit: UnitResult, rules, fuel) -> EquivalenceResult:
+def _triangle_unit(unit: UnitResult, fuel) -> EquivalenceResult:
     poly_fib = poly_apply(unit.fib.theory)
     fib2 = fib_product_el0(poly_fib.leg, fuel)
     subst_fib = substitution_interp(poly_fib, fib2)
     eta_x_el0 = fib_arrow(unit.eta, unit.fib, fib2)
     composite = compose(subst_fib, eta_x_el0)
-    return equivalent(composite, identity(unit.fib.theory), rules, fuel)
+    return equivalent(composite, identity(unit.fib.theory), fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +330,6 @@ def _triangle_unit(unit: UnitResult, rules, fuel) -> EquivalenceResult:
 
 def verify_polynomial_axioms(
     samples: list[Theory],
-    rules: Optional[RuleSet] = None,
     fuel: Fuel = deriv.DEFAULT_FUEL,
     corrupt_subst: bool = False,
 ) -> list[LawReport]:
@@ -346,19 +340,18 @@ def verify_polynomial_axioms(
     substitution arrow used by P2 into an ill-typed one, for the
     mutation check.
     """
-    rules = rules if rules is not None else deriv.BASE
     # Built once per call: P3 and P4 of a sample share P(X) and the fibre
     # product of its leg, which P2 reads for El0, and P1 and P3[Ty0] share
     # Ty0 x Ty0.
     poly, prod = _once(poly_apply), _once(product_with_ty0)
     fib = _once(lambda p: fib_product_el0(p.leg, fuel))
     out: list[LawReport] = [
-        _law("P1[Ty0]", lambda: _check_p1(prod(mk_Ty(0)), rules, fuel)),
-        _law("P2[El0]", lambda: _check_p2(poly(mk_El(0)), fib(poly(mk_El(0))), rules, fuel, corrupt_subst)),
+        _law("P1[Ty0]", lambda: _check_p1(prod(mk_Ty(0)), fuel)),
+        _law("P2[El0]", lambda: _check_p2(poly(mk_El(0)), fib(poly(mk_El(0))), fuel, corrupt_subst)),
     ]
     for t in samples:
-        out.append(_law(f"P3[{t.name}]", lambda: _check_p3(poly(t), prod(t), fib(poly(t)), rules, fuel)))
-        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly(t), fib(poly(t)), rules, fuel)))
+        out.append(_law(f"P3[{t.name}]", lambda: _check_p3(poly(t), prod(t), fib(poly(t)), fuel)))
+        out.append(_law(f"P4[{t.name}]", lambda: _check_p4(poly(t), fib(poly(t)), fuel)))
     return out
 
 
@@ -369,23 +362,23 @@ def _once(build: Callable[[Any], Any]) -> Callable[[Any], Any]:
     return lambda t: memo[id(t)] if id(t) in memo else memo.setdefault(id(t), build(t))
 
 
-def _check_p1(prod: Coproduct, rules, fuel) -> EquivalenceResult:
+def _check_p1(prod: Coproduct, fuel) -> EquivalenceResult:
     ty0 = mk_Ty(0)
     pty0, pel0 = poly_apply(ty0), poly_apply(mk_El(0))
     incl = Interpretation(ty0, pel0.base, {"A0": App("A0")}, "element-of")
     p_incl = poly_interp(incl, pty0, pel0)
     lhs = compose(p_incl, projection_interp(pel0))
     rhs = compose(weakening_interp(pty0, prod), diagonal_interp(prod))
-    return equivalent(lhs, rhs, rules, fuel)
+    return equivalent(lhs, rhs, fuel)
 
 
-def _check_p2(pel0: PolyTheory, fib: Pushout, rules, fuel, corrupt: bool = False) -> EquivalenceResult | JudgmentResult:
+def _check_p2(pel0: PolyTheory, fib: Pushout, fuel, corrupt: bool = False) -> EquivalenceResult | JudgmentResult:
     subst = substitution_interp(pel0, fib)
     if corrupt:
         bad = dict(subst.mapping)
         bad["e0"] = App(point_symbol(fib))
         subst = Interpretation(subst.src, subst.dst, bad, "subst-corrupted")
-    v = check_interpretation(subst, rules, fuel)
+    v = check_interpretation(subst, fuel)
     if not v.ok:
         return v
     ty0 = mk_Ty(0)
@@ -395,24 +388,24 @@ def _check_p2(pel0: PolyTheory, fib: Pushout, rules, fuel, corrupt: bool = False
     canonical = Interpretation(
         pel0.base, fib_ty0.theory, identity(pel0.base).mapping, "iso"
     )
-    return equivalent(composite, canonical, rules, fuel)
+    return equivalent(composite, canonical, fuel)
 
 
-def _check_p3(poly_base: PolyTheory, prod: Coproduct, fib_poly: Pushout, rules, fuel) -> EquivalenceResult:
+def _check_p3(poly_base: PolyTheory, prod: Coproduct, fib_poly: Pushout, fuel) -> EquivalenceResult:
     fib_prod = fib_product_el0(product_leg(prod), fuel)
     wk_x_el0 = fib_arrow(weakening_interp(poly_base, prod), fib_prod, fib_poly)
     subst = substitution_interp(poly_base, fib_poly)
     composite = compose(subst, wk_x_el0)
     projection = compose(prod.left, fib_prod.into_prime)
-    return equivalent(composite, projection, rules, fuel)
+    return equivalent(composite, projection, fuel)
 
 
-def _check_p4(poly_base: PolyTheory, fib: Pushout, rules, fuel) -> EquivalenceResult:
+def _check_p4(poly_base: PolyTheory, fib: Pushout, fuel) -> EquivalenceResult:
     unit = derive_unit(poly_base.leg, fuel, fib)
     subst = substitution_interp(poly_base, unit.fib)
     p_subst = poly_interp(subst, poly_base, poly_apply(unit.fib.theory))
     composite = compose(p_subst, unit.eta)
-    return equivalent(composite, identity(poly_base.theory), rules, fuel)
+    return equivalent(composite, identity(poly_base.theory), fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -420,19 +413,18 @@ def _check_p4(poly_base: PolyTheory, fib: Pushout, rules, fuel) -> EquivalenceRe
 # ---------------------------------------------------------------------------
 
 
-def tower_iso(n: int, element: bool, rules: Optional[RuleSet] = None, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
+def tower_iso(n: int, element: bool, fuel: Fuel = deriv.DEFAULT_FUEL) -> EquivalenceResult:
     """P(Ty_n) = Ty_{n+1} and P(El_n) = El_{n+1}, via canonical renamings."""
-    rules = rules if rules is not None else deriv.BASE
     base = mk_El(n) if element else mk_Ty(n)
     target = mk_El(n + 1) if element else mk_Ty(n + 1)
     p = poly_apply(base)
     fwd = positional_renaming(p.theory, target)
     back = positional_renaming(target, p.theory)
     for i in (fwd, back):
-        v = check_interpretation(i, rules, fuel)
+        v = check_interpretation(i, fuel)
         if not v.ok:
             return EquivalenceResult(False, v.detail)
-    return check_mutually_inverse(fwd, back, rules, fuel)
+    return check_mutually_inverse(fwd, back, fuel)
 
 
 @dataclass
@@ -453,10 +445,10 @@ def pi_square(fuel: Fuel = deriv.DEFAULT_FUEL) -> PiSquareResult:
 
     Commutation is an interpretation equivalence; the pullback property
     is verified by a comparison arrow and a candidate inverse whose
-    round trips close under the beta and eta rewrites alone.
+    round trips close under the beta and eta rewrites alone.  The towers
+    are lifted to the Pi rules, which the square's arrows need.
     """
-    rules = deriv.WITH_PI
-    ty0, ty1, el0, el1 = mk_Ty(0), mk_Ty(1), mk_El(0), mk_El(1)
+    ty0, ty1, el0, el1 = (t.with_pi() for t in (mk_Ty(0), mk_Ty(1), mk_El(0), mk_El(1)))
     a0 = App("A0")
     pi_ty = mk_pi("x0", a0, App("A1", (Var("x0"),)))
 
@@ -471,16 +463,16 @@ def pi_square(fuel: Fuel = deriv.DEFAULT_FUEL) -> PiSquareResult:
     t1 = Interpretation(ty1, el1, {"A0": a0, "A1": App("A1", (Var("x0"),))}, "element-of1")
 
     for i in (pi_arrow, lam_arrow, t0, t1):
-        v = check_interpretation(i, rules, fuel)
+        v = check_interpretation(i, fuel)
         if not v.ok:
             raise GatError(f"structure arrow {i.name} failed: {v.detail}")
 
     commutes = _law(
         "pi-square-commutes",
-        lambda: equivalent(compose(t0, lam_arrow), compose(pi_arrow, t1), rules, fuel),
+        lambda: equivalent(compose(t0, lam_arrow), compose(pi_arrow, t1), fuel),
     )
 
-    corner = pushout(ty0, el0, pi_arrow, rules, fuel, name="Ty1x[Ty0]El0")
+    corner = pushout(ty0, el0, pi_arrow, fuel, name="Ty1x[Ty0]El0")
     e0c = point_symbol(corner)
     comparison = Interpretation(
         corner.theory,
@@ -503,12 +495,12 @@ def pi_square(fuel: Fuel = deriv.DEFAULT_FUEL) -> PiSquareResult:
         "uncompare",
     )
     for i in (comparison, inverse):
-        v = check_interpretation(i, rules, fuel)
+        v = check_interpretation(i, fuel)
         if not v.ok:
             raise GatError(f"comparison arrow {i.name} failed: {v.detail}")
 
-    forward = _law("pi-square-beta", lambda: equivalent(compose(inverse, comparison), identity(el1), rules, fuel))
-    backward = _law("pi-square-eta", lambda: equivalent(compose(comparison, inverse), identity(corner.theory), rules, fuel))
+    forward = _law("pi-square-beta", lambda: equivalent(compose(inverse, comparison), identity(el1), fuel))
+    backward = _law("pi-square-eta", lambda: equivalent(compose(comparison, inverse), identity(corner.theory), fuel))
     return PiSquareResult(commutes, forward, backward, comparison, inverse)
 
 

@@ -8,7 +8,9 @@ ordered list of declarations; the list order realizes the dependency
 (well-founded) relation.  A Theory is a pretheory every declaration of
 which checks over the strictly earlier prefix; construct one through
 check_theory or extend, or from certified theories by the lemmas of
-Theory.prefix, Theory.rename, disjoint_union and families.
+Theory.prefix, Theory.rename, Theory.with_pi, disjoint_union and
+families.  The rule set, base or base with Pi, is chosen when a pretheory
+is certified, and the theory carries it.
 """
 
 from __future__ import annotations
@@ -122,13 +124,15 @@ def _name_index(decls: Sequence[Declaration]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class Theory:
-    """A certified pretheory; pi records the rule set used.  Its prefixes, extensions
-    and renamed copies share one name index: a name is visible iff its position < len(decls).
+    """A certified pretheory.  pi says whether it was certified under the
+    Pi rules as well as the base rules; every check over the theory uses
+    that rule set.  Its prefixes, extensions and renamed copies share one
+    name index: a name is visible iff its position < len(decls).
 
     The constructor checks nothing: only check_theory, extend and the
-    named lemmas (Theory.prefix, Theory.rename, disjoint_union and
-    families) produce certified theories, and the rest of gatc trusts
-    that every Theory came from one of them."""
+    named lemmas (Theory.prefix, Theory.rename, Theory.with_pi,
+    disjoint_union and families) produce certified theories, and the
+    rest of gatc trusts that every Theory came from one of them."""
 
     name: str
     decls: tuple[Declaration, ...]
@@ -185,6 +189,12 @@ class Theory:
                 raise DuplicateName(f"renaming sends {a!r} and {b!r} to {d.name!r}", decl=d.name)
         return Theory(name or self.name, decls, self.pi, index)
 
+    def with_pi(self) -> Theory:
+        """The same theory under the Pi rules; certified because more rules
+        keep every derivation.  A theory already under them is returned
+        as it is."""
+        return self if self.pi else Theory(self.name, self.decls, True, self._index)
+
     @functools.cached_property
     def _program(self):
         """This object's finite-model program, compiled on first use.  It is
@@ -230,9 +240,10 @@ def _scan_references(prefix: Theory, d: Declaration, names: Container[str]) -> N
             raise UnknownSymbol(f"{h!r} is not declared")
 
 
-def _extend(theory: Theory, d: Declaration, names: Container[str], rules, fuel) -> Theory:
+def _extend(theory: Theory, d: Declaration, names: Container[str], fuel) -> Theory:
     """The one certify step: d's statement form, its references, its
-    context and what its judgment presupposes, over the certified theory.
+    context and what its judgment presupposes, over the certified theory
+    and under its rules.
     Errors name the declaration; an omitted term-equation type comes back
     filled in."""
     if theory.has(d.name):
@@ -247,9 +258,9 @@ def _extend(theory: Theory, d: Declaration, names: Container[str], rules, fuel) 
                     "nor a symbol's statement with its subject left None"
                 )
         _scan_references(theory, d, names)
-        _deriv.check_context(theory, d.ctx, rules, fuel)
+        _deriv.check_context(theory, d.ctx, fuel)
         stmt = d.judgment()
-        filled = _deriv.presupposed(theory, d.ctx, stmt, rules, fuel)
+        filled = _deriv.presupposed(theory, d.ctx, stmt, fuel)
     except GatError as exc:
         raise type(exc)(f"in declaration {d.name!r}: {exc}", decl=d.name) from None
     d = d if filled is stmt else replace(d, kind=filled)
@@ -257,26 +268,26 @@ def _extend(theory: Theory, d: Declaration, names: Container[str], rules, fuel) 
     # an index that a longer theory already extends is rebuilt, not overwritten
     index = theory._index if len(theory._index) == n else _name_index(theory.decls)
     index[d.name] = n
-    return Theory(theory.name, theory.decls + (d,), theory.pi or rules.pi, index)
+    return Theory(theory.name, theory.decls + (d,), theory.pi, index)
 
 
 def check_theory(
     decls: Pretheory,
-    rules=None,
+    pi: bool = False,
     fuel=None,
     name: str = "theory",
 ) -> Theory:
-    """Certify a pretheory: extend the empty theory by each declaration in turn."""
-    rules = _deriv.BASE if rules is None else rules
+    """Certify a pretheory under the base rules, and the Pi rules too when
+    pi is set: extend the empty theory by each declaration in turn."""
     fuel = _deriv.DEFAULT_FUEL if fuel is None else fuel
     names: set[str] = set()
     for d in decls:
         if d.name in names:
             raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
         names.add(d.name)
-    theory = Theory(name, (), rules.pi)
+    theory = Theory(name, (), pi)
     for d in decls:
-        theory = _extend(theory, d, names, rules, fuel)
+        theory = _extend(theory, d, names, fuel)
     return theory
 
 
@@ -321,11 +332,10 @@ def families(base: Theory) -> tuple[Theory, str, Mapping[str, str]]:
     return Theory(safe_name(f"P_{base.name}"), tuple(decls), base.pi), reserved, MappingProxyType(hyp_var)
 
 
-def extend(theory: Theory, d: Declaration, rules=None, fuel=None) -> Theory:
-    """Append one declaration, checking only it."""
-    rules = _deriv.BASE if rules is None else rules
+def extend(theory: Theory, d: Declaration, fuel=None) -> Theory:
+    """Append one declaration, checking only it, under theory's rules."""
     fuel = _deriv.DEFAULT_FUEL if fuel is None else fuel
-    return _extend(theory, d, (d.name,), rules, fuel)
+    return _extend(theory, d, (d.name,), fuel)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +495,7 @@ def _simply_typed_lambda() -> Theory:
             el(_a("Fun", a, b)),
         ),
     ]
-    return check_theory(decls, rules=_deriv.WITH_PI, name="STLC")
+    return check_theory(decls, pi=True, name="STLC")
 
 
 def _mltt_naturals() -> Theory:
@@ -522,7 +532,7 @@ def _mltt_naturals() -> Theory:
             el(Ap(c, _a("succ", n))),
         ),
     ]
-    return check_theory(decls, rules=_deriv.WITH_PI, name="MLTT-N")
+    return check_theory(decls, pi=True, name="MLTT-N")
 
 
 @functools.lru_cache(maxsize=None)

@@ -60,7 +60,7 @@ def test_criterion_1_corpus_well_formedness(tmp_path):
     # the naturals encoding ships as corpus and is held to parse round-trip
     text = (emit / "MLTT-N.gat").read_text()
     [tb] = gatform.parse(text).theories()
-    t2 = theory.check_theory(tb.decls, deriv.WITH_PI, name=tb.name)
+    t2 = theory.check_theory(tb.decls, pi=True, name=tb.name)
     ok = ok and gatform.print_theory(t2) == text
     report(1, "corpus well-formedness", ok)
 

@@ -426,11 +426,11 @@ def test_json_reports_byte_identical():
 
 
 def test_interpretation_items_keep_their_obligation_traces(tmp_path):
-    from gatc.deriv import BASE, DEFAULT_FUEL, replay_eq_trace
+    from gatc.deriv import DEFAULT_FUEL, replay_eq_trace
 
     assert run(["stdlib", "--emit", str(tmp_path)])[0] == 0
     path = str(tmp_path / "interpretations.gat")
-    env = cli.load_environment(path, BASE, DEFAULT_FUEL)
+    env = cli.load_environment(path, False, DEFAULT_FUEL)
     with_axioms = 0
     for item in env.items:
         interp = env.interps[item.name.removeprefix("interp ")]
@@ -545,6 +545,32 @@ def test_eq_beta_eta_through_cli():
     )
     assert code == 0
     assert "Proved" in out
+
+
+def test_a_pi_theory_is_checked_under_pi_when_base_rules_are_asked():
+    # STLC was certified under the Pi rules; --rules base cannot take them away
+    code, out = run(
+        [
+            "eq", "--theory", "STLC", "--rules", "base",
+            "--ctx", "(a : Ty, f : Pi (x : El(a)) El(a), x : El(a))",
+            "--lhs", "(lam (y : El(a)) f @ y) @ x",
+            "--rhs", "f @ x",
+        ]
+    )
+    assert code == 0
+    assert "eq: Proved" in out
+
+
+def test_rules_pi_lifts_a_stdlib_theory_and_certifies_a_file_theory_under_pi(tmp_path):
+    pi_ctx = ["--ctx", "(f : Pi (x : Mon) Mon, y : Mon)", "--lhs", "(lam (z : Mon) f @ z) @ y", "--rhs", "f @ y"]
+    code, out = run(["eq", "--theory", "Mon", *pi_ctx])
+    assert code == 1 and "NotAType: Pi types require the pi rule set" in out
+    assert run(["eq", "--theory", "Mon", "--rules", "pi", *pi_ctx])[0] == 0
+    p = tmp_path / "t.gat"
+    p.write_text("theory T { sym A : () => Type  sym f : (g : Pi (x : A) A) => A }\n")
+    code, out = run(["check", str(p)])
+    assert code == 1 and "NotAType: in declaration 'f': Pi types require the pi rule set" in out
+    assert run(["check", str(p), "--rules", "pi"])[0] == 0
 
 
 def test_fuel_flags_and_env(monkeypatch, capsys):

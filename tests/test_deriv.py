@@ -141,11 +141,10 @@ def test_term_equation_type_is_scope_checked():
 @pytest.mark.parametrize("name", sorted(stdlib()))
 def test_every_declaration_judgment_derives_in_its_theory(name):
     t = stdlib()[name]
-    rules = WITH_PI if t.pi else BASE
     for i, d in enumerate(t.decls):
         stmt = d.judgment()
-        assert presupposed(t.prefix(i), d.ctx, stmt, rules) == t.decls[i].judgment()
-        r = check_judgment(t, Judgment(d.ctx, stmt), rules)
+        assert presupposed(t.prefix(i), d.ctx, stmt) == t.decls[i].judgment()
+        r = check_judgment(t, Judgment(d.ctx, stmt))
         assert r.ok, (d.name, r.detail)
 
 
@@ -276,6 +275,40 @@ def test_beta_eta_need_pi_rules():
     lhs = App("mul", (App("u"), Var("y")))
     v = eq_check(mon, (("y", MON),), lhs, Var("y"))
     assert replay_eq_trace(mon, lhs, Var("y"), v.steps, BASE)
+
+
+def test_a_pi_theory_is_checked_under_pi_when_base_rules_are_asked():
+    # STLC carries the Pi rules; a caller's BASE cannot take them away
+    from gatc.expr import Ap, mk_lam, mk_pi
+
+    stlc = stdlib()["STLC"]
+    a, f, x = Var("a"), Var("f"), Var("x")
+    el_a = App("El", (a,))
+    ctx = (("a", App("Ty")), ("f", mk_pi("x", el_a, el_a)), ("x", el_a))
+    lhs, rhs = Ap(mk_lam("y", el_a, Ap(f, Var("y"))), x), Ap(f, x)
+    v = eq_check(stlc, ctx, lhs, rhs, BASE)
+    assert v.proved and v == eq_check(stlc, ctx, lhs, rhs, WITH_PI)
+    assert replay_eq_trace(stlc, lhs, rhs, v.steps, BASE)
+    j = Judgment(ctx, TermEq(lhs, rhs, el_a))
+    r = check_judgment(stlc, j, BASE)
+    assert r.ok and r == check_judgment(stlc, j, WITH_PI)
+
+
+def test_a_callers_rules_can_add_pi():
+    from gatc.expr import Ap, mk_lam, mk_pi
+
+    mon = stdlib()["Mon"]
+    f, y = Var("f"), Var("y")
+    ctx = (("f", mk_pi("x", MON, MON)), ("y", MON))
+    lhs, rhs = Ap(mk_lam("z", MON, Ap(f, Var("z"))), y), Ap(f, y)
+    assert not eq_check(mon, ctx, lhs, rhs, BASE).proved
+    v = eq_check(mon, ctx, lhs, rhs, WITH_PI)
+    assert v.proved
+    assert replay_eq_trace(mon, lhs, rhs, v.steps, WITH_PI)
+    assert not replay_eq_trace(mon, lhs, rhs, v.steps, BASE)
+    assert check_judgment(mon, Judgment(ctx, TermEq(lhs, rhs, MON)), WITH_PI).ok
+    with pytest.raises(NotAType, match="Pi types require the pi rule set"):
+        check_judgment(mon, Judgment(ctx, TermEq(lhs, rhs, MON)), BASE)
 
 
 def test_replay_rejects_a_partial_axiom_substitution():
@@ -517,7 +550,7 @@ def test_equal_translations_under_equivalent_interpretations():
 def test_pi_rules_application_and_lambda():
     stlc = stdlib()["STLC"]
     ctx = (("a", App("Ty")), ("b", App("Ty")), ("f", App("El", (App("Fun", (Var("a"), Var("b"))),))), ("x", App("El", (Var("a"),))))
-    t = infer_type(stlc, ctx, App("app", (Var("a"), Var("b"), Var("f"), Var("x"))), WITH_PI)
+    t = infer_type(stlc, ctx, App("app", (Var("a"), Var("b"), Var("f"), Var("x"))))
     assert t == App("El", (Var("b"),))
 
 

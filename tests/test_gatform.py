@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gatc import deriv, gatform
+from gatc import gatform
 from gatc.errors import GatSyntaxError
 from gatc.expr import Ap, App, Var, mk_lam, mk_pi
 from gatc.gatform import (
@@ -46,8 +46,7 @@ def test_round_trip_is_fixed_point_for_stdlib():
         text = print_theory(t)
         sf = parse(text)
         [tb] = sf.theories()
-        rules = deriv.WITH_PI if t.pi else deriv.BASE
-        t2 = check_theory(tb.decls, rules, name=tb.name)
+        t2 = check_theory(tb.decls, t.pi, name=tb.name)
         assert print_theory(t2) == text, name
 
 
@@ -310,8 +309,7 @@ def test_unicode_spellings_lex_as_ascii_kinds():
 def test_unicode_round_trip_of_the_corpus():
     for name, t in LIB.items():
         [tb] = parse(print_theory(t, unicode=True)).theories()
-        rules = deriv.WITH_PI if t.pi else deriv.BASE
-        assert check_theory(tb.decls, rules, name=tb.name).decls == t.decls, name
+        assert check_theory(tb.decls, t.pi, name=tb.name).decls == t.decls, name
     interps = corpus_interpretations()
     text = "".join(print_interp(i, unicode=True) for i in interps.values())
     for ib in parse(text).interps():

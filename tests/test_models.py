@@ -287,23 +287,27 @@ def test_pushout_duality_pointed_monoid():
 
 
 def test_general_pushout_agrees_with_prefix_pushout_on_models():
-    # the coproduct+coequalizer route gives the same model content as the
-    # small presentation: models biject with matching pairs
-    from gatc.gatcat import Interpretation, identity, pushout_general
+    # the pushout of the span El0 <- Ty0 -> Mon as the coequalizer of its
+    # two composites into the coproduct gives the same model content as
+    # the small presentation: models biject with matching pairs
+    from gatc.gatcat import Interpretation
 
     el0, mon, ty0 = LIB["El0"], LIB["Mon"], LIB["Ty0"]
     incl = Interpretation(ty0, el0, {"A0": App("A0")})
-    span = pushout_general(incl, corpus_interpretations()["Ty0ToMon"])
-    ms = enumerate_models(span.theory, 2)
+    ty0_to_mon = corpus_interpretations()["Ty0ToMon"]
+    cp = coproduct(el0, mon)
+    ce = coequalizer(compose(incl, cp.left), compose(ty0_to_mon, cp.right))
+    into_left, into_right = cp.left.retarget(ce.theory), cp.right.retarget(ce.theory)
+    ms = enumerate_models(ce.theory, 2)
     a_side = enumerate_models(el0, 2)
     b_side = enumerate_models(mon, 2)
     fibre = {
         (a.key(), b.key())
         for a in a_side
         for b in b_side
-        if reduct(a, incl).key() == reduct(b, corpus_interpretations()["Ty0ToMon"]).key()
+        if reduct(a, incl).key() == reduct(b, ty0_to_mon).key()
     }
-    pairs = [(reduct(m, span.into_left).key(), reduct(m, span.into_right).key()) for m in ms]
+    pairs = [(reduct(m, into_left).key(), reduct(m, into_right).key()) for m in ms]
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == fibre
     assert len(ms) == 9

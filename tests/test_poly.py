@@ -154,9 +154,7 @@ def test_substitution_naturality():
 
 
 def test_polynomial_axioms_hold_on_pi_enabled_theories():
-    from gatc.deriv import WITH_PI
-
-    reports = verify_polynomial_axioms([LIB["STLC"]], WITH_PI)
+    reports = verify_polynomial_axioms([LIB["STLC"]])
     for r in reports:
         assert r.verdict == "Proved", (r.name, r.detail)
 

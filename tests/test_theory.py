@@ -1,8 +1,8 @@
 import pytest
 
-from gatc import deriv
-from gatc.errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
-from gatc.expr import App, Var
+from gatc.errors import DuplicateName, ForwardReference, GatError, NotAType, UnknownSymbol
+from gatc.expr import App, Var, mk_pi
+from gatc.gatform import parse
 from gatc.gatcat import (
     check_interpretation,
     coproduct,
@@ -117,9 +117,8 @@ def test_extend_monoid_with_idempotency():
 
 def test_prefix_closure():
     for name, t in stdlib().items():
-        rules = deriv.WITH_PI if t.pi else deriv.BASE
         for i in range(len(t.decls) + 1):
-            check_theory(t.decls[:i], rules)  # must not raise
+            check_theory(t.decls[:i], t.pi)  # must not raise
 
 
 def test_rename_rejects_a_renaming_that_is_not_injective():
@@ -142,8 +141,7 @@ def test_rename_is_certified_by_its_lemma():
     for name, t in stdlib().items():
         renaming = {d.name: f"{d.name}'" for d in t.decls[::2]}
         renamed = t.rename(renaming, name="R")
-        rules = deriv.WITH_PI if t.pi else deriv.BASE
-        assert renamed == check_theory(renamed.decls, rules, name="R"), name
+        assert renamed == check_theory(renamed.decls, t.pi, name="R"), name
     swap = stdlib()["Mon"].rename({"u": "mul", "mul": "u"})
     assert [d.name for d in swap.decls[:3]] == ["Mon", "mul", "u"]
 
@@ -290,9 +288,31 @@ def test_judgment_fills_in_the_implicit_subject():
     lib = stdlib()
     theories = []
     for t in lib.values():
-        rules = deriv.WITH_PI if t.pi else deriv.BASE
-        theories += [t, families(t)[0], reconstruct(limit_presentation(t), rules)[0]]
+        theories += [t, families(t)[0], reconstruct(limit_presentation(t))[0]]
     theories.append(coproduct(lib["Mon"], lib["Cat"]).theory)
     for t in theories:
         for d in t.decls:
             assert d.judgment() == _judgment_by_hand(d), (t.name, d.name)
+
+
+def test_the_rules_are_chosen_when_a_pretheory_is_certified():
+    # a file theory that uses Pi certifies only when pi is asked for, and
+    # the certified theory carries the choice
+    [tb] = parse("theory T { sym A : () => Type  sym f : (g : Pi (x : A) A) => A }").theories()
+    with pytest.raises(NotAType, match="in declaration 'f': Pi types require the pi rule set"):
+        check_theory(tb.decls)
+    assert check_theory(tb.decls, pi=True).pi
+
+
+def test_with_pi_lifts_a_theory_and_keeps_a_pi_theory():
+    mon, stlc = stdlib()["Mon"], stdlib()["STLC"]
+    lifted = mon.with_pi()
+    assert (lifted.name, lifted.decls, lifted.pi) == (mon.name, mon.decls, True)
+    assert lifted._index is mon._index
+    assert lifted.with_pi() is lifted and stlc.with_pi() is stlc
+    assert not mon.pi
+    # extensions check under the theory's rules: the lifted one admits Pi
+    g = term_sym("g", (("f", mk_pi("x", App("Mon"), App("Mon"))),), App("Mon"))
+    assert extend(lifted, g).pi
+    with pytest.raises(NotAType, match="Pi types require the pi rule set"):
+        extend(mon, g)

@@ -13,7 +13,6 @@ import random
 
 import pytest
 
-from gatc import deriv
 from gatc.errors import (
     ArgumentTypeMismatch,
     ArityMismatch,
@@ -26,7 +25,6 @@ from gatc.errors import (
 from gatc.expr import App, Var, rename_symbols
 from gatc.gatcat import (
     Interpretation,
-    _default_rules,
     check_interpretation,
     compose,
     coproduct,
@@ -65,20 +63,20 @@ from test_random_theories import random_flat_theory
 LIB = stdlib()
 
 
-def outcome(check, interp: Interpretation, rules):
+def outcome(check, interp: Interpretation):
     """The verdict and detail, or the exception type and message."""
     try:
-        r = check(interp, rules)
+        r = check(interp)
     except GatError as exc:
         return type(exc), str(exc)
     return r.status, r.detail
 
 
-def same_as_full_check(arrows, rules=None) -> list:
+def same_as_full_check(arrows) -> list:
     outcomes = []
     for i in arrows:
-        got = outcome(check_interpretation, i, rules)
-        assert got == outcome(validity_oracle.check_interpretation, i, rules), i.name
+        got = outcome(check_interpretation, i)
+        assert got == outcome(validity_oracle.check_interpretation, i), i.name
         outcomes.append(got)
     return outcomes
 
@@ -119,14 +117,13 @@ def test_verifier_arrows():
 
 def test_reconstruction_arrows():
     for name, t in LIB.items():
-        rules = deriv.WITH_PI if t.pi else deriv.BASE
         clauses = limit_presentation(t)
-        rec, renaming = reconstruct(clauses, rules)
+        rec, renaming = reconstruct(clauses)
         inverse = {v: k for k, v in renaming.items()}
         fwd = renaming_interpretation(t, rec, renaming)
         back = renaming_interpretation(rec, t, {d.name: inverse[d.name] for d in rec.decls if d.is_symbol})
         arrows = [fwd, back] + [a for c in clauses for a in c.arrows]
-        assert same_as_full_check(arrows, rules) == [("ok", "")] * len(arrows), name
+        assert same_as_full_check(arrows) == [("ok", "")] * len(arrows), name
 
 
 def unused_context_variable() -> Interpretation:
@@ -181,7 +178,7 @@ def renamed_union(t1, t2, name: str):
     for t, tag in ((t1, "#1"), (t2, "#2")):
         r = {d.name: d.name + tag for d in t.decls}
         halves += [d.map(lambda e, r=r: rename_symbols(e, r), r[d.name]) for d in t.decls]
-    return check_theory(halves, _default_rules(t1, t2), name=name)
+    return check_theory(halves, t1.pi or t2.pi, name=name)
 
 
 def assert_union_certified(t1, t2) -> None:
@@ -216,10 +213,9 @@ def test_disjoint_union_rejects_a_shared_name_as_check_theory_does():
     )
 
 
-def assert_recertifies(t, rules=None) -> None:
+def assert_recertifies(t) -> None:
     """check_theory of t's declarations gives t's name, declarations and pi."""
-    rules = rules if rules is not None else _default_rules(t)
-    expected = check_theory(t.decls, rules, name=t.name)
+    expected = check_theory(t.decls, t.pi, name=t.name)
     assert (t.name, t.decls, t.pi) == (expected.name, expected.decls, expected.pi), t.name
 
 
@@ -243,5 +239,5 @@ def test_every_prefix_of_every_corpus_theory_is_certified():
     for t in LIB.values():
         for n in range(len(t.decls) + 1):
             pre = t.prefix(n)
-            expected = check_theory(t.decls[:n], _default_rules(t), name=pre.name)
+            expected = check_theory(t.decls[:n], t.pi, name=pre.name)
             assert pre.decls == expected.decls, pre.name

@@ -61,7 +61,7 @@ CASES = {
         ScopeError, "variable 'x2' is not bound by the context",
     ),
     "dangling index under a binder, inferred": (
-        lambda: infer_type(stdlib()["STLC"], (("a", TY),), Lam(el(Var("a")), BVar(1)), WITH_PI),
+        lambda: infer_type(stdlib()["STLC"], (("a", TY),), Lam(el(Var("a")), BVar(1))),
         ScopeError, "term has a dangling bound-variable index",
     ),
     "dangling index under a binder, scope-checked": (

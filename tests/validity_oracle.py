@@ -10,17 +10,16 @@ the same fuel the two must agree, error messages included.
 
 from gatc import deriv
 from gatc.errors import GatError
-from gatc.gatcat import Interpretation, _default_rules
+from gatc.gatcat import Interpretation
 
 
-def check_interpretation(
-    interp: Interpretation, rules=None, fuel: deriv.Fuel = deriv.DEFAULT_FUEL
-) -> deriv.JudgmentResult:
-    rules = rules if rules is not None else _default_rules(interp.src, interp.dst)
+def check_interpretation(interp: Interpretation, fuel: deriv.Fuel = deriv.DEFAULT_FUEL) -> deriv.JudgmentResult:
+    # a source under the Pi rules is checked over the target lifted to them
+    dst = interp.dst.with_pi() if interp.src.pi else interp.dst
     for d in interp.src.decls:
         j = deriv.Judgment(interp.apply_ctx(d.ctx), d.judgment().map(interp.apply))
         try:
-            r = deriv.check_judgment(interp.dst, j, rules, fuel)
+            r = deriv.check_judgment(dst, j, fuel=fuel)
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
