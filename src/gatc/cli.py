@@ -120,13 +120,12 @@ class Environment:
     interps: dict[str, Interpretation] = field(default_factory=dict)
     judgments: list[gatform.JudgmentBlock] = field(default_factory=list)
     items: list[Item] = field(default_factory=list)
-    pi: bool = False  # --rules pi: a named theory is lifted to the Pi rules
 
     def theory(self, name: str) -> Theory:
         t = self.theories.get(name)
         if t is None:
             raise GatError(f"theory {name!r} is not defined (file or stdlib)")
-        return t.with_pi() if self.pi else t
+        return t
 
     def interp(self, name: str) -> Interpretation:
         i = self.interps.get(name)
@@ -142,11 +141,9 @@ def _error_item(name: str, exc: Exception, line: Optional[int] = None) -> Item:
     return Item(name, verdict, f"{where}{type(exc).__name__}: {exc}")
 
 
-def load_environment(path: Optional[str], pi: bool, fuel: Fuel) -> Environment:
-    """The stdlib theories and the file's blocks.  When pi is set, the
-    file's theories are certified under the Pi rules, and a stdlib theory
-    is lifted to them when a command names it."""
-    env = Environment(theories=dict(theory.stdlib()), pi=pi)
+def load_environment(path: Optional[str], fuel: Fuel) -> Environment:
+    """The stdlib theories and the file's blocks."""
+    env = Environment(theories=dict(theory.stdlib()))
     if path is None:
         return env
     try:
@@ -166,7 +163,7 @@ def load_environment(path: Optional[str], pi: bool, fuel: Fuel) -> Environment:
         seen_names.add((kind, block.name))
         if isinstance(block, gatform.TheoryBlock):
             try:
-                t = theory.check_theory(block.decls, pi, fuel, name=block.name)
+                t = theory.check_theory(block.decls, fuel, name=block.name)
             except GatError as exc:
                 line = block.decl_lines.get(exc.decl, block.line)
                 env.items.append(_error_item(f"theory {block.name}", exc, line))
@@ -311,8 +308,6 @@ def cmd_unit_triangles(args, env, report, fuel) -> None:
 
 
 def cmd_pi_square(args, env, report, fuel) -> None:
-    if args.rules != "pi":
-        raise UsageError("pi-square requires --rules pi")
     r = poly.pi_square(fuel)
     for law in (r.commutes, r.forward, r.backward):
         report.items.append(_law_item(law))
@@ -404,7 +399,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--fuel-nodes", type=int, default=None, help="equality node budget")
     common.add_argument("--fuel-iters", type=int, default=None, help="saturation round budget")
-    common.add_argument("--rules", choices=["base", "pi"], default="base")
+    common.add_argument("--rules", choices=["base", "pi"], default="base", help="accepted and ignored")
     common.add_argument("--json", action="store_true", help="emit a stable JSON report")
     common.add_argument("--trace", action="store_true", help="include proof traces")
     common.add_argument("--unicode", action="store_true", help="pretty-print with unicode arrows")
@@ -506,7 +501,7 @@ def main(argv: Optional[list[str]] = None, out=None) -> int:
     start = time.monotonic()
     report = Report(args.cmd)
     try:
-        env = load_environment(getattr(args, "file", None), args.rules == "pi", fuel)
+        env = load_environment(getattr(args, "file", None), fuel)
         report.items += env.items
         _COMMANDS[args.cmd](args, env, report, fuel)
     except UsageError as exc:

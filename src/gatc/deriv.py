@@ -8,10 +8,9 @@ are types, or terms of its type), then the claim itself.  A declaration
 holds the statement it asserts over its context, a symbol's with its
 subject left None (Declaration.judgment fills it in), and certification
 checks its presuppositions over the earlier declarations.
-Every check runs under the rules the theory was certified under
-(Theory.pi): the base rules, and the Pi rules for Pi types, lambda
-terms and application when it is set; eq_check, replay_eq_trace and
-check_judgment also take rules that can add Pi.
+There is one rule set, the base rules with the Pi rules for Pi types,
+lambda terms and application; an expression without a binder never
+meets a Pi rule, so it is checked as under the base rules alone.
 Typing is checked algorithmically (the symbol rule, with each
 argument's inferred type compared in place with its parameter's declared
 type under the arguments before it, the instance built only on a
@@ -70,10 +69,9 @@ Context = tuple[tuple[str, Expr], ...]
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Rules a caller of eq_check, replay_eq_trace or check_judgment asks
-    for on top of the theory's own.  They can only add Pi, since more
-    rules keep every derivation (Theory.with_pi); everything below these
-    three entry points reads the rules from the theory."""
+    """The rules argument that eq_check, replay_eq_trace and
+    check_judgment accept and ignore: the Pi rules always hold.  It is
+    kept, with BASE and WITH_PI, for callers that still pass one."""
 
     pi: bool = False
 
@@ -541,9 +539,10 @@ class _EGraph:
             front = {self.root[i] for i in new}
         return out
 
-    def saturate(self, axioms, pi: bool, rounds: int) -> str:
+    def saturate(self, axioms, rounds: int) -> str:
         """Match rounds until nothing changes ("closed") or rounds run out
         ("fuel"); raises _Joined as soon as the goal's classes join.
+        Beta and eta fire only once the bank holds an Ap or a Lam term.
 
         A round matches each side only at canonical terms of its head that
         are new, or that have a changed class within the side's height
@@ -552,7 +551,7 @@ class _EGraph:
         seen = 0  # terms before this index took part in an earlier round
         for _ in range(rounds):
             before, end = len(self.unions), len(self.exprs)
-            if pi:
+            if Ap in self.by_head or Lam in self.by_head:
                 self.beta_eta(seen, end)
             if seen:
                 touched = self.touched(max((side[2] for _, sides in axioms for side in sides), default=0))
@@ -584,24 +583,22 @@ def eq_check(
 ) -> EqVerdict:
     """Decide, with fuel, whether lhs = rhs follows from the theory's axioms.
 
-    Both sides seed an e-graph.  Each round fires beta and eta (under the
-    Pi rules) as oriented rewrites, then matches every axiom side against
+    Both sides seed an e-graph.  Each round fires beta and eta as
+    oriented rewrites, then matches every axiom side against
     the e-graph (e-matching over all terms of a class, after de Moura &
     Bjørner, CADE 2007) and joins the instances' sides, closing under
     congruence.  It stops as soon as the goal's classes join, and the
     trace is the goal's explanation from the proof forest: only the steps
     the goal needs, not every step of the search, so axiom_instances()
     counts the instances the proof uses.  Deterministic: iteration
-    follows insertion order.
+    follows insertion order.  rules is ignored.
     """
-    if rules.pi:
-        theory = theory.with_pi()
     if lhs == rhs:
         return EqVerdict(True, ())
     g = _EGraph(fuel.max_eq_nodes)
     try:
         g.goal = (g.add(lhs), g.add(rhs))
-        reason = g.saturate(theory._axiom_patterns, theory.pi, fuel.max_iterations)
+        reason = g.saturate(theory._axiom_patterns, fuel.max_iterations)
     except _Joined:
         return EqVerdict(True, g.explain(*g.goal))
     except _OutOfFuel:
@@ -617,12 +614,10 @@ def replay_eq_trace(
     Re-derives each step from scratch: axiom steps are re-instantiated
     from the named axiom under a substitution of every one of its context
     variables, congruence steps need equal heads and
-    pairwise-merged children, beta/eta steps are recomputed (under the
-    Pi rules only).  Returns True when every step validates and the goal
-    ends up merged.
+    pairwise-merged children, beta/eta steps are recomputed.  Returns
+    True when every step validates and the goal ends up merged.  rules
+    is ignored.
     """
-    if rules.pi:
-        theory = theory.with_pi()
     parent: dict[Expr, Expr] = {}
 
     def find(e: Expr) -> Expr:
@@ -658,7 +653,7 @@ def replay_eq_trace(
                     return False
             case BetaStep(a, b) | EtaStep(a, b):
                 contract = _beta if isinstance(st, BetaStep) else _eta
-                if not theory.pi or contract(a) != b:
+                if contract(a) != b:
                     return False
             case _:
                 return False
@@ -804,8 +799,6 @@ def check_is_type(
         _check_args(theory, ctx, d, ty.args, fuel, sink)
         return
     if isinstance(ty, Pi):
-        if not theory.pi:
-            raise NotAType("Pi types require the pi rule set")
         check_is_type(theory, ctx, ty.dom, fuel, sink)
         avoid = [x for x, _ in ctx]
         x, cod = open_binder(ty.cod, ty.hint, avoid)
@@ -839,8 +832,6 @@ def infer_type(
         sub = _check_args(theory, ctx, d, term.args, fuel, sink)
         return substitute(d.kind.ty, sub)
     if isinstance(term, Ap):
-        if not theory.pi:
-            raise NotATerm("applications require the pi rule set")
         fty = infer_type(theory, ctx, term.fun, fuel, sink)
         if not isinstance(fty, Pi):
             raise NotATerm(f"applied expression has non-function type {print_expr(fty)}")
@@ -848,8 +839,6 @@ def infer_type(
         _equal_types(theory, ctx, aty, fty.dom, fuel, sink)
         return open_bound(fty.cod, term.arg)
     if isinstance(term, Lam):
-        if not theory.pi:
-            raise NotATerm("lambda terms require the pi rule set")
         check_is_type(theory, ctx, term.dom, fuel, sink)
         avoid = [x for x, _ in ctx]
         x, body = open_binder(term.body, term.hint, avoid)
@@ -954,10 +943,8 @@ def check_judgment(
 ) -> JudgmentResult:
     """Check one of the five judgment forms over the theory, in three
     steps: the context; the statement's scope and presuppositions
-    (presupposed); then the claim (check_claim).
+    (presupposed); then the claim (check_claim).  rules is ignored.
     """
-    if rules.pi:
-        theory = theory.with_pi()
     sink: list = []
     ctx = judgment.ctx
     check_context(theory, ctx, fuel, sink)

@@ -1,12 +1,12 @@
 """Raw expressions over a theory's symbols.
 
 Expressions are first-order symbol applications over named free variables,
-optionally extended with Pi / lam / application nodes when the Pi rule set
-is enabled.  Binders use de Bruijn indices internally while free variables
-stay named (locally nameless), so alpha-equivalent expressions are
-structurally equal and substitution of locally closed values never
-captures.  Printed names of bound variables are kept as hints that do not
-participate in equality or hashing.
+and the Pi, lam and application nodes of the Pi rules.  Binders use de
+Bruijn indices internally while free variables stay named (locally
+nameless), so alpha-equivalent expressions are structurally equal and
+substitution of locally closed values never captures.  Printed names of
+bound variables are kept as hints that do not participate in equality or
+hashing.
 
 Every structural operation reads a node's subexpressions through one
 table of field getters, the one behind children().  The folds

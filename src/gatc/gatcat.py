@@ -114,17 +114,15 @@ def check_interpretation(
     statement is walked for scope.  An equality obligation that exhausts
     fuel makes the whole result inconclusive.  The equalities proved on
     the way, obligations and typing alike, come back in eq_traces in the
-    order they were proved.  A source certified under the Pi rules is
-    checked over the target lifted to them (Theory.with_pi).
+    order they were proved.
     """
-    dst = interp.dst.with_pi() if interp.src.pi else interp.dst
     sink: list = []
     for d in interp.src.decls:
         stmt = d.judgment().map(interp.apply)
         try:
             if d.is_symbol:
                 deriv._scope_check(d.arity, interp.image(d.name))
-            r = deriv.check_claim(dst, interp.apply_ctx(d.ctx), stmt, fuel, sink)
+            r = deriv.check_claim(interp.dst, interp.apply_ctx(d.ctx), stmt, fuel, sink)
         except GatError as exc:
             raise type(exc)(f"at source symbol {d.name!r}: {exc}") from None
         if not r.ok:
@@ -148,17 +146,15 @@ def equivalent(
     fuel: Fuel = deriv.DEFAULT_FUEL,
 ) -> EquivalenceResult:
     """Prove the per-symbol equalities that make two interpretations equal
-    as arrows; only symbol images matter.  The target is lifted to the
-    Pi rules when the source is under them, as in check_interpretation."""
+    as arrows; only symbol images matter."""
     if i1.src.decls != i2.src.decls or i1.dst.decls != i2.dst.decls:
         raise GatError("equivalence needs interpretations with the same endpoints")
-    dst = i1.dst.with_pi() if i1.src.pi else i1.dst
     per: list[tuple[str, EqVerdict]] = []
     for d in i1.src.decls:
         if not d.is_symbol:
             continue
         ctx2 = i1.apply_ctx(d.ctx)
-        v = deriv.eq_check(dst, ctx2, i1.image(d.name), i2.image(d.name), fuel=fuel)
+        v = deriv.eq_check(i1.dst, ctx2, i1.image(d.name), i2.image(d.name), fuel=fuel)
         per.append((d.name, v))
         if not v.proved:
             return EquivalenceResult(False, v.reason, tuple(per))
@@ -224,12 +220,11 @@ def coequalizer(
     """Adjoin one equational axiom per source symbol identifying the images.
 
     Each axiom is checked over the theory extended so far, so later
-    obligations may use earlier adjoined equalities.  The target is
-    lifted to the Pi rules when the source is under them.
+    obligations may use earlier adjoined equalities.
     """
     if i1.src.decls != i2.src.decls or i1.dst.decls != i2.dst.decls:
         raise GatError("coequalizer needs parallel interpretations")
-    current = i1.dst.with_pi() if i1.src.pi else i1.dst
+    current = i1.dst
     for d in i1.src.decls:
         if not d.is_symbol:
             continue
@@ -266,7 +261,7 @@ def pushout(
 
     The result is the interpretation's target followed by translated
     copies of the non-shared declarations; each copy is checked as it is
-    appended, under the Pi rules when either theory of the inclusion is.
+    appended.
     """
     k = len(sub.decls)
     if total.decls[:k] != sub.decls:
@@ -276,7 +271,7 @@ def pushout(
         )
     if along.src.decls != sub.decls:
         raise GatError("interpretation source must be the subtheory")
-    current = along.dst.with_pi() if sub.pi or total.pi else along.dst
+    current = along.dst
     tilde: dict[str, Expr] = dict(along.mapping)
     # the images of total's symbols in tilde, which the copies translate by
     imgs = {d.name: (d.arity, tilde[d.name]) for d in total.decls if d.is_symbol and d.name in tilde}
@@ -369,14 +364,14 @@ def reconstruct(
     name: str = "reconstruction",
 ) -> tuple[Theory, dict[str, str]]:
     """Re-run the clauses as pushouts and coequalizers, from the empty
-    theory under the Pi rules when the presented theory is.
+    theory.
 
     Returns the rebuilt theory and the original-to-new symbol renaming;
     the result is isomorphic to the presented theory via that renaming
     (equational axioms come back as per-tower-symbol batches, which does
     not affect interpretations).
     """
-    current = Theory(name, (), any(i.dst.pi for cl in clauses for i in cl.arrows))
+    current = Theory(name, ())
     renaming: dict[str, str] = {}
 
     def retarget(i: Interpretation) -> Interpretation:

@@ -61,9 +61,6 @@ class PolyTheory:
 def poly_apply(base: Theory) -> PolyTheory:
     """P(base): the families theory of theory.families, certified by its
     lemma rather than re-checked, and built once per Theory object.
-
-    P(T).pi is T.pi: the families theory of a certified theory is
-    certified under the rules that certified it.
     """
     return PolyTheory(base, *base._families)
 
@@ -445,10 +442,9 @@ def pi_square(fuel: Fuel = deriv.DEFAULT_FUEL) -> PiSquareResult:
 
     Commutation is an interpretation equivalence; the pullback property
     is verified by a comparison arrow and a candidate inverse whose
-    round trips close under the beta and eta rewrites alone.  The towers
-    are lifted to the Pi rules, which the square's arrows need.
+    round trips close under the beta and eta rewrites alone.
     """
-    ty0, ty1, el0, el1 = (t.with_pi() for t in (mk_Ty(0), mk_Ty(1), mk_El(0), mk_El(1)))
+    ty0, ty1, el0, el1 = mk_Ty(0), mk_Ty(1), mk_El(0), mk_El(1)
     a0 = App("A0")
     pi_ty = mk_pi("x0", a0, App("A1", (Var("x0"),)))
 

@@ -8,9 +8,10 @@ ordered list of declarations; the list order realizes the dependency
 (well-founded) relation.  A Theory is a pretheory every declaration of
 which checks over the strictly earlier prefix; construct one through
 check_theory or extend, or from certified theories by the lemmas of
-Theory.prefix, Theory.rename, Theory.with_pi, disjoint_union and
-families.  The rule set, base or base with Pi, is chosen when a pretheory
-is certified, and the theory carries it.
+Theory.prefix, Theory.rename, disjoint_union and families.  There is one
+rule set: the base rules with the Pi rules (Pi types, lambda and
+application), which every theory lives under, so a theory that uses no
+binder is checked exactly as under the base rules alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from types import MappingProxyType
 from typing import Callable, Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
-from .expr import Ap, App, Expr, Var, fresh_name, hypothesize, mk_lam, mk_pi, rename_symbols, walk
+from .expr import Ap, App, Expr, Lam, Pi, Var, fresh_name, hypothesize, mk_lam, mk_pi, rename_symbols, walk
 from .gatform_names import safe_name
 
 
@@ -124,19 +125,17 @@ def _name_index(decls: Sequence[Declaration]) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class Theory:
-    """A certified pretheory.  pi says whether it was certified under the
-    Pi rules as well as the base rules; every check over the theory uses
-    that rule set.  Its prefixes, extensions and renamed copies share one
-    name index: a name is visible iff its position < len(decls).
+    """A certified pretheory.  Its prefixes, extensions and renamed
+    copies share one name index: a name is visible iff its position <
+    len(decls).
 
     The constructor checks nothing: only check_theory, extend and the
-    named lemmas (Theory.prefix, Theory.rename, Theory.with_pi,
-    disjoint_union and families) produce certified theories, and the
-    rest of gatc trusts that every Theory came from one of them."""
+    named lemmas (Theory.prefix, Theory.rename, disjoint_union and
+    families) produce certified theories, and the rest of gatc trusts
+    that every Theory came from one of them."""
 
     name: str
     decls: tuple[Declaration, ...]
-    pi: bool = False
     _index: Optional[dict[str, int]] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -168,7 +167,7 @@ class Theory:
 
     def prefix(self, n: int, name: Optional[str] = None) -> Theory:
         """The first n declarations; certified by prefix closure."""
-        return Theory(name or f"{self.name}_pfx{n}", self.decls[:n], self.pi, self._index)
+        return Theory(name or f"{self.name}_pfx{n}", self.decls[:n], self._index)
 
     def rename(self, renaming: Mapping[str, str], name: Optional[str] = None) -> Theory:
         """Rename declarations and every symbol occurrence; shape-preserving.
@@ -187,13 +186,13 @@ class Theory:
             if index[d.name] != i:
                 a, b = self.decls[i].name, self.decls[index[d.name]].name
                 raise DuplicateName(f"renaming sends {a!r} and {b!r} to {d.name!r}", decl=d.name)
-        return Theory(name or self.name, decls, self.pi, index)
+        return Theory(name or self.name, decls, index)
 
-    def with_pi(self) -> Theory:
-        """The same theory under the Pi rules; certified because more rules
-        keep every derivation.  A theory already under them is returned
-        as it is."""
-        return self if self.pi else Theory(self.name, self.decls, True, self._index)
+    @property
+    def pi(self) -> bool:
+        """Whether a declaration mentions a binder (Pi or lambda).  No
+        check reads it; the benchmark does, to choose its --rules flag."""
+        return any(t.__class__ in (Pi, Lam) for d in self.decls for e in d.exprs() for t, _ in walk(e))
 
     @functools.cached_property
     def _program(self):
@@ -242,8 +241,7 @@ def _scan_references(prefix: Theory, d: Declaration, names: Container[str]) -> N
 
 def _extend(theory: Theory, d: Declaration, names: Container[str], fuel) -> Theory:
     """The one certify step: d's statement form, its references, its
-    context and what its judgment presupposes, over the certified theory
-    and under its rules.
+    context and what its judgment presupposes, over the certified theory.
     Errors name the declaration; an omitted term-equation type comes back
     filled in."""
     if theory.has(d.name):
@@ -268,24 +266,22 @@ def _extend(theory: Theory, d: Declaration, names: Container[str], fuel) -> Theo
     # an index that a longer theory already extends is rebuilt, not overwritten
     index = theory._index if len(theory._index) == n else _name_index(theory.decls)
     index[d.name] = n
-    return Theory(theory.name, theory.decls + (d,), theory.pi, index)
+    return Theory(theory.name, theory.decls + (d,), index)
 
 
 def check_theory(
     decls: Pretheory,
-    pi: bool = False,
     fuel=None,
     name: str = "theory",
 ) -> Theory:
-    """Certify a pretheory under the base rules, and the Pi rules too when
-    pi is set: extend the empty theory by each declaration in turn."""
+    """Certify a pretheory: extend the empty theory by each declaration in turn."""
     fuel = _deriv.DEFAULT_FUEL if fuel is None else fuel
     names: set[str] = set()
     for d in decls:
         if d.name in names:
             raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
         names.add(d.name)
-    theory = Theory(name, (), pi)
+    theory = Theory(name, ())
     for d in decls:
         theory = _extend(theory, d, names, fuel)
     return theory
@@ -305,7 +301,7 @@ def disjoint_union(t1: Theory, t2: Theory, name: str) -> Theory:
     for d in t2.decls:
         if t1.has(d.name):
             raise DuplicateName(f"declaration name {d.name!r} repeated", decl=d.name)
-    return Theory(name, t1.decls + t2.decls, t1.pi or t2.pi)
+    return Theory(name, t1.decls + t2.decls)
 
 
 def families(base: Theory) -> tuple[Theory, str, Mapping[str, str]]:
@@ -316,11 +312,11 @@ def families(base: Theory) -> tuple[Theory, str, Mapping[str, str]]:
     The families theory declares a fresh closed type symbol H, then each
     declaration of base with a fresh variable h : H prefixed to its
     context and h passed first to every symbol of base it applies.
-    Lemma: the families theory of a certified theory is certified, under
-    the same rules.  It is base over the context extended by h : H, and
-    derivations survive context extension (Cartmell 1986): every check
-    that certified a declaration over its prefix of base goes through
-    with h prefixed to each context and to each application of a symbol.
+    Lemma: the families theory of a certified theory is certified.  It
+    is base over the context extended by h : H, and derivations survive
+    context extension (Cartmell 1986): every check that certified a
+    declaration over its prefix of base goes through with h prefixed to
+    each context and to each application of a symbol.
     """
     syms = {d.name for d in base.symbols()}
     reserved = fresh_name("A0", base)
@@ -329,11 +325,11 @@ def families(base: Theory) -> tuple[Theory, str, Mapping[str, str]]:
     for d in base.decls:
         h = d.map(lambda e: hypothesize(e, hyp_var[d.name], syms))
         decls.append(Declaration(d.name, ((hyp_var[d.name], App(reserved)),) + h.ctx, h.kind))
-    return Theory(safe_name(f"P_{base.name}"), tuple(decls), base.pi), reserved, MappingProxyType(hyp_var)
+    return Theory(safe_name(f"P_{base.name}"), tuple(decls)), reserved, MappingProxyType(hyp_var)
 
 
 def extend(theory: Theory, d: Declaration, fuel=None) -> Theory:
-    """Append one declaration, checking only it, under theory's rules."""
+    """Append one declaration, checking only it."""
     fuel = _deriv.DEFAULT_FUEL if fuel is None else fuel
     return _extend(theory, d, (d.name,), fuel)
 
@@ -495,7 +491,7 @@ def _simply_typed_lambda() -> Theory:
             el(_a("Fun", a, b)),
         ),
     ]
-    return check_theory(decls, pi=True, name="STLC")
+    return check_theory(decls, name="STLC")
 
 
 def _mltt_naturals() -> Theory:
@@ -532,7 +528,7 @@ def _mltt_naturals() -> Theory:
             el(Ap(c, _a("succ", n))),
         ),
     ]
-    return check_theory(decls, pi=True, name="MLTT-N")
+    return check_theory(decls, name="MLTT-N")
 
 
 @functools.lru_cache(maxsize=None)

@@ -52,15 +52,13 @@ def test_criterion_1_corpus_well_formedness(tmp_path):
     emit = tmp_path / "corpus"
     code, _ = run_cli(["stdlib", "--emit", str(emit)])
     ok = code == 0
-    for name in PI_FREE:
+    for name in LIB:
         c, _ = run_cli(["check", str(emit / f"{name}.gat")])
         ok = ok and c == 0
-    c, _ = run_cli(["check", str(emit / "STLC.gat"), "--rules", "pi"])
-    ok = ok and c == 0
     # the naturals encoding ships as corpus and is held to parse round-trip
     text = (emit / "MLTT-N.gat").read_text()
     [tb] = gatform.parse(text).theories()
-    t2 = theory.check_theory(tb.decls, pi=True, name=tb.name)
+    t2 = theory.check_theory(tb.decls, name=tb.name)
     ok = ok and gatform.print_theory(t2) == text
     report(1, "corpus well-formedness", ok)
 
@@ -132,7 +130,7 @@ POINTED_MONOID = """theory PointedMonoid {
 
 def test_criterion_6_pushout_presentation():
     po = pushout(LIB["Ty0"], LIB["El0"], corpus_interpretations()["Ty0ToMon"])
-    printed = gatform.print_theory(Theory("PointedMonoid", po.theory.decls, po.theory.pi))
+    printed = gatform.print_theory(Theory("PointedMonoid", po.theory.decls))
     ok = printed == POINTED_MONOID
     report(6, "pointed-monoid pushout presentation (byte-compared)", ok)
 
@@ -200,7 +198,7 @@ def test_criterion_9_pi_square():
         ok = ok and not any(isinstance(s, AxiomStep) for s in law.steps)
     ok = ok and any(isinstance(s, BetaStep) for s in r.forward.steps)
     ok = ok and any(isinstance(s, EtaStep) for s in r.backward.steps)
-    code, _ = run_cli(["pi-square", "--rules", "pi"])
+    code, _ = run_cli(["pi-square"])
     ok = ok and code == 0
     report(9, "dependent-product square is a pullback via beta/eta", ok)
 

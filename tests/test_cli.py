@@ -347,7 +347,7 @@ def test_type_mismatch_prints_bound_variables_by_name(tmp_path):
         "judgment j over MLTT-N { (n : El(N), C : Pi (x : El(N)) Ty, c0 : El(C @ zero))"
         " |- natrec(n, C, c0, c0) : El(C @ n) }\n"
     )
-    code, out = run(["check", str(p), "--rules", "pi"])
+    code, out = run(["check", str(p)])
     assert code == 1
     assert (
         "ArgumentTypeMismatch: expected type Pi (x : El(N)) Pi (y : El(C @ x))"
@@ -430,7 +430,7 @@ def test_interpretation_items_keep_their_obligation_traces(tmp_path):
 
     assert run(["stdlib", "--emit", str(tmp_path)])[0] == 0
     path = str(tmp_path / "interpretations.gat")
-    env = cli.load_environment(path, False, DEFAULT_FUEL)
+    env = cli.load_environment(path, DEFAULT_FUEL)
     with_axioms = 0
     for item in env.items:
         interp = env.interps[item.name.removeprefix("interp ")]
@@ -507,12 +507,11 @@ def test_present_command_with_reconstruction():
     assert "reconstruction: Proved" in out
 
 
-def test_pi_square_requires_pi_rules():
-    code, _ = run(["pi-square"])
-    assert code == 3
-    code, out = run(["pi-square", "--rules", "pi"])
+def test_pi_square_needs_no_flag_and_ignores_rules():
+    code, out = run(["pi-square", "--json"])
     assert code == 0
-    assert out.count("Proved") == 3
+    assert out.count('"Proved"') == 3
+    assert run(["pi-square", "--json", "--rules", "base"]) == run(["pi-square", "--json", "--rules", "pi"]) == (0, out)
 
 
 def test_unit_triangles_command():
@@ -537,7 +536,7 @@ def test_duplicate_block_names_rejected(tmp_path):
 def test_eq_beta_eta_through_cli():
     code, out = run(
         [
-            "eq", "--theory", "STLC", "--rules", "pi",
+            "eq", "--theory", "STLC",
             "--ctx", "(a : Ty, f : Pi (x : El(a)) El(a), x : El(a))",
             "--lhs", "(lam (y : El(a)) f @ y) @ x",
             "--rhs", "f @ x",
@@ -548,7 +547,7 @@ def test_eq_beta_eta_through_cli():
 
 
 def test_a_pi_theory_is_checked_under_pi_when_base_rules_are_asked():
-    # STLC was certified under the Pi rules; --rules base cannot take them away
+    # --rules is accepted and ignored: the Pi rules always hold
     code, out = run(
         [
             "eq", "--theory", "STLC", "--rules", "base",
@@ -561,16 +560,26 @@ def test_a_pi_theory_is_checked_under_pi_when_base_rules_are_asked():
     assert "eq: Proved" in out
 
 
-def test_rules_pi_lifts_a_stdlib_theory_and_certifies_a_file_theory_under_pi(tmp_path):
-    pi_ctx = ["--ctx", "(f : Pi (x : Mon) Mon, y : Mon)", "--lhs", "(lam (z : Mon) f @ z) @ y", "--rhs", "f @ y"]
-    code, out = run(["eq", "--theory", "Mon", *pi_ctx])
-    assert code == 1 and "NotAType: Pi types require the pi rule set" in out
-    assert run(["eq", "--theory", "Mon", "--rules", "pi", *pi_ctx])[0] == 0
+def test_a_beta_goal_over_mon_is_proved_with_no_flag_and_its_trace_replays():
+    from gatc.deriv import BetaStep, replay_eq_trace
+
+    lhs, rhs = "(lam (y : Mon) f @ y) @ m", "f @ m"
+    argv = ["eq", "--theory", "Mon", "--ctx", "(f : Pi (x : Mon) Mon, m : Mon)", "--lhs", lhs, "--rhs", rhs]
+    code, out = run([*argv, "--json", "--trace"])
+    assert code == 0
+    (item,) = json.loads(out)["items"]
+    assert item["verdict"] == "Proved"
+    assert [s["kind"] for s in item["trace"]] == ["beta"]
+    read = lambda text: gatform.parse_expr(text, ["f", "m"])  # noqa: E731
+    steps = [BetaStep(read(s["redex"]), read(s["contractum"])) for s in item["trace"]]
+    assert replay_eq_trace(stdlib()["Mon"], read(lhs), read(rhs), steps)
+
+
+def test_a_file_theory_that_uses_pi_checks_with_no_flag(tmp_path):
     p = tmp_path / "t.gat"
     p.write_text("theory T { sym A : () => Type  sym f : (g : Pi (x : A) A) => A }\n")
     code, out = run(["check", str(p)])
-    assert code == 1 and "NotAType: in declaration 'f': Pi types require the pi rule set" in out
-    assert run(["check", str(p), "--rules", "pi"])[0] == 0
+    assert code == 0 and "theory T: ok" in out
 
 
 def test_fuel_flags_and_env(monkeypatch, capsys):
@@ -615,8 +624,12 @@ def test_stdlib_emit_round_trips(tmp_path):
     for name, t in lib.items():
         text = (emit_dir / f"{name}.gat").read_text()
         assert text == gatform.print_theory(t)
-        code, _ = run(["check", str(emit_dir / f"{name}.gat"), "--rules", "pi" if t.pi else "base"])
+        code, _ = run(["check", str(emit_dir / f"{name}.gat")])
         assert code == 0, name
+    # every emitted file checks with no flag, the unicode ones too
+    assert run(["stdlib", "--emit", str(tmp_path / "unicode"), "--unicode"])[0] == 0
+    for path in sorted((tmp_path / "unicode").glob("*.gat")):
+        assert run(["check", str(path)])[0] == 0, path.name
     assert (emit_dir / "interpretations.gat").exists()
     code, _ = run(["check", str(emit_dir / "interpretations.gat")])
     assert code == 0

@@ -22,7 +22,7 @@ LIB = stdlib()
 def _fresh(name: str) -> Theory:
     """A new object equal to the library theory, with no families theory yet."""
     t = LIB[name]
-    return Theory(t.name, t.decls, t.pi)
+    return Theory(t.name, t.decls)
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ def test_round_trip_is_fixed_point_for_stdlib():
         text = print_theory(t)
         sf = parse(text)
         [tb] = sf.theories()
-        t2 = check_theory(tb.decls, t.pi, name=tb.name)
+        t2 = check_theory(tb.decls, name=tb.name)
         assert print_theory(t2) == text, name
 
 
@@ -309,7 +309,7 @@ def test_unicode_spellings_lex_as_ascii_kinds():
 def test_unicode_round_trip_of_the_corpus():
     for name, t in LIB.items():
         [tb] = parse(print_theory(t, unicode=True)).theories()
-        assert check_theory(tb.decls, t.pi, name=tb.name).decls == t.decls, name
+        assert check_theory(tb.decls, name=tb.name).decls == t.decls, name
     interps = corpus_interpretations()
     text = "".join(print_interp(i, unicode=True) for i in interps.values())
     for ib in parse(text).interps():

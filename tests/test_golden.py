@@ -21,7 +21,6 @@ import pytest
 from gatc import cli, theory
 
 GOLDEN = Path(__file__).parent / "golden"
-PI_THEORIES = {"STLC", "MLTT-N"}
 INTERPS = "{interps}"  # replaced by the emitted interpretations.gat
 MODELS_GAT = "{models}"  # replaced by a file holding MODELS_SOURCE
 
@@ -43,14 +42,12 @@ MODELS = [("Mon", 2), ("Cat", 1), ("CatPt", 1), ("El1", 2), ("Ty2", 2)]
 
 CASES = {
     **{
-        f"poly_{n}": ["poly", "--theory", n, "--json"] + (["--rules", "pi"] if n in PI_THEORIES else [])
+        f"poly_{n}": ["poly", "--theory", n, "--json"]
         for n in theory.stdlib()
     },
     "check_interpretations": ["check", INTERPS, "--json"],
     "present_Cat_reconstruct": ["present", "--theory", "Cat", "--reconstruct", "--json"],
-    "present_MLTT-N_reconstruct": [
-        "present", "--theory", "MLTT-N", "--reconstruct", "--rules", "pi", "--json",
-    ],
+    "present_MLTT-N_reconstruct": ["present", "--theory", "MLTT-N", "--reconstruct", "--json"],
     "coprod_Mon_Cat": ["coprod", "--left", "Mon", "--right", "Cat", "--json"],
     "pushout_Ty0_El0_Ty0ToMon": [
         "pushout", INTERPS, "--base", "Ty0", "--total", "El0", "--along", "Ty0ToMon", "--json",
@@ -68,7 +65,7 @@ CASES = {
         "verify-poly", "--samples", "terminal,Ty0,El0,Mon,Cat,CatPt,Ty1,El1", "--json",
     ],
     "unit_triangles": ["unit-triangles", "--json"],
-    "pi_square": ["pi-square", "--rules", "pi", "--json"],
+    "pi_square": ["pi-square", "--json"],
 }
 
 

@@ -61,7 +61,7 @@ def test_shared_index_agrees_with_a_fresh_one_on_every_branch():
     views["late-branch"] = extend(base, term_sym("late", (), A))
     names = sorted({d.name for t in views.values() for d in t.decls}) + ["absent"]
     for label, t in views.items():
-        fresh = Theory(t.name, t.decls, t.pi)
+        fresh = Theory(t.name, t.decls)
         assert t == fresh, label
         assert _observe(t, names) == _observe(fresh, names), label
 

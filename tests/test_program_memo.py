@@ -29,7 +29,7 @@ LIB = stdlib()
 def _fresh(name: str) -> Theory:
     """A new object equal to the library theory, with no program yet."""
     t = LIB[name]
-    return Theory(t.name, t.decls, t.pi)
+    return Theory(t.name, t.decls)
 
 
 def _keys(t: Theory, bound: int) -> list:
@@ -78,7 +78,7 @@ def test_each_new_object_builds_its_own_program(builds):
     assert _keys(renamed, 2) == _keys(mon, 2)
     assert [id(t) for t in builds] == [id(mon), id(pre), id(ext), id(renamed)]
     for t in (pre, ext, renamed):
-        assert _keys(t, 2) == _keys(Theory(t.name, t.decls, t.pi), 2)
+        assert _keys(t, 2) == _keys(Theory(t.name, t.decls), 2)
 
 
 def test_a_failed_build_memoizes_nothing(builds):

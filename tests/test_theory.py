@@ -1,6 +1,6 @@
 import pytest
 
-from gatc.errors import DuplicateName, ForwardReference, GatError, NotAType, UnknownSymbol
+from gatc.errors import DuplicateName, ForwardReference, GatError, UnknownSymbol
 from gatc.expr import App, Var, mk_pi
 from gatc.gatform import parse
 from gatc.gatcat import (
@@ -118,7 +118,7 @@ def test_extend_monoid_with_idempotency():
 def test_prefix_closure():
     for name, t in stdlib().items():
         for i in range(len(t.decls) + 1):
-            check_theory(t.decls[:i], t.pi)  # must not raise
+            check_theory(t.decls[:i])  # must not raise
 
 
 def test_rename_rejects_a_renaming_that_is_not_injective():
@@ -141,7 +141,7 @@ def test_rename_is_certified_by_its_lemma():
     for name, t in stdlib().items():
         renaming = {d.name: f"{d.name}'" for d in t.decls[::2]}
         renamed = t.rename(renaming, name="R")
-        assert renamed == check_theory(renamed.decls, t.pi, name="R"), name
+        assert renamed == check_theory(renamed.decls, name="R"), name
     swap = stdlib()["Mon"].rename({"u": "mul", "mul": "u"})
     assert [d.name for d in swap.decls[:3]] == ["Mon", "mul", "u"]
 
@@ -295,24 +295,11 @@ def test_judgment_fills_in_the_implicit_subject():
             assert d.judgment() == _judgment_by_hand(d), (t.name, d.name)
 
 
-def test_the_rules_are_chosen_when_a_pretheory_is_certified():
-    # a file theory that uses Pi certifies only when pi is asked for, and
-    # the certified theory carries the choice
+def test_a_file_theory_that_uses_pi_certifies():
+    # the Pi rules hold over every theory: a declaration may use a binder,
+    # and so may an extension of a theory that declares none
     [tb] = parse("theory T { sym A : () => Type  sym f : (g : Pi (x : A) A) => A }").theories()
-    with pytest.raises(NotAType, match="in declaration 'f': Pi types require the pi rule set"):
-        check_theory(tb.decls)
-    assert check_theory(tb.decls, pi=True).pi
-
-
-def test_with_pi_lifts_a_theory_and_keeps_a_pi_theory():
-    mon, stlc = stdlib()["Mon"], stdlib()["STLC"]
-    lifted = mon.with_pi()
-    assert (lifted.name, lifted.decls, lifted.pi) == (mon.name, mon.decls, True)
-    assert lifted._index is mon._index
-    assert lifted.with_pi() is lifted and stlc.with_pi() is stlc
-    assert not mon.pi
-    # extensions check under the theory's rules: the lifted one admits Pi
+    assert check_theory(tb.decls).pi
+    mon = stdlib()["Mon"]
     g = term_sym("g", (("f", mk_pi("x", App("Mon"), App("Mon"))),), App("Mon"))
-    assert extend(lifted, g).pi
-    with pytest.raises(NotAType, match="Pi types require the pi rule set"):
-        extend(mon, g)
+    assert not mon.pi and extend(mon, g).pi

@@ -178,13 +178,13 @@ def renamed_union(t1, t2, name: str):
     for t, tag in ((t1, "#1"), (t2, "#2")):
         r = {d.name: d.name + tag for d in t.decls}
         halves += [d.map(lambda e, r=r: rename_symbols(e, r), r[d.name]) for d in t.decls]
-    return check_theory(halves, t1.pi or t2.pi, name=name)
+    return check_theory(halves, name=name)
 
 
 def assert_union_certified(t1, t2) -> None:
     cp = coproduct(t1, t2)
     expected = renamed_union(t1, t2, cp.theory.name)
-    assert (cp.theory.name, cp.theory.decls, cp.theory.pi) == (expected.name, expected.decls, expected.pi)
+    assert (cp.theory.name, cp.theory.decls) == (expected.name, expected.decls)
 
 
 def test_coproduct_of_every_corpus_pair_is_certified():
@@ -214,9 +214,9 @@ def test_disjoint_union_rejects_a_shared_name_as_check_theory_does():
 
 
 def assert_recertifies(t) -> None:
-    """check_theory of t's declarations gives t's name, declarations and pi."""
-    expected = check_theory(t.decls, t.pi, name=t.name)
-    assert (t.name, t.decls, t.pi) == (expected.name, expected.decls, expected.pi), t.name
+    """check_theory of t's declarations gives t's name and declarations."""
+    expected = check_theory(t.decls, name=t.name)
+    assert (t.name, t.decls) == (expected.name, expected.decls), t.name
 
 
 def test_families_of_every_corpus_theory_is_certified():
@@ -239,5 +239,5 @@ def test_every_prefix_of_every_corpus_theory_is_certified():
     for t in LIB.values():
         for n in range(len(t.decls) + 1):
             pre = t.prefix(n)
-            expected = check_theory(t.decls[:n], t.pi, name=pre.name)
+            expected = check_theory(t.decls[:n], name=pre.name)
             assert pre.decls == expected.decls, pre.name
